@@ -151,17 +151,22 @@ def fourier_table_recursion(max_n: int, eps: float = 1e-10) -> FourierTable:
     return FourierTable(max_n=max_n, coeffs=coeffs, tolerance=eps, source="recursion")
 
 
+MAX_IFS_LEVEL = 20  # the 64-row phase block then holds 64 x 2^20 complex values, 1 GiB
+
+
 def fourier_table_ifs(max_n: int, level: int = 14,
                       placement: Placement = "midpoint") -> FourierTable:
     """Table of sigma_hat(n), |n| <= max_n, by direct summation over the
     level-`level` atomic discretization. Independent of the recursion route.
 
     The a-priori accuracy estimate is first order in the cell width for
-    left-endpoint atoms and second order for midpoint atoms.
+    left-endpoint atoms and second order for midpoint atoms. Levels above
+    MAX_IFS_LEVEL are refused.
     """
     if max_n < 0:
         raise ValueError("max_n must be >= 0")
-    _check_level(level)
+    if not 0 <= level <= MAX_IFS_LEVEL:
+        raise ValueError(f"level must be in [0, {MAX_IFS_LEVEL}], got {level}")
     t = atoms(level, placement)
     ns = np.arange(-max_n, max_n + 1, dtype=np.int64)
     coeffs: dict[int, complex] = {}

@@ -77,6 +77,11 @@ def _require(cond: bool, message: str) -> None:
         raise ConfigError(message)
 
 
+def _require_ifs_level(level: int) -> None:
+    _require(1 <= level <= cantor.MAX_IFS_LEVEL,
+             f"level must be in [1, {cantor.MAX_IFS_LEVEL}]")
+
+
 # ---------------------------------------------------------------------------
 # verify-norms
 
@@ -232,7 +237,7 @@ def cmd_kernel_table(cfg: RunConfig):
 def cmd_cantor_fourier(cfg: RunConfig):
     _require(cfg.max_n >= 1, "max-n must be >= 1")
     _require(cfg.eps > 0, "eps must be positive")
-    _require(1 <= cfg.level <= 20, "level must be in [1, 20]")
+    _require_ifs_level(cfg.level)
     _require(cfg.placement in ("midpoint", "left"), "placement must be midpoint or left")
     _require(10 <= cfg.sweep_pow <= 22, "sweep-pow must be in [10, 22]")
 
@@ -392,6 +397,7 @@ def cmd_henkin_check(cfg: RunConfig):
         maxdeg = cfg.maxdeg if cfg.maxdeg is not None else 100
         _require(0 <= maxdeg <= 400, "maxdeg must be in [0, 400]")
         _require(cfg.eps > 0, "eps must be positive")
+        _require_ifs_level(cfg.level)
         rec_table = cantor.fourier_table_recursion(maxdeg, cfg.eps)
         oracle_table = cantor.fourier_table_ifs(maxdeg, cfg.level, "midpoint")
         witness = henkin.build_witness("D2", maxdeg, rec_table)
@@ -442,6 +448,7 @@ def cmd_witness(cfg: RunConfig):
         N = cfg.n if cfg.n is not None else 100
         _require(0 <= N <= 400, "n must be in [0, 400]")
         _require(cfg.eps > 0, "eps must be positive")
+        _require_ifs_level(cfg.level)
         rec_table = cantor.fourier_table_recursion(N, cfg.eps)
         witness = henkin.build_witness("D2", N, rec_table)
         oracle_table = cantor.fourier_table_ifs(N, cfg.level, "midpoint")
@@ -480,7 +487,7 @@ def cmd_peak_check(cfg: RunConfig):
         {"check": "peak/support-on-sphere", "pass": rep.support_dev <= 1e-12,
          "support_dev": rep.support_dev},
         {"check": "peak/strictly-inside-off-support", "pass": rep.all_strictly_inside,
-         "min_margin": rep.min_margin, "kept": rep.kept, "rejected": rep.rejected},
+         **rep.margin_json(), "kept": rep.kept, "rejected": rep.rejected},
     ]
     config = {"samples": cfg.samples, "seed": cfg.seed, "delta": cfg.delta}
     return config, results, {}

@@ -38,6 +38,7 @@ from .exact import (
     validate_multi_index,
 )
 from .norms import da_inner, monomial_norm_sq
+from .reports import finite_or_null
 
 Variant = Literal["D4", "D2"]
 
@@ -387,7 +388,8 @@ class HenkinCheckResult:
             "variant": self.variant,
             "maxdeg": self.maxdeg,
             "checked": self.checked,
-            "max_dev": self.max_dev,
+            **finite_or_null("max_dev", self.max_dev,
+                             "exact comparison failed; no float deviation"),
             "failures": [list(f) for f in self.failures],
             "passed": self.passed,
         }
@@ -545,14 +547,19 @@ def non_henkin_witness(n_max: int = 50, grid_points: int = 1000,
     if not 0.0 < grid_radius < 1.0:
         raise ValueError("grid_radius must lie strictly inside (0, 1)")
 
-    # (i) exact integrals
+    # (i) exact integrals: 2^n integral(f_n dmu) = sum_j C(n, j) q_j, where
+    # q_j = integral(r^j dmu) = 16^j times the diagonal moment of order j.
+    # Over one common denominator D the test is an identity of integers, so
+    # no sum is ever reduced by a gcd.
+    q = [16 ** j * moment_d4((j, j, j, j)) for j in range(n_max + 1)]
+    D = math.lcm(*(qj.denominator for qj in q))
+    scaled = [qj.numerator * (D // qj.denominator) for qj in q]
     failures = []
+    binom = [1]  # row n of Pascal's triangle: C(n, j) for j = 0..n
     for n in range(n_max + 1):
-        total = Fraction(0)
-        for j in range(n + 1):
-            total += math.comb(n, j) * Fraction(16 ** j) * moment_d4((j, j, j, j))
-        if total * Fraction(1, 2 ** n) != 1:
+        if sum(c * s for c, s in zip(binom, scaled)) != D << n:
             failures.append(n)
+        binom = [a + b for a, b in zip([0] + binom, binom + [0])]
 
     # (ii) interior decay on a fixed seeded grid
     rng = np.random.default_rng(seed)
@@ -609,10 +616,14 @@ class PeakReport:
             "support_dev": self.support_dev,
             "kept": self.kept,
             "rejected": self.rejected,
-            "min_margin": self.min_margin,
+            **self.margin_json(),
             "all_strictly_inside": self.all_strictly_inside,
             "passed": self.passed,
         }
+
+    def margin_json(self) -> dict:
+        """min_margin, or null with a reason when no sample was kept."""
+        return finite_or_null("min_margin", self.min_margin, "no sample outside delta")
 
 
 def peak_check(samples: int = 10_000, seed: int = 0, delta: float = 1e-2,

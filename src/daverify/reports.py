@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 from fractions import Fraction
 from pathlib import Path
 
@@ -50,6 +51,14 @@ def jsonable(value):
     if hasattr(value, "to_json"):
         return jsonable(value.to_json())
     raise TypeError(f"cannot serialize {type(value).__name__} into a report")
+
+
+def finite_or_null(key: str, value: float, reason: str) -> dict:
+    """{key: value} for a finite value; otherwise {key: None, key_reason:
+    reason}, since canonical JSON has no inf or nan."""
+    if math.isfinite(value):
+        return {key: value}
+    return {key: None, f"{key}_reason": reason}
 
 
 def make_report(command: str, config: dict, results: list[dict]) -> dict:

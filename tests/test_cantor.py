@@ -6,8 +6,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from daverify import cantor
 from daverify.cantor import (
     MAX_ENERGY_LEVEL,
+    MAX_IFS_LEVEL,
     atoms,
     circle_atoms,
     fourier_coeff,
@@ -121,6 +123,13 @@ class TestFourierTables:
         left = fourier_table_ifs(243, 14, "left")
         assert abs(mid[243] - rec[243]) < 1e-7
         assert abs(left[243] - rec[243]) > 1e-5
+
+    def test_ifs_level_cap_refused_before_allocation(self, monkeypatch):
+        def no_atoms(*args):
+            raise AssertionError("atoms built for a refused level")
+        monkeypatch.setattr(cantor, "atoms", no_atoms)
+        with pytest.raises(ValueError):
+            fourier_table_ifs(4, MAX_IFS_LEVEL + 1)
 
     def test_out_of_range_lookup(self):
         table = fourier_table_recursion(8, 1e-10)

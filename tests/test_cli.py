@@ -1,8 +1,14 @@
 """The verification CLI: exit codes, deterministic reports, table output."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
+
+import daverify
 
 from daverify.cli import ConfigError, RunConfig, build_parser, main, run
 from daverify.reports import load_report
@@ -97,6 +103,35 @@ def test_cantor_fourier_records_sweep(workdir):
     assert sweep_row["pass"] is True
     assert "2^10" in sweep_row["partial_sums"]
     assert "per_doubling_increase" in sweep_row
+
+
+def test_ifs_level_above_cap_exit_2(workdir):
+    for argv in (["cantor-fourier", "--level", "21"],
+                 ["henkin-check", "--dim", "2", "--level", "21"],
+                 ["witness", "--dim", "2", "--level", "21"]):
+        assert main(argv) == 2
+
+
+def test_peak_check_without_kept_samples_writes_valid_json(workdir):
+    assert main(["peak-check", "--samples", "1", "--delta", "100"]) == 0
+
+    def reject(name):
+        raise ValueError(f"non-standard JSON constant {name}")
+
+    text = (workdir / "peak-check-report.json").read_text()
+    rep = json.loads(text, parse_constant=reject)
+    row = [r for r in rep["results"] if r["check"] == "peak/strictly-inside-off-support"][0]
+    assert row["kept"] == 0 and row["min_margin"] is None
+    assert row["min_margin_reason"] == "no sample outside delta"
+
+
+def test_python_m_daverify_help():
+    src = str(Path(daverify.__file__).resolve().parent.parent)
+    proc = subprocess.run([sys.executable, "-m", "daverify", "--help"],
+                          env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True,
+                          timeout=60)
+    assert proc.returncode == 0
+    assert "peak-check" in proc.stdout
 
 
 def test_compression_d2(workdir):

@@ -7,6 +7,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from daverify import henkin
 from daverify.cantor import fourier_table_ifs, fourier_table_recursion
 from daverify.exact import Polynomial, QComplex
 from daverify.henkin import (
@@ -27,8 +28,17 @@ from daverify.henkin import (
     sample_cantor_points,
     sample_torus,
 )
+from daverify.reports import dump_report, make_report
 
 SIGMA_1 = 0.37143735670876543
+
+
+def perturb_diagonal_moment(monkeypatch, j0: int) -> None:
+    """Make henkin.moment_d4 wrong by 2^-60 at alpha = (j0, j0, j0, j0)."""
+    def wrong(alpha):
+        m = moment_d4(alpha)
+        return m + Fraction(1, 2 ** 60) if tuple(alpha) == (j0,) * 4 else m
+    monkeypatch.setattr(henkin, "moment_d4", wrong)
 
 
 class TestClosedFormMoments:
@@ -164,6 +174,15 @@ class TestHenkinIdentity:
         res = henkin_identity_check("D4", 12, w)
         assert res.passed and res.checked == 1820 and res.max_dev == 0.0
 
+    def test_d4_failure_serializes_max_dev_as_null(self, monkeypatch, tmp_path):
+        perturb_diagonal_moment(monkeypatch, 1)
+        res = henkin_identity_check("D4", 4, build_witness("D4", 1))
+        assert res.failures == ((1, 1, 1, 1),) and res.max_dev == math.inf
+        js = res.to_json()
+        assert js["max_dev"] is None and js["max_dev_reason"]
+        dump_report(make_report("henkin-check", {}, [{"check": "c", "pass": False, "res": res}]),
+                    tmp_path / "r.json")
+
     def test_d4_truncation_guard(self):
         w = build_witness("D4", 1)
         with pytest.raises(ValueError):
@@ -216,6 +235,13 @@ class TestNonHenkin:
         with pytest.raises(ValueError):
             non_henkin_witness(grid_radius=1.0)
 
+    def test_wrong_moment_fails_every_integral_that_uses_it(self, monkeypatch):
+        j0 = 7
+        perturb_diagonal_moment(monkeypatch, j0)
+        rep = non_henkin_witness(n_max=20, grid_points=100, seed=7)
+        assert rep.integral_failures == tuple(range(j0, 21))
+        assert not rep.integrals_all_one and not rep.passed
+
 
 class TestPeak:
     def test_peaks_on_support_strict_inside(self):
@@ -230,6 +256,13 @@ class TestPeak:
         tight = peak_check(samples=4000, seed=21, delta=1e-3)
         assert loose.min_margin >= tight.min_margin
         assert loose.rejected >= tight.rejected
+
+    def test_no_kept_sample_writes_null_margin(self):
+        rep = peak_check(samples=1, seed=0, delta=100.0)
+        assert rep.kept == 0 and rep.min_margin == math.inf
+        js = rep.to_json()
+        assert js["min_margin"] is None
+        assert js["min_margin_reason"] == "no sample outside delta"
 
     def test_input_guards(self):
         with pytest.raises(ValueError):

@@ -125,6 +125,21 @@ class TestStirlingRatio:
             for n in (0, 1, 7, 150, 300):
                 assert sweep[n] == pytest.approx(stirling_ratio(d, n), rel=1e-12)
 
+    def test_matches_reduced_fraction_bit_for_bit(self):
+        # true division of the unreduced terms must round exactly like
+        # float() of the reduced Fraction
+        for d in (1, 2, 3, 4):
+            for n in [*range(601), 3000]:
+                expected = float(r_power_norm_sq(d, n)) / float(n + 1) ** ((d - 1) / 2)
+                assert stirling_ratio(d, n) == expected
+
+    def test_input_guards(self):
+        for d, n in ((0, 3), (2, -1)):
+            with pytest.raises(ValueError):
+                stirling_ratio(d, n)
+            with pytest.raises(ValueError):
+                r_power_norm_sq(d, n)
+
     def test_envelope_tightens(self):
         for d, limit in ((2, math.sqrt(math.pi)), (4, (2 * math.pi) ** 1.5 / 2)):
             vals = stirling_ratio_sweep(d, 10_000)[100:]
