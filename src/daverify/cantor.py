@@ -151,7 +151,8 @@ def fourier_table_recursion(max_n: int, eps: float = 1e-10) -> FourierTable:
     return FourierTable(max_n=max_n, coeffs=coeffs, tolerance=eps, source="recursion")
 
 
-MAX_IFS_LEVEL = 20  # the 64-row phase block then holds 64 x 2^20 complex values, 1 GiB
+MAX_IFS_LEVEL = 20  # a 64-row phase block then holds 64 x 2^20 complex values, 1 GiB
+_IFS_BLOCK = 64
 
 
 def fourier_table_ifs(max_n: int, level: int = 14,
@@ -159,24 +160,30 @@ def fourier_table_ifs(max_n: int, level: int = 14,
     """Table of sigma_hat(n), |n| <= max_n, by direct summation over the
     level-`level` atomic discretization. Independent of the recursion route.
 
+    With n = n0 + m, n0 a multiple of 64 and 0 <= m < 64, each atom's phase
+    factors as exp(-2 pi i n0 t) exp(-2 pi i m t), so every row of 64
+    coefficients is one matrix product of the n0 phases with the 64 shared
+    m phases, and only 1/64 of the exponentials are evaluated.
+
     The a-priori accuracy estimate is first order in the cell width for
     left-endpoint atoms and second order for midpoint atoms. Levels above
-    MAX_IFS_LEVEL are refused.
+    MAX_IFS_LEVEL are refused; the m phases and each chunk of at most 64
+    n0 phases are the two largest blocks held.
     """
     if max_n < 0:
         raise ValueError("max_n must be >= 0")
     if not 0 <= level <= MAX_IFS_LEVEL:
         raise ValueError(f"level must be in [0, {MAX_IFS_LEVEL}], got {level}")
     t = atoms(level, placement)
-    ns = np.arange(-max_n, max_n + 1, dtype=np.int64)
-    coeffs: dict[int, complex] = {}
-    block = 64
-    for start in range(0, len(ns), block):
-        chunk = ns[start:start + block]
-        phases = np.exp(-2j * np.pi * chunk[:, None].astype(np.float64) * t[None, :])
-        vals = phases.mean(axis=1)
-        for n, val in zip(chunk, vals):
-            coeffs[int(n)] = complex(val)
+    first = -max_n // _IFS_BLOCK  # the block holding n = -max_n
+    offsets = np.arange(first, max_n // _IFS_BLOCK + 1, dtype=np.float64) * _IFS_BLOCK
+    inner = _phases(np.arange(_IFS_BLOCK, dtype=np.float64), t).T
+    rows = []
+    for start in range(0, len(offsets), _IFS_BLOCK):
+        rows.append(_phases(offsets[start:start + _IFS_BLOCK], t) @ inner)
+    vals = np.concatenate(rows).ravel() / len(t)
+    lo = -max_n - first * _IFS_BLOCK  # position of n = -max_n in vals
+    coeffs = dict(zip(range(-max_n, max_n + 1), vals[lo:lo + 2 * max_n + 1].tolist()))
     width = 3.0 ** (-level)
     if placement == "midpoint":
         tol = 0.5 * (2.0 * np.pi * max_n * width) ** 2 * _VARIANCE
@@ -186,15 +193,28 @@ def fourier_table_ifs(max_n: int, level: int = 14,
                         source=f"ifs-level-{level}-{placement}")
 
 
+def _phases(ks: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """exp(-2 pi i k t) for every k in ks (rows) and atom t (columns)."""
+    out = np.multiply.outer(-2j * np.pi * ks, t)
+    return np.exp(out, out=out)
+
+
 def _abs_sq_table(n_max: int, eps: float) -> np.ndarray:
-    """|sigma_hat(n)|^2 for n = 0..n_max, vectorized recursion in one pass."""
+    """|sigma_hat(n)|^2 for n = 0..n_max, vectorized recursion in one pass.
+
+    |(1 + exp(-i theta))/2| = |cos(theta/2)|, so the truncated product is
+    prod_{j <= depth} cos^2(2 pi n / 3^j), one real cosine per level.
+    """
     x = np.arange(n_max + 1, dtype=np.float64)
-    v = np.ones(n_max + 1, dtype=np.complex128)
-    depth = recursion_depth(n_max, eps)
-    for _ in range(depth):
-        v *= 0.5 * (1.0 + np.exp(-4j * np.pi * (x / 3.0)))
+    v = np.ones(n_max + 1, dtype=np.float64)
+    c = np.empty(n_max + 1, dtype=np.float64)
+    for _ in range(recursion_depth(n_max, eps)):
         x /= 3.0
-    return np.abs(v) ** 2
+        np.multiply(2.0 * np.pi, x, out=c)
+        np.cos(c, out=c)
+        v *= c
+        v *= c
+    return v
 
 
 def weighted_fourier_sum(N: int, eps: float = 1e-9) -> float:
@@ -246,6 +266,12 @@ _UNIT_ROUNDOFF = 2.0 ** -53
 
 def _sinc(x: float) -> float:
     return math.sin(x) / x
+
+
+def _dot(a: np.ndarray, b: np.ndarray) -> float:
+    """sum a * b in einsum's fixed, single-threaded order; a BLAS dot product
+    splits the sum by thread count, which would tie the reports to it."""
+    return float(np.einsum("i,i->", a, b))
 
 
 def _difference_weights(level: int) -> np.ndarray:
@@ -318,15 +344,15 @@ def riesz_energy(level: int, placement: Placement = "midpoint") -> EnergyEstimat
         half = (2.0 * np.sin(np.pi / n * np.arange(M + 1))) ** -0.5
     chord = np.concatenate([half, half[::-1]])  # f(j h), j = 0..n, by f(d) = f(1 - d)
 
-    pair_sum = 2.0 * (pos @ chord[2:2 * M + 1:2])
-    cross_lo = 2.0 * (reg @ chord[2:2 * M:2])
-    cross_hi = reg @ (chord[1:2 * M - 1:2] + chord[3:2 * M + 1:2])
+    pair_sum = 2.0 * _dot(pos, chord[2:2 * M + 1:2])
+    cross_lo = 2.0 * _dot(reg, chord[2:2 * M:2])
+    cross_hi = _dot(reg, chord[1:2 * M - 1:2] + chord[3:2 * M + 1:2])
     # (1 - q^L) J: every pair of distinct cells, line kernel about |D| = 2m h.
-    j_lo = 2.0 * (pos @ line[2:2 * M + 1:2])
-    j_hi = pos @ (line[1:2 * M:2] + line[3:2 * M + 2:2])
+    j_lo = 2.0 * _dot(pos, line[2:2 * M + 1:2])
+    j_hi = _dot(pos, line[1:2 * M:2] + line[3:2 * M + 2:2])
     # (1 - (sqrt(3)/4)^L) K: X - Y + 1 = (2m + n) h + hU for m = -M+1..M.
-    k_lo = w[1:] @ line[3:2 * n:2]
-    k_hi = 0.5 * (w[1:] @ (line[2:2 * n - 1:2] + line[4:2 * n + 1:2]))
+    k_lo = _dot(w[1:], line[3:2 * n:2])
+    k_hi = 0.5 * _dot(w[1:], line[2:2 * n - 1:2] + line[4:2 * n + 1:2])
 
     root_n = math.sqrt(n)  # h^(-1/2)
     q_l = root_n / 2.0 ** level  # (sqrt(3)/2)^L

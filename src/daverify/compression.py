@@ -79,7 +79,8 @@ def top_singular_value(A: np.ndarray, tol: float = 1e-12,
     v = np.ones(ncols, dtype=np.complex128) / math.sqrt(ncols)
     lam = 0.0
     for _ in range(max_iter):
-        u = A.conj().T @ (A @ v)
+        # A* w as conj(A^T conj(w)): A.T is a view, so no conjugate copy of A
+        u = (A.T @ (A @ v).conj()).conj()
         lam = float(np.real(np.vdot(v, u)))
         residual = float(np.linalg.norm(u - lam * v))
         if residual <= tol * max(lam, 1e-300):

@@ -91,8 +91,14 @@ def moment_d2(m: int, n: int, table: FourierTable) -> complex:
 
 def h_d4(zeta: np.ndarray) -> np.ndarray:
     """Map torus points (rows of a (m, 3) array) onto the C^4 sphere."""
-    z4 = np.conj(zeta[:, 0] * zeta[:, 1] * zeta[:, 2])
-    return 0.5 * np.column_stack([zeta[:, 0], zeta[:, 1], zeta[:, 2], z4])
+    out = np.empty((len(zeta), 4), dtype=np.complex128)
+    out[:, :3] = zeta
+    z4 = out[:, 3]
+    np.multiply(zeta[:, 0], zeta[:, 1], out=z4)
+    z4 *= zeta[:, 2]
+    np.conjugate(z4, out=z4)
+    out *= 0.5
+    return out
 
 
 def h_d2(zeta: np.ndarray, omega: np.ndarray) -> np.ndarray:
@@ -103,17 +109,35 @@ def h_d2(zeta: np.ndarray, omega: np.ndarray) -> np.ndarray:
 
 def sample_torus(count: int, rng: np.random.Generator, k: int = 3) -> np.ndarray:
     """count independent Haar samples on the k-torus, as unit complex entries."""
-    theta = rng.random((count, k))
-    return np.exp(2j * np.pi * theta)
+    z = 2j * np.pi * rng.random((count, k))
+    return np.exp(z, out=z)
+
+
+_CANTOR_SAMPLE_CHUNK = 2 ** 14  # digit rows drawn at a time, 8 MiB at depth 64
 
 
 def sample_cantor_points(count: int, rng: np.random.Generator,
                          depth: int = _CANTOR_SAMPLE_DEPTH) -> np.ndarray:
     """count independent samples t ~ sigma, via random base-3 digit strings
-    with digits in {0, 2} truncated at `depth` digits."""
-    digits = 2.0 * rng.integers(0, 2, size=(count, depth))
+    with digits in {0, 2} truncated at `depth` digits.
+
+    The digit rows are drawn in chunks, which take the same stream from the
+    generator as one (count, depth) draw. The last chunk takes every row left
+    once fewer than two chunks remain: numpy sums a single-row product with a
+    dot kernel whose order differs from the matrix-vector kernel's, so a lone
+    last row could round differently from the same row in one product.
+    """
     scales = 3.0 ** -(np.arange(depth, dtype=np.float64) + 1.0)
-    return digits @ scales
+    out = np.empty(count, dtype=np.float64)
+    start = 0
+    while start < count:
+        rows = count - start
+        if rows >= 2 * _CANTOR_SAMPLE_CHUNK:
+            rows = _CANTOR_SAMPLE_CHUNK
+        digits = 2.0 * rng.integers(0, 2, size=(rows, depth))
+        out[start:start + rows] = digits @ scales
+        start += rows
+    return out
 
 
 def sample_ball(count: int, rng: np.random.Generator, cdim: int,
@@ -192,18 +216,24 @@ class MomentReport:
         }
 
 
-def _monomial_values(variant: Variant, alpha: MultiIndex,
-                     points: np.ndarray) -> np.ndarray:
+def _monomial_values(alpha: MultiIndex, points: np.ndarray,
+                     powers: dict[tuple[int, int], np.ndarray]) -> np.ndarray:
+    """prod_j points[:, j] ** alpha_j. Each column power is computed once and
+    kept in `powers`, keyed by (j, alpha_j), for the next moment of the batch."""
     vals = np.ones(len(points), dtype=np.complex128)
     for j, aj in enumerate(alpha):
         if aj:
-            vals *= points[:, j] ** aj
+            p = powers.get((j, aj))
+            if p is None:
+                p = powers[j, aj] = points[:, j] ** aj
+            vals *= p
     return vals
 
 
 def _mc_report(variant: Variant, alpha: MultiIndex, points: np.ndarray,
-               closed: complex, exact_str: Optional[str]) -> MomentReport:
-    vals = _monomial_values(variant, alpha, points)
+               closed: complex, exact_str: Optional[str],
+               powers: dict[tuple[int, int], np.ndarray]) -> MomentReport:
+    vals = _monomial_values(alpha, points, powers)
     est = complex(np.mean(vals))
     m = len(vals)
     var = float(np.var(vals.real) + np.var(vals.imag))
@@ -238,7 +268,7 @@ def mc_moment(variant: Variant, alpha: Sequence[int], samples: int, seed: int,
         closed = measure.moment(a)
         exact_str = None
     points = measure.sample(samples, rng)
-    return _mc_report(variant, a, points, closed, exact_str)
+    return _mc_report(variant, a, points, closed, exact_str, {})
 
 
 def fourier_table_for(max_n: int, eps: float = 1e-12) -> FourierTable:
@@ -282,13 +312,14 @@ def mc_moment_batch(variant: Variant, count: int, samples: int, seed: int,
     points = measure.sample(samples, rng)
 
     reports = []
+    powers: dict[tuple[int, int], np.ndarray] = {}
     for a in alphas:
         if variant == "D4":
             ce = moment_d4(a)
             closed, exact_str = complex(float(ce), 0.0), format_rational(ce)
         else:
             closed, exact_str = measure.moment(a), None
-        reports.append(_mc_report(variant, a, points, closed, exact_str))
+        reports.append(_mc_report(variant, a, points, closed, exact_str, powers))
     return reports
 
 
@@ -645,6 +676,7 @@ def peak_check(samples: int = 10_000, seed: int = 0, delta: float = 1e-2,
     support = PushforwardMeasure("D4").sample(samples, rng)
     support_dev = float(np.max(np.abs(np.sum(np.abs(support) ** 2, axis=1) - 1.0)))
     f_support = 0.5 * (1.0 + _r4_values(support))
+    del support
     max_peak_dev = float(np.max(np.abs(f_support - 1.0)))
 
     half = samples // 2
@@ -653,6 +685,7 @@ def peak_check(samples: int = 10_000, seed: int = 0, delta: float = 1e-2,
         sample_sphere(half, rng, 4),
     ])
     r_vals = _r4_values(pts)
+    del pts
     mask = np.abs(r_vals - 1.0) > delta
     f_vals = 0.5 * (1.0 + r_vals[mask])
     margins = 1.0 - np.abs(f_vals)

@@ -1,6 +1,11 @@
 """Cantor measure Fourier coefficients, weighted sums, and Riesz energy."""
 
+import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -124,6 +129,18 @@ class TestFourierTables:
         assert abs(mid[243] - rec[243]) < 1e-7
         assert abs(left[243] - rec[243]) > 1e-5
 
+    def test_ifs_matches_per_frequency_atom_sums(self):
+        # the block product against exp(-2 pi i n t) averaged over the atoms
+        for placement in ("midpoint", "left"):
+            t = atoms(6, placement)
+            for max_n in (0, 1, 63, 64, 100):
+                table = fourier_table_ifs(max_n, 6, placement)
+                assert sorted(table.coeffs) == list(range(-max_n, max_n + 1))
+                assert table[0] == 1.0
+                for n in range(-max_n, max_n + 1):
+                    direct = np.exp(-2j * np.pi * float(n) * t).mean()
+                    assert abs(table[n] - direct) <= 1e-13
+
     def test_ifs_level_cap_refused_before_allocation(self, monkeypatch):
         def no_atoms(*args):
             raise AssertionError("atoms built for a refused level")
@@ -162,6 +179,13 @@ class TestWeightedSum:
     def test_rejects_negative(self):
         with pytest.raises(ValueError):
             weighted_fourier_sum(-1)
+
+    def test_cosine_product_matches_recursion_modulus(self):
+        sq = cantor._abs_sq_table(4096, 1e-9)
+        rec = fourier_table_recursion(4096, 1e-9)
+        assert len(sq) == 4097
+        for n in range(4097):
+            assert abs(sq[n] - abs(rec[n]) ** 2) <= 1e-14
 
 
 def riesz_pair_sum_oracle(level: int, placement: str = "midpoint") -> float:
@@ -270,3 +294,24 @@ class TestRieszEnergy:
         est = riesz_energy(2)
         js = est.to_json()
         assert js["level"] == 2 and js["lower"] < js["upper"]
+
+
+_THREAD_PROBE = """
+import json
+from daverify.cantor import fourier_table_ifs, riesz_energy
+print(json.dumps(riesz_energy(12).to_json()))
+print(repr(sorted(fourier_table_ifs(100, 10).coeffs.items())))
+"""
+
+
+def test_results_do_not_depend_on_blas_threads():
+    src = str(Path(cantor.__file__).resolve().parent.parent)
+    outputs = []
+    for threads in ("1", "2"):
+        env = {**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": threads}
+        proc = subprocess.run([sys.executable, "-c", _THREAD_PROBE], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        outputs.append(proc.stdout)
+    assert outputs[0] == outputs[1]
+    assert json.loads(outputs[0].splitlines()[0])["level"] == 12

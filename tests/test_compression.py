@@ -62,6 +62,22 @@ class TestTopSingularValue:
             ref = float(np.linalg.svd(A, compute_uv=False)[0])
             assert ours == pytest.approx(ref, rel=1e-9)
 
+    def test_complex_matches_svd_and_conjugate_copy_loop(self):
+        # the same power iteration with A* formed explicitly as a copy
+        rng = np.random.default_rng(41)
+        A = rng.standard_normal((40, 25)) + 1j * rng.standard_normal((40, 25))
+        v = np.ones(25, dtype=np.complex128) / math.sqrt(25)
+        for _ in range(20_000):
+            u = A.conj().T @ (A @ v)
+            lam = float(np.real(np.vdot(v, u)))
+            if float(np.linalg.norm(u - lam * v)) <= 1e-12 * lam:
+                break
+            v = u / float(np.linalg.norm(u))
+        reference = math.sqrt(lam)
+        ours = top_singular_value(A)
+        assert ours == pytest.approx(float(np.linalg.svd(A, compute_uv=False)[0]), abs=1e-10)
+        assert abs(ours - reference) <= 4 * math.ulp(reference)
+
     def test_zero_matrix(self):
         assert top_singular_value(np.zeros((4, 3))) == 0.0
 

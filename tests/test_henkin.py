@@ -1,6 +1,7 @@
 """Moments of the sphere measures, the witness identities, non-Henkin decay,
 and peak behaviour."""
 
+import json
 import math
 from fractions import Fraction
 
@@ -101,6 +102,21 @@ class TestSamplers:
         pts = h_d2(zeta, omega)
         assert np.abs(2.0 * pts[:, 0] * pts[:, 1] - omega).max() < 1e-12
 
+    def test_chunked_samplers_equal_one_shot_draws(self):
+        scales = 3.0 ** -(np.arange(64, dtype=np.float64) + 1.0)
+        for count in (1, 16383, 16384, 16385, 32769, 50000):
+            rng = np.random.default_rng(13)
+            expected = 2.0 * rng.integers(0, 2, size=(count, 64)) @ scales
+            got = sample_cantor_points(count, np.random.default_rng(13))
+            assert got.tobytes() == expected.tobytes()
+
+            rng = np.random.default_rng(13)
+            zeta = np.exp(2j * np.pi * rng.random((count, 3)))
+            z4 = np.conj(zeta[:, 0] * zeta[:, 1] * zeta[:, 2])
+            expected = 0.5 * np.column_stack([zeta[:, 0], zeta[:, 1], zeta[:, 2], z4])
+            got = PushforwardMeasure("D4").sample(count, np.random.default_rng(13))
+            assert got.tobytes() == expected.tobytes()
+
     def test_cantor_samples_avoid_middle_third(self):
         t = sample_cantor_points(2000, np.random.default_rng(2))
         assert np.all((t < 1.0 / 3.0) | (t >= 2.0 / 3.0))
@@ -131,6 +147,23 @@ class TestMonteCarlo:
         reps = mc_moment_batch("D2", 30, 40_000, 23)
         good = sum(1 for r in reps if r.within_4_sigma)
         assert good >= math.ceil(0.95 * len(reps))
+
+    def test_batch_power_cache_is_bit_identical(self, monkeypatch):
+        def reports(variant):
+            return json.dumps([r.to_json() for r in mc_moment_batch(variant, 40, 5000, 29)])
+
+        cached = {v: reports(v) for v in ("D4", "D2")}
+
+        def uncached(alpha, points, powers):
+            vals = np.ones(len(points), dtype=np.complex128)
+            for j, aj in enumerate(alpha):
+                if aj:
+                    vals *= points[:, j] ** aj
+            return vals
+
+        monkeypatch.setattr(henkin, "_monomial_values", uncached)
+        for v in ("D4", "D2"):
+            assert reports(v) == cached[v]
 
     def test_seed_determinism(self):
         a = mc_moment("D4", (1, 0, 0, 1), 5000, 99)
