@@ -17,7 +17,6 @@ from .norms import (
     monomial_norm_sq,
     r_power_norm_sq,
     stirling_ratio,
-    stirling_ratio_sweep,
 )
 from .disc_kernel import (
     KernelSequence,
@@ -29,7 +28,6 @@ from .disc_kernel import (
 from .cantor import (
     EnergyEstimate,
     FourierTable,
-    fourier_coeff,
     fourier_table_ifs,
     fourier_table_recursion,
     riesz_energy,

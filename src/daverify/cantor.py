@@ -7,6 +7,7 @@ with S_0(t) = t/3 and S_1(t) = t/3 + 2/3. Its Fourier coefficients
 
     sigma_hat(n) = integral exp(-2 pi i n t) dsigma(t)
                  = prod_{j>=1} (1 + exp(-4 pi i n / 3^j)) / 2
+                 = (-1)^n prod_{j>=1} cos(2 pi n / 3^j)
 
 are real, and sigma_hat(3n) = sigma_hat(n).
 """
@@ -27,12 +28,7 @@ Placement = Literal["midpoint", "left"]
 _MEAN = 0.5
 _VARIANCE = 0.125  # E[(t - 1/2)^2] under sigma
 
-_MAX_LEVEL = 24  # 2^24 atoms is the largest table we allow in memory
-
-
-def _check_level(level: int) -> None:
-    if not 0 <= level <= _MAX_LEVEL:
-        raise ValueError(f"level must be in [0, {_MAX_LEVEL}], got {level}")
+MAX_IFS_LEVEL = 20  # a 64-row phase block then holds 64 x 2^20 complex values, 1 GiB
 
 
 def atoms(level: int, placement: Placement = "midpoint") -> np.ndarray:
@@ -42,9 +38,11 @@ def atoms(level: int, placement: Placement = "midpoint") -> np.ndarray:
     "left" places each atom at its cell's left endpoint (the image of 0 under
     the digit maps); "midpoint" places it at the cell barycenter, which
     cancels the first-order term of the discretization error and is the
-    default everywhere accuracy matters.
+    default everywhere accuracy matters. Levels above MAX_IFS_LEVEL are
+    refused.
     """
-    _check_level(level)
+    if not 0 <= level <= MAX_IFS_LEVEL:
+        raise ValueError(f"level must be in [0, {MAX_IFS_LEVEL}], got {level}")
     if placement not in ("midpoint", "left"):
         raise ValueError(f"unknown placement {placement!r}")
     idx = np.arange(2 ** level, dtype=np.int64)
@@ -85,73 +83,75 @@ def recursion_depth(n: int, eps: float) -> int:
     return k
 
 
-def fourier_coeff(n: int, eps: float = 1e-12) -> complex:
-    """sigma_hat(n) by the self-similarity recursion, to additive accuracy eps.
+def _cos_product(n_max: int, eps: float) -> np.ndarray:
+    """P(n) = prod_{j=1..k} cos(2 pi n / 3^j) for n = 0..n_max, with
+    k = recursion_depth(n_max, eps), so that sigma_hat(n) = (-1)^n P(|n|).
 
-    sigma_hat(xi) = (1 + exp(-4 pi i xi / 3)) / 2 * sigma_hat(xi / 3); the
-    recursion stops once pi |xi| <= eps, where sigma_hat(xi) = 1 + O(eps).
+    Each factor of the defining product is (1 + exp(-4 pi i n / 3^j)) / 2 =
+    exp(-2 pi i n / 3^j) cos(2 pi n / 3^j), and the phases multiply to
+    exp(-pi i n) = (-1)^n. With x = n / 3^k <= eps / pi, the factors left out
+    multiply to 1 - O(eps^2): 1 - prod_{j>k} cos(2 pi n / 3^j) <=
+    sum_{j>=1} (2 pi x / 3^j)^2 / 2 = (pi x)^2 / 4 <= eps^2 / 4.
     """
-    if eps <= 0:
-        raise ValueError("eps must be positive")
-    v = 1.0 + 0j
-    x = float(n)
-    while math.pi * abs(x) > eps:
-        v *= 0.5 * (1.0 + np.exp(-4j * np.pi * (x / 3.0)))
+    x = np.arange(n_max + 1, dtype=np.float64)
+    v = np.ones(n_max + 1, dtype=np.float64)
+    c = np.empty(n_max + 1, dtype=np.float64)
+    for _ in range(recursion_depth(n_max, eps)):
         x /= 3.0
-    return complex(v)
+        np.multiply(2.0 * np.pi, x, out=c)
+        np.cos(c, out=c)
+        v *= c
+    return v
 
 
 @dataclass(frozen=True)
 class FourierTable:
-    """sigma_hat(n) for |n| <= max_n, with the builder's accuracy estimate."""
+    """sigma_hat(n) for |n| <= max_n, with the builder's accuracy estimate.
+
+    coeffs holds sigma_hat(n) at index n + max_n, as complex128."""
 
     max_n: int
-    coeffs: dict[int, complex]
+    coeffs: np.ndarray
     tolerance: float
     source: str
 
     def __getitem__(self, n: int) -> complex:
-        try:
-            return self.coeffs[n]
-        except KeyError:
+        # a bare index would wrap n = -max_n - 1 round to the other end
+        if abs(n) > self.max_n:
             raise ValueError(f"|n| = {abs(n)} outside table range {self.max_n}")
+        return complex(self.coeffs[n + self.max_n])
 
     def symmetry_defect(self) -> float:
         """max |sigma_hat(-n) - conj(sigma_hat(n))| over the table."""
-        return max(
-            abs(self.coeffs[-n] - self.coeffs[n].conjugate())
-            for n in range(self.max_n + 1)
-        )
+        return float(np.max(_modulus(self.coeffs[::-1] - self.coeffs.conj())))
 
     def max_abs(self) -> float:
-        return max(abs(v) for v in self.coeffs.values())
+        return float(np.max(_modulus(self.coeffs)))
 
     def csv_rows(self) -> list[list]:
-        rows = []
-        for n in range(-self.max_n, self.max_n + 1):
-            v = self.coeffs[n]
-            rows.append([n, v.real, v.imag, abs(v)])
-        return rows
+        c = self.coeffs
+        return [list(row) for row in zip(range(-self.max_n, self.max_n + 1), c.real.tolist(),
+                                         c.imag.tolist(), _modulus(c).tolist())]
+
+
+def _modulus(z: np.ndarray) -> np.ndarray:
+    """|z| rounded as Python's abs(complex) rounds it, through hypot;
+    np.abs differs from it in the last bit for some values."""
+    return np.hypot(z.real, z.imag)
 
 
 def fourier_table_recursion(max_n: int, eps: float = 1e-10) -> FourierTable:
-    """Table of sigma_hat(n), |n| <= max_n, by the vectorized recursion."""
+    """Table of sigma_hat(n) = (-1)^n prod_j cos(2 pi n / 3^j), |n| <= max_n,
+    truncated at recursion_depth(max_n, eps) levels; real, and within
+    eps^2 / 4 of the infinite product before rounding."""
     if max_n < 0:
         raise ValueError("max_n must be >= 0")
-    if eps <= 0:
-        raise ValueError("eps must be positive")
-    ns = np.arange(-max_n, max_n + 1, dtype=np.int64)
-    x = ns.astype(np.float64)
-    v = np.ones(len(ns), dtype=np.complex128)
-    depth = recursion_depth(max_n, eps)
-    for _ in range(depth):
-        v *= 0.5 * (1.0 + np.exp(-4j * np.pi * (x / 3.0)))
-        x /= 3.0
-    coeffs = {int(n): complex(val) for n, val in zip(ns, v)}
+    half = _cos_product(max_n, eps)
+    half[1::2] *= -1.0
+    coeffs = np.concatenate([half[:0:-1], half]).astype(np.complex128)
     return FourierTable(max_n=max_n, coeffs=coeffs, tolerance=eps, source="recursion")
 
 
-MAX_IFS_LEVEL = 20  # a 64-row phase block then holds 64 x 2^20 complex values, 1 GiB
 _IFS_BLOCK = 64
 
 
@@ -183,7 +183,7 @@ def fourier_table_ifs(max_n: int, level: int = 14,
         rows.append(_phases(offsets[start:start + _IFS_BLOCK], t) @ inner)
     vals = np.concatenate(rows).ravel() / len(t)
     lo = -max_n - first * _IFS_BLOCK  # position of n = -max_n in vals
-    coeffs = dict(zip(range(-max_n, max_n + 1), vals[lo:lo + 2 * max_n + 1].tolist()))
+    coeffs = vals[lo:lo + 2 * max_n + 1]
     width = 3.0 ** (-level)
     if placement == "midpoint":
         tol = 0.5 * (2.0 * np.pi * max_n * width) ** 2 * _VARIANCE
@@ -199,22 +199,12 @@ def _phases(ks: np.ndarray, t: np.ndarray) -> np.ndarray:
     return np.exp(out, out=out)
 
 
-def _abs_sq_table(n_max: int, eps: float) -> np.ndarray:
-    """|sigma_hat(n)|^2 for n = 0..n_max, vectorized recursion in one pass.
-
-    |(1 + exp(-i theta))/2| = |cos(theta/2)|, so the truncated product is
-    prod_{j <= depth} cos^2(2 pi n / 3^j), one real cosine per level.
-    """
-    x = np.arange(n_max + 1, dtype=np.float64)
-    v = np.ones(n_max + 1, dtype=np.float64)
-    c = np.empty(n_max + 1, dtype=np.float64)
-    for _ in range(recursion_depth(n_max, eps)):
-        x /= 3.0
-        np.multiply(2.0 * np.pi, x, out=c)
-        np.cos(c, out=c)
-        v *= c
-        v *= c
-    return v
+def _weighted_terms(n_max: int, eps: float) -> np.ndarray:
+    """|sigma_hat(n)|^2 / (n+1)^(1/2) for n = 0..n_max."""
+    terms = _cos_product(n_max, eps)
+    terms *= terms
+    terms *= (np.arange(n_max + 1, dtype=np.float64) + 1.0) ** -0.5
+    return terms
 
 
 def weighted_fourier_sum(N: int, eps: float = 1e-9) -> float:
@@ -225,9 +215,7 @@ def weighted_fourier_sum(N: int, eps: float = 1e-9) -> float:
     """
     if N < 0:
         raise ValueError("N must be >= 0")
-    sq = _abs_sq_table(N, eps)
-    weights = (np.arange(N + 1, dtype=np.float64) + 1.0) ** -0.5
-    return float(np.sum(sq * weights))
+    return float(np.sum(_weighted_terms(N, eps)))
 
 
 def weighted_fourier_partials(Ns: list[int], eps: float = 1e-9) -> dict[int, float]:
@@ -236,10 +224,7 @@ def weighted_fourier_partials(Ns: list[int], eps: float = 1e-9) -> dict[int, flo
         return {}
     if any(N < 0 for N in Ns):
         raise ValueError("all N must be >= 0")
-    n_max = max(Ns)
-    sq = _abs_sq_table(n_max, eps)
-    weights = (np.arange(n_max + 1, dtype=np.float64) + 1.0) ** -0.5
-    csum = np.cumsum(sq * weights)
+    csum = np.cumsum(_weighted_terms(max(Ns), eps))
     return {N: float(csum[N]) for N in Ns}
 
 

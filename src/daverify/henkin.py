@@ -27,7 +27,7 @@ from typing import Literal, Optional, Sequence
 
 import numpy as np
 
-from .cantor import FourierTable, fourier_coeff
+from .cantor import FourierTable, fourier_table_recursion
 from .disc_kernel import KernelSequence, build_kernel_sequence
 from .exact import (
     MultiIndex,
@@ -115,28 +115,28 @@ def sample_torus(count: int, rng: np.random.Generator, k: int = 3) -> np.ndarray
 
 _CANTOR_SAMPLE_CHUNK = 2 ** 14  # digit rows drawn at a time, 8 MiB at depth 64
 
+# Column 0 reads digits 1..32 as the integer sum_j 2 d_j 3^(32-j), column 1
+# digits 33..64 likewise. The product is int64 arithmetic, exact and free of
+# any BLAS library, and each sum is below 3^32 < 2^53, so it converts to
+# float64 exactly.
+_DIGIT_WEIGHTS = np.zeros((_CANTOR_SAMPLE_DEPTH, 2), dtype=np.int64)
+_DIGIT_WEIGHTS[:32, 0] = _DIGIT_WEIGHTS[32:, 1] = 2 * 3 ** np.arange(31, -1, -1)
 
-def sample_cantor_points(count: int, rng: np.random.Generator,
-                         depth: int = _CANTOR_SAMPLE_DEPTH) -> np.ndarray:
+
+def sample_cantor_points(count: int, rng: np.random.Generator) -> np.ndarray:
     """count independent samples t ~ sigma, via random base-3 digit strings
-    with digits in {0, 2} truncated at `depth` digits.
+    with digits in {0, 2} truncated at 64 digits.
 
-    The digit rows are drawn in chunks, which take the same stream from the
-    generator as one (count, depth) draw. The last chunk takes every row left
-    once fewer than two chunks remain: numpy sums a single-row product with a
-    dot kernel whose order differs from the matrix-vector kernel's, so a lone
-    last row could round differently from the same row in one product.
+    The 64 digits are summed as two 32-digit integers, hi and lo, in exact
+    integer arithmetic, and t = hi 3^-32 + lo 3^-64, so the samples do not
+    depend on the BLAS thread count. The digit rows are drawn in chunks, which take the same stream
+    from the generator as one (count, 64) draw.
     """
-    scales = 3.0 ** -(np.arange(depth, dtype=np.float64) + 1.0)
     out = np.empty(count, dtype=np.float64)
-    start = 0
-    while start < count:
-        rows = count - start
-        if rows >= 2 * _CANTOR_SAMPLE_CHUNK:
-            rows = _CANTOR_SAMPLE_CHUNK
-        digits = 2.0 * rng.integers(0, 2, size=(rows, depth))
-        out[start:start + rows] = digits @ scales
-        start += rows
+    for start in range(0, count, _CANTOR_SAMPLE_CHUNK):
+        rows = min(_CANTOR_SAMPLE_CHUNK, count - start)
+        hi, lo = (rng.integers(0, 2, size=(rows, _CANTOR_SAMPLE_DEPTH)) @ _DIGIT_WEIGHTS).T
+        out[start:start + rows] = hi * 3.0 ** -32 + lo * 3.0 ** -64
     return out
 
 
@@ -263,19 +263,12 @@ def mc_moment(variant: Variant, alpha: Sequence[int], samples: int, seed: int,
         exact_str = format_rational(closed_exact)
     else:
         if table is None:
-            table = fourier_table_for(max(a))
+            table = fourier_table_recursion(max(a), 1e-12)
         measure = PushforwardMeasure("D2", table)
         closed = measure.moment(a)
         exact_str = None
     points = measure.sample(samples, rng)
     return _mc_report(variant, a, points, closed, exact_str, {})
-
-
-def fourier_table_for(max_n: int, eps: float = 1e-12) -> FourierTable:
-    """Small convenience recursion table sized for moment lookups."""
-    from .cantor import fourier_table_recursion
-
-    return fourier_table_recursion(max_n, eps)
 
 
 def mc_moment_batch(variant: Variant, count: int, samples: int, seed: int,
@@ -307,7 +300,7 @@ def mc_moment_batch(variant: Variant, count: int, samples: int, seed: int,
         measure = PushforwardMeasure("D4")
     else:
         if table is None:
-            table = fourier_table_for(max_exp)
+            table = fourier_table_recursion(max_exp, 1e-12)
         measure = PushforwardMeasure("D2", table)
     points = measure.sample(samples, rng)
 

@@ -6,8 +6,8 @@ The space H^2_d on the unit ball of C^d has reproducing kernel
     ||z^alpha||^2 = alpha! / |alpha|!
 
 All norm computations here return Fractions; floating point appears only in
-the asymptotic-ratio helpers, which exist to be compared against their exact
-counterparts.
+the asymptotic-ratio helper stirling_ratio, which exists to be compared
+against its exact counterpart.
 """
 
 from __future__ import annotations
@@ -17,8 +17,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from typing import Sequence
-
-import numpy as np
 
 from .exact import (
     MultiIndex,
@@ -94,29 +92,6 @@ def stirling_ratio(d: int, n: int) -> float:
     # float(r_power_norm_sq(d, n)) without the gcd that reducing them costs.
     num, den = _r_power_norm_terms(d, n)
     return num / den / float(n + 1) ** ((d - 1) / 2.0)
-
-
-def stirling_ratio_sweep(d: int, n_max: int) -> np.ndarray:
-    """stirling_ratio(d, n) for n = 0..n_max via a float recurrence.
-
-    One multiplicative update per step, so the whole sweep is O(n_max).
-    Agrees with the exact-rational route to near machine precision; tests
-    pin that down.
-    """
-    if d < 1 or n_max < 0:
-        raise ValueError("need d >= 1 and n_max >= 0")
-    vals = np.empty(n_max + 1, dtype=np.float64)
-    a = 1.0  # running value of ||r^n||^2
-    dd = float(d ** d)
-    for n in range(n_max + 1):
-        vals[n] = a / (n + 1.0) ** ((d - 1) / 2.0)
-        # ||r^(n+1)||^2 / ||r^n||^2 = d^d (n+1)^d / prod_{j=1..d} (dn+j)
-        num = dd * (n + 1.0) ** d
-        den = 1.0
-        for j in range(1, d + 1):
-            den *= d * n + j
-        a *= num / den
-    return vals
 
 
 def compose_with_r(f_coeffs: Sequence[ScalarLike], d: int) -> Polynomial:

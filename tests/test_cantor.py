@@ -17,7 +17,6 @@ from daverify.cantor import (
     MAX_IFS_LEVEL,
     atoms,
     circle_atoms,
-    fourier_coeff,
     fourier_table_ifs,
     fourier_table_recursion,
     recursion_depth,
@@ -63,6 +62,8 @@ class TestAtoms:
         with pytest.raises(ValueError):
             atoms(-1)
         with pytest.raises(ValueError):
+            atoms(MAX_IFS_LEVEL + 1)
+        with pytest.raises(ValueError):
             atoms(3, "center")
 
     def test_support_cover_measure(self):
@@ -73,24 +74,28 @@ class TestAtoms:
 
 class TestFourierCoeff:
     def test_at_zero_exactly_one(self):
-        assert fourier_coeff(0) == 1.0 + 0j
+        assert fourier_table_recursion(5, 1e-12)[0] == 1.0 + 0j
 
     def test_frozen_values(self):
-        assert fourier_coeff(1, 1e-12).real == pytest.approx(SIGMA_1, abs=1e-10)
-        assert fourier_coeff(2, 1e-12).real == pytest.approx(SIGMA_2, abs=1e-10)
-        assert fourier_coeff(5, 1e-12).real == pytest.approx(SIGMA_5, abs=1e-10)
+        table = fourier_table_recursion(5, 1e-12)
+        assert table[1].real == pytest.approx(SIGMA_1, abs=1e-10)
+        assert table[2].real == pytest.approx(SIGMA_2, abs=1e-10)
+        assert table[5].real == pytest.approx(SIGMA_5, abs=1e-10)
 
     def test_nearly_real(self):
+        # the atomic route is real only up to rounding
+        table = fourier_table_ifs(100, 12)
         for n in (1, 2, 5, 17, 100):
-            assert abs(fourier_coeff(n, 1e-12).imag) < 1e-11
+            assert abs(table[n].imag) < 1e-11
 
     @given(st.integers(min_value=-300, max_value=300))
     @settings(max_examples=60, deadline=None)
     def test_self_similarity_and_modulus(self, n):
         eps = 1e-11
-        v = fourier_coeff(n, eps)
+        table = fourier_table_recursion(900, eps)
+        v = table[n]
         assert abs(v) <= 1.0 + eps
-        assert abs(fourier_coeff(3 * n, eps) - v) <= 2 * eps
+        assert abs(table[3 * n] - v) <= 2 * eps
 
     def test_depth_grows_logarithmically(self):
         assert recursion_depth(0, 1e-10) == 0
@@ -100,16 +105,25 @@ class TestFourierCoeff:
 
     def test_rejects_nonpositive_eps(self):
         with pytest.raises(ValueError):
-            fourier_coeff(1, 0.0)
+            fourier_table_recursion(1, 0.0)
 
 
 class TestFourierTables:
-    def test_recursion_matches_scalar_route(self):
-        # the table uses one uniform depth, the scalar call a per-n depth;
-        # both sit within eps of the limit so they differ by at most 2 eps
-        table = fourier_table_recursion(32, 1e-10)
-        for n in (-32, -7, 0, 3, 32):
-            assert table[n] == pytest.approx(fourier_coeff(n, 1e-10), abs=2e-10)
+    def test_real_cosine_product_matches_complex_recursion(self):
+        # the complex product of (1 + exp(-4 pi i n / 3^j)) / 2 at the same
+        # depth is within eps of the limit; the real product is within eps^2/4
+        for max_n in (32, 4096):
+            eps = 1e-10
+            x = np.arange(-max_n, max_n + 1, dtype=np.float64)
+            expected = np.ones(len(x), dtype=np.complex128)
+            for _ in range(recursion_depth(max_n, eps)):
+                expected *= 0.5 * (1.0 + np.exp(-4j * np.pi * (x / 3.0)))
+                x /= 3.0
+            table = fourier_table_recursion(max_n, eps)
+            assert table.coeffs.shape == expected.shape
+            assert np.abs(table.coeffs - expected).max() <= eps
+            assert np.all(table.coeffs.imag == 0)
+            assert table[0] == 1.0
 
     def test_conjugate_symmetry(self):
         for table in (fourier_table_recursion(64, 1e-10), fourier_table_ifs(64, 12)):
@@ -135,7 +149,7 @@ class TestFourierTables:
             t = atoms(6, placement)
             for max_n in (0, 1, 63, 64, 100):
                 table = fourier_table_ifs(max_n, 6, placement)
-                assert sorted(table.coeffs) == list(range(-max_n, max_n + 1))
+                assert table.coeffs.shape == (2 * max_n + 1,)
                 assert table[0] == 1.0
                 for n in range(-max_n, max_n + 1):
                     direct = np.exp(-2j * np.pi * float(n) * t).mean()
@@ -150,8 +164,17 @@ class TestFourierTables:
 
     def test_out_of_range_lookup(self):
         table = fourier_table_recursion(8, 1e-10)
-        with pytest.raises(ValueError):
-            table[9]
+        for n in (9, -9):
+            with pytest.raises(ValueError):
+                table[n]
+
+    def test_array_methods_match_per_entry_loops(self):
+        for table in (fourier_table_recursion(40, 1e-10), fourier_table_ifs(40, 8, "left")):
+            vals = {n: table[n] for n in range(-40, 41)}
+            assert table.symmetry_defect() == max(
+                abs(vals[-n] - vals[n].conjugate()) for n in range(41))
+            assert table.max_abs() == max(abs(v) for v in vals.values())
+            assert table.csv_rows() == [[n, v.real, v.imag, abs(v)] for n, v in vals.items()]
 
     def test_csv_rows_cover_range(self):
         table = fourier_table_recursion(4, 1e-10)
@@ -179,13 +202,6 @@ class TestWeightedSum:
     def test_rejects_negative(self):
         with pytest.raises(ValueError):
             weighted_fourier_sum(-1)
-
-    def test_cosine_product_matches_recursion_modulus(self):
-        sq = cantor._abs_sq_table(4096, 1e-9)
-        rec = fourier_table_recursion(4096, 1e-9)
-        assert len(sq) == 4097
-        for n in range(4097):
-            assert abs(sq[n] - abs(rec[n]) ** 2) <= 1e-14
 
 
 def riesz_pair_sum_oracle(level: int, placement: str = "midpoint") -> float:
@@ -297,10 +313,14 @@ class TestRieszEnergy:
 
 
 _THREAD_PROBE = """
+import hashlib
 import json
+import numpy as np
 from daverify.cantor import fourier_table_ifs, riesz_energy
+from daverify.henkin import sample_cantor_points
 print(json.dumps(riesz_energy(12).to_json()))
-print(repr(sorted(fourier_table_ifs(100, 10).coeffs.items())))
+print(fourier_table_ifs(100, 10).coeffs.tobytes().hex())
+print(hashlib.sha256(sample_cantor_points(53958, np.random.default_rng(7)).tobytes()).hexdigest())
 """
 
 

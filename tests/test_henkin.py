@@ -103,10 +103,14 @@ class TestSamplers:
         assert np.abs(2.0 * pts[:, 0] * pts[:, 1] - omega).max() < 1e-12
 
     def test_chunked_samplers_equal_one_shot_draws(self):
-        scales = 3.0 ** -(np.arange(64, dtype=np.float64) + 1.0)
+        # integer arithmetic, no BLAS: t = hi 3^-32 + lo 3^-64 with the two
+        # 32-digit halves read as exact integers
+        place = 2 * 3 ** np.arange(31, -1, -1, dtype=np.int64)
         for count in (1, 16383, 16384, 16385, 32769, 50000):
-            rng = np.random.default_rng(13)
-            expected = 2.0 * rng.integers(0, 2, size=(count, 64)) @ scales
+            digits = np.random.default_rng(13).integers(0, 2, size=(count, 64))
+            hi = (digits[:, :32] * place).sum(axis=1)
+            lo = (digits[:, 32:] * place).sum(axis=1)
+            expected = hi.astype(np.float64) * 3.0 ** -32 + lo.astype(np.float64) * 3.0 ** -64
             got = sample_cantor_points(count, np.random.default_rng(13))
             assert got.tobytes() == expected.tobytes()
 

@@ -5,9 +5,11 @@ import itertools
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from daverify.disc_kernel import float_coeff_sequence
 from daverify.exact import Polynomial, QComplex, multi_indices
 from daverify.norms import (
     compose_with_r,
@@ -18,7 +20,6 @@ from daverify.norms import (
     monomial_norm_sq,
     r_power_norm_sq,
     stirling_ratio,
-    stirling_ratio_sweep,
 )
 
 
@@ -111,7 +112,7 @@ class TestRPowerNorm:
 
 class TestStirlingRatio:
     def test_d1_identically_one(self):
-        assert stirling_ratio_sweep(1, 50) == pytest.approx([1.0] * 51)
+        assert [stirling_ratio(1, n) for n in range(51)] == [1.0] * 51
 
     def test_limits_match_closed_forms(self):
         # ||r^n||^2 (n+1)^{(d-1)/2} -> (2 pi n)^{(d-1)/2} / ... concretely
@@ -120,10 +121,12 @@ class TestStirlingRatio:
         assert stirling_ratio(4, 40_000) == pytest.approx((2 * math.pi) ** 1.5 / 2, rel=1e-4)
 
     def test_sweep_matches_exact_route(self):
+        # the float a_n recurrence is the reciprocal of ||r^n||^2
         for d in (2, 4):
-            sweep = stirling_ratio_sweep(d, 300)
+            a = float_coeff_sequence(d, 300)
             for n in (0, 1, 7, 150, 300):
-                assert sweep[n] == pytest.approx(stirling_ratio(d, n), rel=1e-12)
+                sweep = 1.0 / (a[n] * (n + 1.0) ** ((d - 1) / 2.0))
+                assert sweep == pytest.approx(stirling_ratio(d, n), rel=1e-12)
 
     def test_matches_reduced_fraction_bit_for_bit(self):
         # true division of the unreduced terms must round exactly like
@@ -142,7 +145,8 @@ class TestStirlingRatio:
 
     def test_envelope_tightens(self):
         for d, limit in ((2, math.sqrt(math.pi)), (4, (2 * math.pi) ** 1.5 / 2)):
-            vals = stirling_ratio_sweep(d, 10_000)[100:]
+            n = np.arange(100, 10_001)
+            vals = 1.0 / (float_coeff_sequence(d, 10_000)[100:] * (n + 1.0) ** ((d - 1) / 2.0))
             assert vals.min() > 0.9 * limit
             assert vals.max() < 1.1 * limit
 
