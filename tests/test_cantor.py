@@ -108,17 +108,33 @@ class TestFourierCoeff:
             fourier_table_recursion(1, 0.0)
 
 
+def complex_product(x: np.ndarray, depth: int) -> np.ndarray:
+    """prod_{j=1..depth} (1 + exp(-4 pi i x / 3^j)) / 2, the defining product
+    in its complex form; independent of the real cosine route."""
+    x = np.array(x, dtype=np.float64)
+    v = np.ones(x.shape, dtype=np.complex128)
+    for _ in range(depth):
+        x /= 3.0
+        v *= 0.5 * (1.0 + np.exp(-4j * np.pi * x))
+    return v
+
+
 class TestFourierTables:
+    def test_recursion_matches_scalar_route(self):
+        # the table uses one uniform depth, the scalar product a per-n depth;
+        # both sit within eps of the limit so they differ by at most 2 eps
+        table = fourier_table_recursion(32, 1e-10)
+        for n in (-32, -7, 0, 3, 32):
+            scalar = complex(complex_product([n], recursion_depth(n, 1e-10))[0])
+            assert table[n] == pytest.approx(scalar, abs=2e-10)
+
     def test_real_cosine_product_matches_complex_recursion(self):
         # the complex product of (1 + exp(-4 pi i n / 3^j)) / 2 at the same
         # depth is within eps of the limit; the real product is within eps^2/4
         for max_n in (32, 4096):
             eps = 1e-10
-            x = np.arange(-max_n, max_n + 1, dtype=np.float64)
-            expected = np.ones(len(x), dtype=np.complex128)
-            for _ in range(recursion_depth(max_n, eps)):
-                expected *= 0.5 * (1.0 + np.exp(-4j * np.pi * (x / 3.0)))
-                x /= 3.0
+            expected = complex_product(np.arange(-max_n, max_n + 1),
+                                       recursion_depth(max_n, eps))
             table = fourier_table_recursion(max_n, eps)
             assert table.coeffs.shape == expected.shape
             assert np.abs(table.coeffs - expected).max() <= eps
@@ -202,6 +218,16 @@ class TestWeightedSum:
     def test_rejects_negative(self):
         with pytest.raises(ValueError):
             weighted_fourier_sum(-1)
+
+    def test_cosine_product_matches_recursion_modulus(self):
+        # the weighted terms square the real cosine product; the complex
+        # product at the same depth has the same modulus up to rounding
+        n = np.arange(4097, dtype=np.float64)
+        terms = cantor._weighted_terms(4096, 1e-9)
+        assert len(terms) == 4097
+        sq = terms * np.sqrt(n + 1.0)
+        rec = complex_product(n, recursion_depth(4096, 1e-9))
+        assert np.abs(sq - np.abs(rec) ** 2).max() <= 1e-14
 
 
 def riesz_pair_sum_oracle(level: int, placement: str = "midpoint") -> float:
