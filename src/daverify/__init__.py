@@ -22,7 +22,6 @@ from .disc_kernel import (
     KernelSequence,
     build_kernel_sequence,
     dirichlet_coeff_check,
-    kernel_eval,
     sum_a_partial,
 )
 from .cantor import (

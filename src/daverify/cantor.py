@@ -29,6 +29,7 @@ _MEAN = 0.5
 _VARIANCE = 0.125  # E[(t - 1/2)^2] under sigma
 
 MAX_IFS_LEVEL = 20  # a 64-row phase block then holds 64 x 2^20 complex values, 1 GiB
+MAX_TABLE_N = 2 ** 20  # a table then holds 2^21 + 1 complex values, 32 MiB
 
 
 def atoms(level: int, placement: Placement = "midpoint") -> np.ndarray:
@@ -53,11 +54,6 @@ def atoms(level: int, placement: Placement = "midpoint") -> np.ndarray:
     if placement == "midpoint":
         t += 0.5 * 3.0 ** (-level)
     return t
-
-
-def circle_atoms(level: int, placement: Placement = "midpoint") -> np.ndarray:
-    """Atom positions pushed onto the unit circle, exp(2 pi i t)."""
-    return np.exp(2j * np.pi * atoms(level, placement))
 
 
 def support_measure_zero(level: int) -> float:
@@ -140,12 +136,17 @@ def _modulus(z: np.ndarray) -> np.ndarray:
     return np.hypot(z.real, z.imag)
 
 
+def _check_table_size(max_n: int) -> None:
+    if not 0 <= max_n <= MAX_TABLE_N:
+        raise ValueError(f"max_n must be in [0, {MAX_TABLE_N}], got {max_n}")
+
+
 def fourier_table_recursion(max_n: int, eps: float = 1e-10) -> FourierTable:
     """Table of sigma_hat(n) = (-1)^n prod_j cos(2 pi n / 3^j), |n| <= max_n,
     truncated at recursion_depth(max_n, eps) levels; real, and within
-    eps^2 / 4 of the infinite product before rounding."""
-    if max_n < 0:
-        raise ValueError("max_n must be >= 0")
+    eps^2 / 4 of the infinite product before rounding. max_n above
+    MAX_TABLE_N is refused."""
+    _check_table_size(max_n)
     half = _cos_product(max_n, eps)
     half[1::2] *= -1.0
     coeffs = np.concatenate([half[:0:-1], half]).astype(np.complex128)
@@ -168,10 +169,10 @@ def fourier_table_ifs(max_n: int, level: int = 14,
     The a-priori accuracy estimate is first order in the cell width for
     left-endpoint atoms and second order for midpoint atoms. Levels above
     MAX_IFS_LEVEL are refused; the m phases and each chunk of at most 64
-    n0 phases are the two largest blocks held.
+    n0 phases are the two largest blocks held. max_n above MAX_TABLE_N is
+    refused.
     """
-    if max_n < 0:
-        raise ValueError("max_n must be >= 0")
+    _check_table_size(max_n)
     if not 0 <= level <= MAX_IFS_LEVEL:
         raise ValueError(f"level must be in [0, {MAX_IFS_LEVEL}], got {level}")
     t = atoms(level, placement)

@@ -1,0 +1,544 @@
+"""The checks behind every `daverify` command, one function per command.
+
+Each function takes the command's parameters as keyword arguments, with its
+defaults in its signature (the only copy of them), raises ConfigError on an
+invalid value, and returns (config, rows, tables): the configuration it ran
+with, one dict per check (its name under "check", its verdict under "pass",
+the numbers it was judged on), and the CSV tables, name -> (header, rows).
+PLAN lists the stages of `daverify all`.
+"""
+
+from __future__ import annotations
+
+import itertools
+import math
+from fractions import Fraction
+from typing import Optional
+
+import numpy as np
+
+from . import cantor, compression, disc_kernel, henkin, norms
+from .exact import QComplex, multi_indices
+
+DEFAULT_SEED = 20240817
+
+# A per-doubling relative increase of the weighted Fourier partial sums below
+# this counts as converged (acceptance criterion 8).
+DOUBLING_RATE_TOL = 0.01
+
+
+class ConfigError(ValueError):
+    """Invalid configuration; the CLI maps it to exit code 2."""
+
+
+def _require(cond: bool, message: str) -> None:
+    if not cond:
+        raise ConfigError(message)
+
+
+def _require_positive(name: str, value: float) -> None:
+    # a report cannot hold inf or nan, so a config value must be finite
+    _require(0.0 < value < math.inf, f"{name} must be positive and finite")
+
+
+def _require_dim(dim: int) -> None:
+    _require(dim in (2, 4), "dim must be 2 or 4")
+
+
+def _require_ifs_level(level: int) -> None:
+    _require(1 <= level <= cantor.MAX_IFS_LEVEL,
+             f"level must be in [1, {cantor.MAX_IFS_LEVEL}]")
+
+
+# ---------------------------------------------------------------------------
+# verify-norms
+
+
+def _norm_oracle_counts(d: int, m: int) -> dict[tuple[int, ...], int]:
+    """Multiplicities of monomials in <z, w>^m by direct enumeration of the
+    d^m coordinate assignments. Independent of any factorial formula."""
+    counts: dict[tuple[int, ...], int] = {}
+    for assignment in itertools.product(range(d), repeat=m):
+        content = [0] * d
+        for pos in assignment:
+            content[pos] += 1
+        key = tuple(content)
+        counts[key] = counts.get(key, 0) + 1
+    return counts
+
+
+def verify_norms(maxdeg: int = 8, dims: tuple[int, ...] = (1, 2, 3, 4)):
+    """Monomial norms against the kernel-expansion oracle, the isometric
+    extension to more variables, and frozen examples."""
+    _require(0 <= maxdeg <= 10, "maxdeg must be in [0, 10] for the enumeration oracle")
+    _require(all(1 <= d <= 4 for d in dims), "dims must lie in 1..4")
+    results = []
+    for d in sorted(set(dims)):
+        bad = 0
+        checked = 0
+        for m in range(maxdeg + 1):
+            for alpha, mult in _norm_oracle_counts(d, m).items():
+                # the kernel expansion gives ||z^alpha||^2 = multiplicity^{-1}
+                if norms.monomial_norm_sq(alpha) != Fraction(1, mult):
+                    bad += 1
+                checked += 1
+        results.append({"check": f"norms/kernel-expansion-oracle-d{d}",
+                        "pass": bad == 0, "checked": checked, "mismatches": bad})
+
+    ext_bad = 0
+    ext_checked = 0
+    for d in (1, 2, 3):
+        for alpha in multi_indices(d, min(maxdeg, 6)):
+            for d_prime in range(d, 5):
+                if not norms.extension_norm_check(alpha, d_prime):
+                    ext_bad += 1
+                ext_checked += 1
+    results.append({"check": "norms/extension-isometric", "pass": ext_bad == 0,
+                    "checked": ext_checked, "mismatches": ext_bad})
+
+    examples_ok = (
+        norms.monomial_norm_sq((0, 0, 0, 0)) == 1
+        and norms.monomial_norm_sq((1, 1)) == Fraction(1, 2)
+        and norms.monomial_norm_sq((2, 1)) == Fraction(1, 3)
+        and norms.r_power_norm_sq(2, 1) == 2
+        and norms.r_power_norm_sq(4, 1) == Fraction(32, 3)
+    )
+    results.append({"check": "norms/frozen-examples", "pass": examples_ok})
+    return {"maxdeg": maxdeg, "dims": sorted(set(dims))}, results, {}
+
+
+# ---------------------------------------------------------------------------
+# verify-isometry
+
+
+def verify_isometry(count: int = 100, maxdeg: int = 30, seed: int = DEFAULT_SEED):
+    """The disc-to-ball embedding is exactly isometric on `count` random
+    Gaussian-rational coefficient lists per dimension."""
+    _require(count >= 1, "count must be >= 1")
+    _require(maxdeg >= 0, "maxdeg must be >= 0")
+    rng = np.random.default_rng(seed)
+    results = []
+    for d in (2, 4):
+        seq = disc_kernel.build_kernel_sequence(d, maxdeg)
+        bad = 0
+        for _ in range(count):
+            deg = int(rng.integers(0, maxdeg + 1))
+            coeffs = [
+                QComplex(Fraction(int(rng.integers(-9, 10)), int(rng.integers(1, 10))),
+                         Fraction(int(rng.integers(-9, 10)), int(rng.integers(1, 10))))
+                for _ in range(deg + 1)
+            ]
+            if not norms.isometry_check(coeffs, d, a_seq=seq).equal:
+                bad += 1
+        results.append({"check": f"isometry/random-exact-d{d}", "pass": bad == 0,
+                        "trials": count, "failures": bad})
+        one = norms.isometry_check([1], d)
+        lin = norms.isometry_check([0, 1], d)
+        results.append({
+            "check": f"isometry/examples-d{d}",
+            "pass": one.equal and one.disc_norm_sq == 1
+            and lin.equal and lin.disc_norm_sq == norms.r_power_norm_sq(d, 1),
+        })
+    return {"count": count, "maxdeg": maxdeg, "seed": seed}, results, {}
+
+
+# ---------------------------------------------------------------------------
+# kernel-table
+
+
+def kernel_table(dim: int = 2, n: int = 200):
+    """The weights a_n = 1/||r^n||^2 for n <= `n`: exact identities, the
+    normalized envelope, and the partial sums (convergent for D4, square-root
+    divergent for D2)."""
+    _require_dim(dim)
+    _require(0 <= n <= 5000, "n must be in [0, 5000] for the exact table")
+    seq = disc_kernel.build_kernel_sequence(dim, n)
+    results = []
+
+    product_ok = all(seq.a_exact[k] * norms.r_power_norm_sq(dim, k) == 1
+                     for k in range(n + 1))
+    results.append({"check": "kernel/a-times-norm-is-one", "pass": product_ok})
+    results.append({"check": "kernel/a0-is-one", "pass": seq.a_exact[0] == 1})
+    decreasing = all(seq.a_exact[k + 1] < seq.a_exact[k] for k in range(n))
+    positive = all(q > 0 for q in seq.a_exact)
+    results.append({"check": "kernel/positive-strictly-decreasing",
+                    "pass": decreasing and positive})
+    if dim == 2:
+        dirichlet_ok = all(disc_kernel.dirichlet_coeff_check(k) for k in range(n + 1))
+        results.append({"check": "kernel/dirichlet-binomial-identity",
+                        "pass": dirichlet_ok, "checked": n + 1})
+
+    sweep = disc_kernel.float_coeff_sequence(dim, 10_000)
+    ratio = sweep * (np.arange(10_001, dtype=np.float64) + 1.0) ** ((dim - 1) / 2.0)
+    window = ratio[100:]
+    lo, hi = float(window.min()), float(window.max())
+    spread = (hi - lo) / lo
+    results.append({"check": "kernel/normalized-ratio-envelope",
+                    "pass": spread < 0.05, "low": lo, "high": hi,
+                    "relative_spread": spread})
+
+    if dim == 4:
+        partial = disc_kernel.sum_a_partial(4, 1000)
+        results.append({"check": "kernel/partial-sum-converging",
+                        "pass": partial.tail_estimate < 0.1,
+                        "partial": partial.partial,
+                        "tail_estimate": partial.tail_estimate})
+    else:
+        big = disc_kernel.sum_a_partial(2, 10_000)
+        growth = big.partial / disc_kernel.sum_a_partial(2, 5_000).partial
+        results.append({"check": "kernel/partial-sum-diverging-sqrt",
+                        "pass": abs(growth - math.sqrt(2.0)) < 0.02,
+                        "partial_1e4": big.partial, "doubling_ratio": growth})
+
+    tables = {"kernel": (["n", "a_exact", "a_float", "a_times_power"], seq.csv_rows())}
+    return {"dim": dim, "n": n}, results, tables
+
+
+# ---------------------------------------------------------------------------
+# cantor-fourier
+
+
+def cantor_fourier(max_n: int = 256, eps: float = 1e-10, level: int = 14,
+                   placement: str = "midpoint", sweep_pow: int = 17):
+    """The Cantor Fourier table by the recursion against the IFS oracle, and
+    the weighted partial sums S(2^10), ..., S(2^sweep_pow)."""
+    _require(1 <= max_n <= cantor.MAX_TABLE_N, f"max-n must be in [1, {cantor.MAX_TABLE_N}]")
+    _require_positive("eps", eps)
+    _require_ifs_level(level)
+    _require(placement in ("midpoint", "left"), "placement must be midpoint or left")
+    _require(10 <= sweep_pow <= 22, "sweep-pow must be in [10, 22]")
+
+    rec = cantor.fourier_table_recursion(max_n, eps)
+    ifs = cantor.fourier_table_ifs(max_n, level, placement)
+    results = []
+
+    results.append({"check": "cantor/coeff-at-zero-is-one",
+                    "pass": abs(rec[0] - 1.0) == 0.0 and abs(ifs[0] - 1.0) < 1e-15})
+    sym = max(rec.symmetry_defect(), ifs.symmetry_defect())
+    results.append({"check": "cantor/conjugate-symmetry",
+                    "pass": sym <= 2 * eps, "defect": sym})
+    results.append({"check": "cantor/modulus-at-most-one",
+                    "pass": rec.max_abs() <= 1.0 + eps and ifs.max_abs() <= 1.0 + 1e-12})
+
+    diff = max(abs(rec[k] - ifs[k]) for k in range(-max_n, max_n + 1))
+    results.append({"check": "cantor/recursion-vs-ifs-oracle",
+                    "pass": diff <= 1e-6, "max_abs_diff": diff,
+                    "level": level, "placement": placement})
+
+    tri_dev = max(abs(rec[3 * k] - rec[k]) for k in range(max_n // 3 + 1))
+    results.append({"check": "cantor/self-similarity-at-triples",
+                    "pass": tri_dev <= 2 * eps, "defect": tri_dev})
+
+    powers = list(range(10, sweep_pow + 1))
+    partials = cantor.weighted_fourier_partials([2 ** p for p in powers], eps=1e-9)
+    values = [partials[2 ** p] for p in powers]
+    increases = [(b - a) / a for a, b in zip(values, values[1:])]
+    first_below = next((p for p, inc in zip(powers[1:], increases)
+                        if inc < DOUBLING_RATE_TOL), None)
+    results.append({
+        "check": "cantor/weighted-sum-nondecreasing",
+        "pass": all(b >= a for a, b in zip(values, values[1:])),
+        "partial_sums": {f"2^{p}": v for p, v in zip(powers, values)},
+        "per_doubling_increase": {f"2^{p}": inc for p, inc in zip(powers[1:], increases)},
+        "first_power_below_one_percent": first_below,
+    })
+
+    config = {"max_n": max_n, "eps": eps, "level": level,
+              "placement": placement, "sweep_pow": sweep_pow}
+    return config, results, {"fourier": (["n", "re", "im", "abs"], rec.csv_rows())}
+
+
+# ---------------------------------------------------------------------------
+# cantor-energy
+
+
+def cantor_energy(levels: tuple[int, ...] = (10, 12), placement: str = "midpoint"):
+    """The proven Riesz 1/2-energy bracket at each level, its monotonicity
+    across levels, and the shrinking support cover."""
+    _require(len(levels) >= 1, "need at least one level")
+    _require(all(1 <= lv <= cantor.MAX_ENERGY_LEVEL for lv in levels),
+             f"levels must lie in [1, {cantor.MAX_ENERGY_LEVEL}]")
+    _require(placement in ("midpoint", "left"), "placement must be midpoint or left")
+    levels = sorted(set(levels))
+    estimates = [cantor.riesz_energy(lv, placement) for lv in levels]
+    results = []
+    for est in estimates:
+        results.append({"check": f"energy/lower-below-upper-L{est.level}",
+                        "pass": est.lower <= est.upper,
+                        "lower": est.lower, "upper": est.upper,
+                        "pair_sum": est.pair_sum})
+    lowers = [e.lower for e in estimates]
+    uppers = [e.upper for e in estimates]
+    results.append({"check": "energy/lower-nondecreasing",
+                    "pass": all(b >= a for a, b in zip(lowers, lowers[1:]))})
+    results.append({"check": "energy/upper-nonincreasing",
+                    "pass": all(b <= a for a, b in zip(uppers, uppers[1:]))})
+    results.append({"check": "energy/upper-finite",
+                    "pass": all(math.isfinite(u) for u in uppers)})
+    if len(estimates) >= 2:
+        results.append({"check": "energy/consecutive-gaps-recorded", "pass": True,
+                        "relative_gap_lower": abs(lowers[-1] - lowers[-2]) / lowers[-1],
+                        "relative_gap_upper": abs(uppers[-1] - uppers[-2]) / uppers[-1]})
+    zero = cantor.support_measure_zero(max(levels))
+    results.append({"check": "energy/support-cover-shrinks",
+                    "pass": zero < 1.0, "cover_measure": zero})
+    return {"levels": levels, "placement": placement}, results, {}
+
+
+# ---------------------------------------------------------------------------
+# moments
+
+
+def moments(dim: int = 4, alpha: Optional[tuple[int, ...]] = None, count: int = 100,
+            samples: int = 100_000, seed: int = DEFAULT_SEED, max_exp: int = 6):
+    """Closed-form moments against Monte Carlo: one multi-index `alpha`
+    within 4 sigma, or at least 95% of a seeded batch of `count`."""
+    _require_dim(dim)
+    _require(samples >= 1000, "samples must be >= 1000")
+    variant = "D4" if dim == 4 else "D2"
+    results = []
+
+    if alpha is not None:
+        _require(len(alpha) == dim, f"alpha must have {dim} entries for dim {dim}")
+        _require(all(a >= 0 for a in alpha), "alpha entries must be >= 0")
+        rep = henkin.mc_moment(variant, alpha, samples, seed)
+        results.append({
+            "check": "moments/single-alpha-within-4-sigma",
+            "pass": rep.within_4_sigma,
+            "alpha": list(rep.alpha),
+            "closed_form": {"re": rep.closed_form.real, "im": rep.closed_form.imag},
+            "closed_form_exact": rep.closed_form_exact,
+            "mc_estimate": {"re": rep.mc_estimate.real, "im": rep.mc_estimate.imag},
+            "mc_stderr": rep.mc_stderr,
+        })
+        reports_list = [rep]
+    else:
+        _require(count >= 1, "count must be >= 1")
+        _require(max_exp >= 0, "max-exp must be >= 0")
+        reports_list = henkin.mc_moment_batch(variant, count, samples, seed, max_exp=max_exp)
+        good = sum(1 for r in reports_list if r.within_4_sigma)
+        results.append({
+            "check": "moments/batch-4-sigma-agreement",
+            "pass": good >= math.ceil(0.95 * len(reports_list)),
+            "count": len(reports_list),
+            "within_4_sigma": good,
+        })
+
+    rows = [[
+        "(" + " ".join(str(a) for a in rep.alpha) + ")",
+        rep.closed_form_exact if rep.closed_form_exact is not None
+        else f"{rep.closed_form.real!r}{rep.closed_form.imag:+}j",
+        rep.mc_estimate.real, rep.mc_estimate.imag, rep.mc_stderr,
+    ] for rep in reports_list]
+    config = {"dim": dim, "alpha": list(alpha) if alpha else None,
+              "count": count if alpha is None else 1,
+              "samples": samples, "seed": seed, "max_exp": max_exp}
+    tables = {"moments": (["alpha", "closed_form", "mc_re", "mc_im", "mc_stderr"], rows)}
+    return config, results, tables
+
+
+# ---------------------------------------------------------------------------
+# henkin-check
+
+
+def henkin_check(dim: int = 4, maxdeg: Optional[int] = None, eps: float = 1e-12,
+                 level: int = 14, tol: float = 1e-10):
+    """The representing identity on every monomial of degree <= maxdeg:
+    exactly for D4 (maxdeg 24 unless given), and for D2 (maxdeg 100 unless
+    given) between the recursion-built witness and IFS-oracle moments, to
+    `tol`. eps, level and tol apply to D2 only."""
+    _require_dim(dim)
+    results = []
+    if dim == 4:
+        maxdeg = 24 if maxdeg is None else maxdeg
+        _require(0 <= maxdeg <= 40, "maxdeg must be in [0, 40]")
+        g = henkin.build_witness("D4", max(1, maxdeg // 4))
+        res = henkin.henkin_identity_check("D4", maxdeg, g)
+        results.append({"check": "henkin/d4-exact-identity", "pass": res.passed,
+                        "checked": res.checked,
+                        "failures": [list(f) for f in res.failures]})
+        return {"dim": 4, "maxdeg": maxdeg}, results, {}
+
+    maxdeg = 100 if maxdeg is None else maxdeg
+    _require(0 <= maxdeg <= 400, "maxdeg must be in [0, 400]")
+    _require_positive("eps", eps)
+    _require_positive("tol", tol)
+    _require_ifs_level(level)
+    rec_table = cantor.fourier_table_recursion(maxdeg, eps)
+    oracle_table = cantor.fourier_table_ifs(maxdeg, level, "midpoint")
+    g = henkin.build_witness("D2", maxdeg, rec_table)
+    res = henkin.henkin_identity_check("D2", maxdeg, g, table=oracle_table, tol=tol)
+    results.append({"check": "henkin/d2-two-route-identity", "pass": res.passed,
+                    "checked": res.checked, "max_dev": res.max_dev, "tol": tol,
+                    "failures": [list(f) for f in res.failures]})
+    config = {"dim": 2, "maxdeg": maxdeg, "eps": eps, "level": level, "tol": tol}
+    return config, results, {}
+
+
+# ---------------------------------------------------------------------------
+# witness
+
+
+def witness(dim: int = 4, n: Optional[int] = None, eps: float = 1e-12, level: int = 14,
+            trials: int = 100, seed: int = DEFAULT_SEED):
+    """The diagonal witness g truncated at n (12 for D4, 100 for D2 unless
+    given) and its certificates: for D4 the moments it reproduces and the
+    failure of the classical Henkin property, for D2 its norm by two routes;
+    for both the bound |integral(phi dmu)| <= ||phi|| ||g||. eps and level
+    apply to D2 only."""
+    _require_dim(dim)
+    _require(trials >= 1, "trials must be >= 1")
+    results = []
+    if dim == 4:
+        n = 12 if n is None else n
+        _require(0 <= n <= 200, "n must be in [0, 200]")
+        g = henkin.build_witness("D4", n)
+        results.append({"check": "witness/d4-first-coefficients",
+                        "pass": g.diag_exact[0] == 1
+                        and (n < 1 or g.diag_exact[1] == Fraction(3, 2))})
+        res = henkin.henkin_identity_check("D4", min(4 * n, 12), g)
+        results.append({"check": "witness/d4-reproduces-moments",
+                        "pass": res.passed, "checked": res.checked})
+        nh = henkin.non_henkin_witness(n_max=50, grid_points=1000,
+                                       grid_radius=0.9, seed=seed)
+        results.append({"check": "witness/d4-integrals-stay-one",
+                        "pass": nh.integrals_all_one, "n_max": nh.n_max})
+        results.append({"check": "witness/d4-interior-decay",
+                        "pass": nh.sup_ball_ok and nh.max_fn_final < nh.threshold,
+                        "max_base_abs": nh.max_base_abs,
+                        "n_below_threshold": nh.n_below_threshold,
+                        "max_fn_final": nh.max_fn_final,
+                        "origin_value_final": nh.origin_value_final})
+        fb = henkin.functional_bound_check(g, trials, seed)
+        config = {"dim": 4, "n": n, "seed": seed, "trials": trials}
+    else:
+        n = 100 if n is None else n
+        _require(0 <= n <= 400, "n must be in [0, 400]")
+        _require_positive("eps", eps)
+        _require_ifs_level(level)
+        rec_table = cantor.fourier_table_recursion(n, eps)
+        g = henkin.build_witness("D2", n, rec_table)
+        oracle_table = cantor.fourier_table_ifs(n, level, "midpoint")
+        seq = disc_kernel.build_kernel_sequence(2, n)
+        other = sum(seq.a_float[k] * abs(oracle_table[k]) ** 2 for k in range(n + 1))
+        results.append({"check": "witness/d2-norm-two-routes",
+                        "pass": abs(g.norm_sq - other) <= 1e-8,
+                        "norm_sq": g.norm_sq, "norm_sq_oracle": other})
+        env = max(seq.a_float[k] * math.sqrt(k + 1.0) for k in range(n + 1))
+        bound = env * cantor.weighted_fourier_sum(n)
+        results.append({"check": "witness/d2-norm-below-weighted-sum",
+                        "pass": g.norm_sq <= bound + 1e-12,
+                        "norm_sq": g.norm_sq, "bound": bound})
+        fb = henkin.functional_bound_check(g, trials, seed, table=rec_table)
+        config = {"dim": 2, "n": n, "eps": eps, "level": level,
+                  "seed": seed, "trials": trials}
+    results.append({"check": f"witness/d{dim}-functional-bound", "pass": fb.passed,
+                    "max_ratio": fb.max_ratio, "nonzero_trials": fb.nonzero_trials})
+    results.append({"check": "witness/serialized", "pass": True, "witness": g.to_json()})
+    return config, results, {}
+
+
+# ---------------------------------------------------------------------------
+# peak-check
+
+
+def peak_check(samples: int = 10_000, seed: int = DEFAULT_SEED, delta: float = 1e-2):
+    """f = (1 + r)/2 equals 1 on the D4 support and |f| < 1 on sampled
+    closed-ball points farther than delta from it."""
+    _require(samples >= 1, "samples must be >= 1")
+    _require_positive("delta", delta)
+    rep = henkin.peak_check(samples, seed, delta)
+    results = [
+        {"check": "peak/equals-one-on-support", "pass": rep.max_peak_dev <= 1e-12,
+         "max_peak_dev": rep.max_peak_dev},
+        {"check": "peak/support-on-sphere", "pass": rep.support_dev <= 1e-12,
+         "support_dev": rep.support_dev},
+        {"check": "peak/strictly-inside-off-support", "pass": rep.all_strictly_inside,
+         **rep.margin_json(), "kept": rep.kept, "rejected": rep.rejected},
+    ]
+    return {"samples": samples, "seed": seed, "delta": delta}, results, {}
+
+
+# ---------------------------------------------------------------------------
+# compression
+
+
+def compression_norms(dim: int = 2, sections: tuple[int, ...] = (1, 2, 4, 8),
+                      seed: int = DEFAULT_SEED):
+    """Finite-section norms of M_r: nondecreasing in the section, equal to
+    the largest diagonal weight, above the multiplier norm ||r||, and an
+    upper bound on the bilinear form at seeded random vectors."""
+    _require_dim(dim)
+    _require(len(sections) >= 1, "need at least one section size")
+    _require(all(0 <= N <= 12 for N in sections), "sections must lie in [0, 12]")
+    sections = sorted(set(sections))
+    phi = compression.r_polynomial(dim)
+    sigmas = [compression.compression_norm(phi, N) for N in sections]
+    results = []
+
+    results.append({"check": "compression/nondecreasing-in-section",
+                    "pass": all(b >= a - 1e-12 for a, b in zip(sigmas, sigmas[1:])),
+                    "sections": sections, "sigma_max": sigmas})
+
+    weights = compression.diagonal_shift_weights(dim, max(sections))
+    expected = max(weights[: max(sections) + 1])
+    dev = max(abs(s - expected) for s in sigmas if s > 0)
+    results.append({"check": "compression/matches-diagonal-weight",
+                    "pass": all(abs(s - expected) <= 1e-9 for s in sigmas),
+                    "expected": expected, "max_dev": dev})
+
+    floor = math.sqrt(norms.r_power_norm_sq(dim, 1))  # ||r|| = sqrt(d^d / d!)
+    results.append({"check": "compression/exceeds-multiplier-floor",
+                    "pass": all(s > floor - 1e-9 for s in sigmas), "floor": floor})
+
+    # |<M_phi v, w>| <= sigma_max ||v|| ||w|| on random vectors
+    rng = np.random.default_rng(seed)
+    M = compression.mult_matrix(phi, max(sections)).entries
+    sigma_big = sigmas[-1]  # sections are sorted, so this is M's top singular value
+    bad = 0
+    for _ in range(50):
+        v = rng.standard_normal(M.shape[1]) + 1j * rng.standard_normal(M.shape[1])
+        w = rng.standard_normal(M.shape[0]) + 1j * rng.standard_normal(M.shape[0])
+        if abs(np.vdot(w, M @ v)) > sigma_big * np.linalg.norm(v) * np.linalg.norm(w) + 1e-9:
+            bad += 1
+    results.append({"check": "compression/bilinear-bound", "pass": bad == 0,
+                    "trials": 50, "failures": bad})
+    return {"dim": dim, "sections": sections, "seed": seed}, results, {}
+
+
+# ---------------------------------------------------------------------------
+# the command table and `daverify all`
+
+
+COMMANDS = {
+    "verify-norms": verify_norms,
+    "verify-isometry": verify_isometry,
+    "kernel-table": kernel_table,
+    "cantor-fourier": cantor_fourier,
+    "cantor-energy": cantor_energy,
+    "moments": moments,
+    "henkin-check": henkin_check,
+    "witness": witness,
+    "peak-check": peak_check,
+    "compression": compression_norms,
+}
+
+# The stages of `daverify all`, in order: a command and the parameters the
+# stage pins besides the seed. Every other parameter keeps its default.
+PLAN: tuple[tuple[str, dict], ...] = (
+    ("verify-norms", {}),
+    ("verify-isometry", {}),
+    ("kernel-table", {"dim": 2}),
+    ("kernel-table", {"dim": 4}),
+    ("cantor-fourier", {}),
+    ("cantor-energy", {}),
+    ("moments", {"dim": 4}),
+    ("moments", {"dim": 2}),
+    ("henkin-check", {"dim": 4}),
+    ("henkin-check", {"dim": 2, "eps": 1e-12}),
+    ("witness", {"dim": 4}),
+    ("witness", {"dim": 2, "eps": 1e-12}),
+    ("peak-check", {"samples": 100_000}),
+    ("compression", {"dim": 2}),
+    ("compression", {"dim": 4}),
+)

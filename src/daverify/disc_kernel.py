@@ -145,53 +145,3 @@ def sum_a_partial(d: int, N: int) -> PartialSum:
     else:
         tail = float(seq[N + 1])
     return PartialSum(d=d, N=N, partial=partial, tail_estimate=tail)
-
-
-@dataclass(frozen=True)
-class KernelValue:
-    value: complex
-    n_terms: int
-    tail_bound: float
-    rigorous: bool
-
-    def to_json(self) -> dict:
-        return {
-            "value": {"re": self.value.real, "im": self.value.imag},
-            "n_terms": self.n_terms,
-            "tail_bound": self.tail_bound,
-            "rigorous": self.rigorous,
-        }
-
-
-def kernel_eval(seq: KernelSequence, z: complex, w: complex) -> KernelValue:
-    """Partial kernel sum K_N(z, w) = sum_{n<=N} a_n (z conj(w))^n.
-
-    For d = 2 the full kernel is (1 - z conj(w))^(-1/2); it requires
-    |z conj(w)| < 1 (ValueError otherwise) and the returned tail bound
-    a_{N+1} rho^(N+1) / (1 - rho) is rigorous since a_n is nonincreasing.
-    For d = 4 the tail is an integral-comparison estimate of sum_{n>N} a_n
-    and is flagged non-rigorous.
-    """
-    u = complex(z) * complex(w).conjugate()
-    rho = abs(u)
-    if seq.d == 2 and rho >= 1.0:
-        raise ValueError("d = 2 kernel sum diverges for |z conj(w)| >= 1")
-
-    value = 0j
-    upow = 1.0 + 0j
-    for n in range(seq.N + 1):
-        value += seq.a_float[n] * upow
-        upow *= u
-
-    # one extra weight past the stored range
-    a_next = float(float_coeff_sequence(seq.d, seq.N + 1)[seq.N + 1])
-    if seq.d == 2:
-        tail = a_next * rho ** (seq.N + 1) / (1.0 - rho)
-        rigorous = True
-    else:
-        c = seq.a_float[seq.N] * (seq.N + 1.0) ** 1.5
-        tail = 2.0 * c / math.sqrt(seq.N + 1.0)
-        if rho < 1.0:
-            tail = min(tail, a_next * rho ** (seq.N + 1) / (1.0 - rho))
-        rigorous = rho < 1.0
-    return KernelValue(value=value, n_terms=seq.N + 1, tail_bound=tail, rigorous=rigorous)

@@ -482,34 +482,6 @@ def henkin_identity_check(variant: Variant, maxdeg: int, witness: HenkinWitness,
                              passed=not failures)
 
 
-def henkin_identity_on_poly(phi: Polynomial, witness: HenkinWitness,
-                            table: Optional[FourierTable] = None):
-    """Both sides of the identity for one polynomial: (integral, inner).
-
-    D4 returns a pair of QComplex, exactly. D2 returns a pair of complex.
-    """
-    if witness.variant == "D4":
-        if phi.dimension != 4:
-            raise ValueError("D4 takes 4-variable polynomials")
-        integral = QComplex()
-        for alpha, c in phi.terms.items():
-            integral = integral + c * moment_d4(alpha)
-        inner = da_inner(phi, witness.as_polynomial())
-        return integral, inner
-    if phi.dimension != 2:
-        raise ValueError("D2 takes 2-variable polynomials")
-    if table is None:
-        raise ValueError("the D2 route needs a FourierTable")
-    integral = 0j
-    inner = 0j
-    for (m, n), c in phi.terms.items():
-        integral += complex(c) * moment_d2(m, n, table)
-        if m == n and n <= witness.N:
-            inner += complex(c) * witness.diag_float[n].conjugate() \
-                * float(monomial_norm_sq((n, n)))
-    return integral, inner
-
-
 # ---------------------------------------------------------------------------
 # failure of the classical Henkin property
 
@@ -701,6 +673,7 @@ class FunctionalBoundReport:
     variant: Variant
     trials: int
     max_ratio: float
+    nonzero_trials: int
     failures: int
     passed: bool
 
@@ -709,9 +682,16 @@ class FunctionalBoundReport:
             "variant": self.variant,
             "trials": self.trials,
             "max_ratio": self.max_ratio,
+            "nonzero_trials": self.nonzero_trials,
             "failures": self.failures,
             "passed": self.passed,
         }
+
+
+# Share of each trial's terms drawn on the diagonal (k, ..., k). Both
+# measures' moments vanish off it, so polynomials drawn uniformly from
+# [0, N]^d would almost never have a nonzero integral to bound.
+_DIAGONAL_SHARE = 0.5
 
 
 def functional_bound_check(witness: HenkinWitness, trials: int, seed: int,
@@ -722,7 +702,9 @@ def functional_bound_check(witness: HenkinWitness, trials: int, seed: int,
 
     Degrees are capped so the truncated witness is exact for every phi
     tried; the bound is then Cauchy-Schwarz and the slack only absorbs float
-    roundoff.
+    roundoff. The first _DIAGONAL_SHARE of each trial's terms (rounded up)
+    are diagonal, so every trial has a nonzero integral unless its terms
+    cancel; nonzero_trials counts the trials that had one.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
@@ -733,15 +715,17 @@ def functional_bound_check(witness: HenkinWitness, trials: int, seed: int,
         raise ValueError("the D2 bound check needs a FourierTable")
 
     max_ratio = 0.0
+    nonzero = 0
     failures = 0
     for _ in range(trials):
         n_terms = int(rng.integers(1, 12))
+        n_diagonal = math.ceil(_DIAGONAL_SHARE * n_terms)
         coeffs: dict[MultiIndex, complex] = {}
-        for _ in range(n_terms):
-            if witness.variant == "D4":
-                alpha = tuple(int(x) for x in rng.integers(0, witness.N + 1, size=4))
+        for i in range(n_terms):
+            if i < n_diagonal:
+                alpha = (int(rng.integers(0, witness.N + 1)),) * dim
             else:
-                alpha = tuple(int(x) for x in rng.integers(0, witness.N + 1, size=2))
+                alpha = tuple(int(x) for x in rng.integers(0, witness.N + 1, size=dim))
             c = complex(rng.standard_normal(), rng.standard_normal())
             coeffs[alpha] = coeffs.get(alpha, 0j) + c
         lhs = 0j
@@ -753,10 +737,9 @@ def functional_bound_check(witness: HenkinWitness, trials: int, seed: int,
                 lhs += c * moment_d2(alpha[0], alpha[1], table)
             norm_sq += abs(c) ** 2 * float(monomial_norm_sq(alpha))
         rhs = math.sqrt(norm_sq) * g_norm + slack
-        ratio = abs(lhs) / rhs
-        max_ratio = max(max_ratio, ratio)
-        if abs(lhs) > rhs:
-            failures += 1
+        max_ratio = max(max_ratio, abs(lhs) / rhs)
+        nonzero += lhs != 0
+        failures += abs(lhs) > rhs
     return FunctionalBoundReport(variant=witness.variant, trials=trials,
-                                 max_ratio=max_ratio, failures=failures,
-                                 passed=failures == 0)
+                                 max_ratio=max_ratio, nonzero_trials=nonzero,
+                                 failures=failures, passed=failures == 0)

@@ -15,8 +15,8 @@ from daverify import cantor
 from daverify.cantor import (
     MAX_ENERGY_LEVEL,
     MAX_IFS_LEVEL,
+    MAX_TABLE_N,
     atoms,
-    circle_atoms,
     fourier_table_ifs,
     fourier_table_recursion,
     recursion_depth,
@@ -53,10 +53,6 @@ class TestAtoms:
         t = atoms(10)
         assert t.min() >= 0.0 and t.max() < 1.0
         assert len(t) == 2 ** 10
-
-    def test_circle_atoms_unimodular(self):
-        z = circle_atoms(6)
-        assert np.abs(np.abs(z) - 1.0).max() < 1e-14
 
     def test_rejects_bad_input(self):
         with pytest.raises(ValueError):
@@ -178,6 +174,17 @@ class TestFourierTables:
         with pytest.raises(ValueError):
             fourier_table_ifs(4, MAX_IFS_LEVEL + 1)
 
+    def test_table_size_cap_refused_before_allocation(self, monkeypatch):
+        def no_work(*args):
+            raise AssertionError("table work started for a refused size")
+        monkeypatch.setattr(cantor, "_cos_product", no_work)
+        monkeypatch.setattr(cantor, "atoms", no_work)
+        for max_n in (MAX_TABLE_N + 1, 10 ** 9, -1):
+            with pytest.raises(ValueError):
+                fourier_table_recursion(max_n)
+            with pytest.raises(ValueError):
+                fourier_table_ifs(max_n, 4)
+
     def test_out_of_range_lookup(self):
         table = fourier_table_recursion(8, 1e-10)
         for n in (9, -9):
@@ -232,7 +239,7 @@ class TestWeightedSum:
 
 def riesz_pair_sum_oracle(level: int, placement: str = "midpoint") -> float:
     """Plain double loop over atoms; independent of the digit-difference route."""
-    z = circle_atoms(level, placement)
+    z = np.exp(2j * np.pi * atoms(level, placement))
     total = 0.0
     for i in range(len(z)):
         for j in range(len(z)):

@@ -1,5 +1,6 @@
 """The verification CLI: exit codes, deterministic reports, table output."""
 
+import inspect
 import json
 import os
 import subprocess
@@ -10,8 +11,11 @@ import pytest
 
 import daverify
 
+from daverify import checks
 from daverify.cli import ConfigError, RunConfig, build_parser, main, run
 from daverify.reports import load_report
+
+VERDICT_CHECKS = Path(__file__).resolve().parent.parent / "perfbench" / "verdict_checks.json"
 
 
 @pytest.fixture(autouse=True)
@@ -68,6 +72,10 @@ def test_invalid_config_exit_2(workdir):
     assert main(["moments", "--dim", "3"]) == 2
     assert main(["no-such-command"]) == 2
     assert main(["kernel-table", "--n", "-4"]) == 2
+    # inf and nan have no JSON form, so they must not reach the report
+    assert main(["henkin-check", "--dim", "2", "--eps", "inf"]) == 2
+    assert main(["henkin-check", "--dim", "2", "--tol", "nan"]) == 2
+    assert main(["peak-check", "--delta", "inf"]) == 2
 
 
 def test_moments_single_alpha_rational(workdir):
@@ -150,8 +158,12 @@ def test_witness_d4_includes_serialization(workdir):
 
 
 def test_parser_defaults():
+    # the parser leaves unset options at None; the check function holds the defaults
     args = build_parser().parse_args(["cantor-fourier"])
-    assert args.max_n == 256 and args.level == 14 and args.placement == "midpoint"
+    assert args.max_n is None and args.level is None and args.placement is None
+    params = inspect.signature(checks.cantor_fourier).parameters
+    assert params["max_n"].default == 256 and params["level"].default == 14
+    assert params["placement"].default == "midpoint"
     args2 = build_parser().parse_args(["all", "--seed", "7"])
     assert args2.seed == 7
 
@@ -161,3 +173,20 @@ def test_config_from_parser_round_trip(workdir):
                  "--output", "iso.json"]) == 0
     rep = load_report(workdir / "iso.json")
     assert rep["config"]["count"] == 5
+
+
+def test_oversized_fourier_table_exit_2(workdir, capsys):
+    assert main(["cantor-fourier", "--max-n", "1000000000"]) == 2
+    assert "max-n must be in" in capsys.readouterr().err
+    assert not (workdir / "cantor-fourier-report.json").exists()
+
+
+def test_all_passes_with_pinned_stages(workdir):
+    assert main(["all"]) == 0
+    rep = load_report(workdir / "all-report.json")
+    assert rep["pass"] is True
+    expected = json.loads(VERDICT_CHECKS.read_text(encoding="utf-8"))
+    assert [row["check"] for row in rep["results"]] == expected
+    stages = {sub["command"]: sub["config"] for sub in rep["config"]["subcommands"]}
+    assert stages["peak-check"]["samples"] == 100_000
+    assert rep["config"]["seed"] == checks.DEFAULT_SEED

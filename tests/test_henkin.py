@@ -18,7 +18,6 @@ from daverify.henkin import (
     h_d2,
     h_d4,
     henkin_identity_check,
-    henkin_identity_on_poly,
     mc_moment,
     mc_moment_batch,
     moment_d2,
@@ -29,6 +28,7 @@ from daverify.henkin import (
     sample_cantor_points,
     sample_torus,
 )
+from daverify.norms import da_inner
 from daverify.reports import dump_report, make_report
 
 SIGMA_1 = 0.37143735670876543
@@ -229,7 +229,8 @@ class TestHenkinIdentity:
         w = build_witness("D4", 2)
         phi = Polynomial(4, {(0, 0, 0, 0): Fraction(2), (1, 1, 1, 1): QComplex(Fraction(1, 3)),
                              (1, 0, 0, 0): QComplex(Fraction(0), Fraction(5))})
-        integral, inner = henkin_identity_on_poly(phi, w)
+        integral = sum((c * moment_d4(alpha) for alpha, c in phi.terms.items()), QComplex())
+        inner = da_inner(phi, w.as_polynomial())
         assert integral == inner
         assert integral.re == 2 + Fraction(1, 3) * Fraction(1, 16)
 
@@ -320,3 +321,16 @@ class TestFunctionalBound:
         w = build_witness("D2", 20, table)
         rep = functional_bound_check(w, trials=60, seed=29, table=table)
         assert rep.passed
+
+    def test_every_trial_has_a_nonzero_integral(self):
+        # Both measures' moments vanish off the diagonal, so polynomials drawn
+        # uniformly from [0, N]^d would leave almost nothing to bound: with
+        # N = 12 only one D4 multi-index in 2197 is diagonal.
+        d4 = functional_bound_check(build_witness("D4", 12), trials=100, seed=20240817)
+        table = fourier_table_recursion(100, 1e-12)
+        d2 = functional_bound_check(build_witness("D2", 100, table), trials=100,
+                                    seed=20240817, table=table)
+        for rep in (d4, d2):
+            assert rep.passed
+            assert rep.nonzero_trials == rep.trials
+            assert 0.5 < rep.max_ratio <= 1.0
