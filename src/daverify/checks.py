@@ -71,6 +71,7 @@ def verify_norms(maxdeg: int = 8, dims: tuple[int, ...] = (1, 2, 3, 4)):
     """Monomial norms against the kernel-expansion oracle, the isometric
     extension to more variables, and frozen examples."""
     _require(0 <= maxdeg <= 10, "maxdeg must be in [0, 10] for the enumeration oracle")
+    _require(len(dims) > 0, "dims must name at least one dimension")
     _require(all(1 <= d <= 4 for d in dims), "dims must lie in 1..4")
     results = []
     for d in sorted(set(dims)):

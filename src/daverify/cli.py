@@ -181,13 +181,11 @@ def build_parser() -> argparse.ArgumentParser:
                        f"${OUTPUT_DIR_ENV} prefixes relative paths)")
         p.add_argument("--format", dest="fmt", choices=["json", "csv"] if csv_ok else ["json"],
                        help="csv additionally writes the data table (default json)")
-        p.add_argument("--seed", type=int, help=f"default {checks.DEFAULT_SEED}")
 
+    # --seed exists only where a check draws from it, so it is never silently ignored
     for name, check in checks.COMMANDS.items():
         p = sub.add_parser(name, help=_HELP[name])
         for param in inspect.signature(check).parameters.values():
-            if param.name == "seed":
-                continue
             p.add_argument("--" + param.name.replace("_", "-"),
                            type=_OPTION_TYPES.get(param.name, int),
                            choices=["midpoint", "left"] if param.name == "placement" else None,
@@ -196,6 +194,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("all", help="every command at its defaults, one aggregate report")
     common(p)
+    p.add_argument("--seed", type=int, help=f"default {checks.DEFAULT_SEED}")
     return parser
 
 

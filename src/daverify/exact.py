@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Iterator, Mapping, Sequence, Union
+from typing import Mapping, Sequence, Union
 
 MultiIndex = tuple[int, ...]
 
@@ -21,8 +21,11 @@ def validate_multi_index(alpha: Sequence[int]) -> MultiIndex:
     """Return alpha as a tuple, rejecting negative or non-integer entries."""
     out = tuple(alpha)
     for a in out:
-        if not isinstance(a, int) or isinstance(a, bool) or a < 0:
-            raise ValueError(f"multi-index entries must be nonnegative integers, got {alpha!r}")
+        # `type(a) is int` is the common case and already excludes bool
+        if type(a) is int or (isinstance(a, int) and not isinstance(a, bool)):
+            if a >= 0:
+                continue
+        raise ValueError(f"multi-index entries must be nonnegative integers, got {alpha!r}")
     return out
 
 
@@ -43,16 +46,14 @@ def multi_indices(dimension: int, max_degree: int) -> list[MultiIndex]:
     if max_degree < 0:
         raise ValueError("max_degree must be >= 0")
 
-    def gen(dim: int, cap: int) -> Iterator[MultiIndex]:
-        if dim == 1:
-            for a in range(cap + 1):
-                yield (a,)
-            return
-        for a in range(cap + 1):
-            for rest in gen(dim - 1, cap - a):
-                yield (a,) + rest
-
-    return sorted(gen(dimension, max_degree), key=grlex_key)
+    # by_degree[m]: the multi-indices with k entries and total degree m, in
+    # lexicographic order; prepending a first entry a to each of those of
+    # degree m - a, a = 0, 1, ..., keeps that order for k + 1 entries.
+    by_degree = [[(m,)] for m in range(max_degree + 1)]
+    for _ in range(dimension - 1):
+        by_degree = [[(a,) + rest for a in range(m + 1) for rest in by_degree[m - a]]
+                     for m in range(max_degree + 1)]
+    return [alpha for same_degree in by_degree for alpha in same_degree]
 
 
 def format_rational(q: RationalLike) -> str:
@@ -78,18 +79,23 @@ def _as_fraction(x) -> Fraction:
     raise TypeError(f"expected an exact rational, got {type(x).__name__}")
 
 
+_FRACTION_ZERO = Fraction(0)
+
+
 @dataclass(frozen=True)
 class QComplex:
     """Gaussian rational: complex number with Fraction real and imaginary parts."""
 
-    re: Fraction = Fraction(0)
-    im: Fraction = Fraction(0)
+    re: Fraction = _FRACTION_ZERO
+    im: Fraction = _FRACTION_ZERO
 
     @staticmethod
     def from_value(x: ScalarLike) -> "QComplex":
         if isinstance(x, QComplex):
             return x
-        return QComplex(_as_fraction(x), Fraction(0))
+        if type(x) is int and x == 1:
+            return QC_ONE
+        return QComplex(_as_fraction(x), _FRACTION_ZERO)
 
     def __add__(self, other: ScalarLike) -> "QComplex":
         o = QComplex.from_value(other)
@@ -175,7 +181,11 @@ class Polynomial:
     @classmethod
     def monomial(cls, alpha: Sequence[int], coeff: ScalarLike = 1) -> "Polynomial":
         a = validate_multi_index(alpha)
-        return cls(len(a), {a: coeff})
+        p = cls(len(a))
+        qc = QComplex.from_value(coeff)
+        if not qc.is_zero():
+            p.terms[a] = qc
+        return p
 
     @classmethod
     def zero(cls, dimension: int) -> "Polynomial":

@@ -53,6 +53,8 @@ def _check_variant(variant: str) -> None:
 # ---------------------------------------------------------------------------
 # closed-form moments
 
+_ZERO = Fraction(0)
+
 
 def moment_d4(alpha: Sequence[int]) -> Fraction:
     """Exact moment integral z^alpha dmu for the D4 measure.
@@ -65,9 +67,9 @@ def moment_d4(alpha: Sequence[int]) -> Fraction:
     if len(a) != 4:
         raise ValueError("D4 moments take multi-indices of length 4")
     k = a[0]
-    if all(ai == k for ai in a):
+    if a[1] == k and a[2] == k and a[3] == k:
         return Fraction(1, 2 ** (4 * k))
-    return Fraction(0)
+    return _ZERO
 
 
 def moment_d2(m: int, n: int, table: FourierTable) -> complex:

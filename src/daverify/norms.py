@@ -31,6 +31,8 @@ from .exact import (
 # integer coefficients: r = 2 z1 z2 and r = 16 z1 z2 z3 z4.
 _DISC_SCALE = {2: 2, 4: 16}
 
+_ZERO = Fraction(0)
+
 
 def disc_map_scale(d: int) -> int:
     """Integer c with c^2 = d^d, defined for d in {2, 4}."""
@@ -54,13 +56,18 @@ def da_inner(p: Polynomial, q: Polynomial) -> QComplex:
     """Exact H^2_d inner product <p, q> = sum_alpha p_a conj(q_a) ||z^a||^2."""
     if p.dimension != q.dimension:
         raise ValueError(f"dimension mismatch: {p.dimension} vs {q.dimension}")
-    small, big = (p.terms, q.terms) if len(p.terms) <= len(q.terms) else (q.terms, p.terms)
-    total = QComplex()
-    for alpha in small:
-        if alpha in big:
-            c = p.terms[alpha] * q.terms[alpha].conjugate()
-            total = total + c * monomial_norm_sq(alpha)
-    return total
+    pt, qt = p.terms, q.terms
+    re = im = _ZERO
+    for alpha in (pt if len(pt) <= len(qt) else qt):
+        x = pt.get(alpha)
+        y = qt.get(alpha)
+        if x is None or y is None:
+            continue
+        w = monomial_norm_sq(alpha)
+        # x * conj(y) = (x.re y.re + x.im y.im) + i (x.im y.re - x.re y.im)
+        re += (x.re * y.re + x.im * y.im) * w
+        im += (x.im * y.re - x.re * y.im) * w
+    return QComplex(re, im)
 
 
 def _r_power_norm_terms(d: int, n: int) -> tuple[int, int]:
@@ -79,6 +86,21 @@ def r_power_norm_sq(d: int, n: int) -> Fraction:
     Equals d^(d n) * (n!)^d / (d n)!.
     """
     return Fraction(*_r_power_norm_terms(d, n))
+
+
+def _r_power_norm_sqs(d: int, count: int) -> list[Fraction]:
+    """[r_power_norm_sq(d, n) for n < count], from running products of the
+    three factors d^(d n), (n!)^d and (d n)! rather than fresh factorials."""
+    if d < 1:
+        raise ValueError("d must be >= 1")
+    out = []
+    num = den = 1
+    for n in range(count):
+        if n:
+            num *= d ** d * n ** d
+            den *= math.prod(range(d * n - d + 1, d * n + 1))
+        out.append(Fraction(num, den))
+    return out
 
 
 def stirling_ratio(d: int, n: int) -> float:
@@ -151,7 +173,7 @@ def isometry_check(f_coeffs: Sequence[ScalarLike], d: int, a_seq=None) -> Isomet
                 raise ValueError("weight sequence inconsistent with r_power_norm_sq")
         inv_weights = [Fraction(1) / a_exact[n] for n in range(len(coeffs))]
     else:
-        inv_weights = [r_power_norm_sq(d, n) for n in range(len(coeffs))]
+        inv_weights = _r_power_norm_sqs(d, len(coeffs))
 
     lhs = Fraction(0)
     for n, fn in enumerate(coeffs):

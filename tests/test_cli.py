@@ -76,6 +76,20 @@ def test_invalid_config_exit_2(workdir):
     assert main(["henkin-check", "--dim", "2", "--eps", "inf"]) == 2
     assert main(["henkin-check", "--dim", "2", "--tol", "nan"]) == 2
     assert main(["peak-check", "--delta", "inf"]) == 2
+    # no dimension at all would leave the report without an oracle row
+    assert main(["verify-norms", "--dims", ""]) == 2
+
+
+def test_seed_only_where_a_check_draws(workdir):
+    assert main(["kernel-table", "--seed", "3"]) == 2
+    parser = build_parser()
+    for name, check in checks.COMMANDS.items():
+        argv = [name, "--seed", "3"]
+        if "seed" in inspect.signature(check).parameters:
+            assert parser.parse_args(argv).seed == 3
+        else:
+            with pytest.raises(SystemExit):
+                parser.parse_args(argv)
 
 
 def test_moments_single_alpha_rational(workdir):

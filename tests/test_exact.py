@@ -69,10 +69,19 @@ class TestQComplex:
 class TestMultiIndex:
     def test_validation(self):
         assert validate_multi_index([1, 0, 2]) == (1, 0, 2)
+
+        class Exponent(int):
+            pass
+
+        # an int subclass other than bool is still an integer
+        assert validate_multi_index((Exponent(2), 0)) == (2, 0)
+        for bad in ((1, -1), (True, 0), (1.0, 0)):
+            with pytest.raises(ValueError):
+                validate_multi_index(bad)
+            with pytest.raises(ValueError):
+                Polynomial.monomial(bad)
         with pytest.raises(ValueError):
-            validate_multi_index((1, -1))
-        with pytest.raises(ValueError):
-            validate_multi_index((1.0, 0))
+            Polynomial.monomial(())
 
     def test_graded_lex_order(self):
         got = multi_indices(2, 2)
@@ -86,8 +95,19 @@ class TestMultiIndex:
                 assert len(multi_indices(d, cap)) == math.comb(cap + d, d)
 
     def test_sorted_by_key(self):
-        idx = multi_indices(3, 4)
-        assert idx == sorted(idx, key=grlex_key)
+        import math
+
+        for d in range(1, 6):
+            for cap in range(9):
+                idx = multi_indices(d, cap)
+                assert idx == sorted(idx, key=grlex_key)
+                assert len(idx) == math.comb(cap + d, d)
+
+    def test_rejects_bad_dimension_and_degree(self):
+        with pytest.raises(ValueError):
+            multi_indices(0, 3)
+        with pytest.raises(ValueError):
+            multi_indices(2, -1)
 
 
 class TestPolynomial:

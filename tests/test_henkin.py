@@ -220,6 +220,20 @@ class TestHenkinIdentity:
         dump_report(make_report("henkin-check", {}, [{"check": "c", "pass": False, "res": res}]),
                     tmp_path / "r.json")
 
+    def test_d4_every_alpha_is_compared(self, monkeypatch):
+        # one wrong moment on the diagonal and one off it: both must be caught,
+        # so no path may skip the off-diagonal comparisons
+        wrong_at = {(2, 2, 2, 2), (3, 1, 0, 2)}
+
+        def wrong(alpha):
+            m = moment_d4(alpha)
+            return m + Fraction(1, 2 ** 60) if tuple(alpha) in wrong_at else m
+
+        monkeypatch.setattr(henkin, "moment_d4", wrong)
+        res = henkin_identity_check("D4", 12, build_witness("D4", 3))
+        assert set(res.failures) == wrong_at
+        assert res.checked == 1820 and not res.passed
+
     def test_d4_truncation_guard(self):
         w = build_witness("D4", 1)
         with pytest.raises(ValueError):

@@ -3,6 +3,7 @@ map isometry, and the normalized asymptotics."""
 
 import itertools
 import math
+import random
 from fractions import Fraction
 
 import numpy as np
@@ -12,6 +13,7 @@ from hypothesis import given, settings, strategies as st
 from daverify.disc_kernel import float_coeff_sequence
 from daverify.exact import Polynomial, QComplex, multi_indices
 from daverify.norms import (
+    _r_power_norm_sqs,
     compose_with_r,
     da_inner,
     disc_map_scale,
@@ -79,6 +81,24 @@ class TestDaInner:
         with pytest.raises(ValueError):
             da_inner(Polynomial.monomial((1,)), Polynomial.monomial((1, 0)))
 
+    @pytest.mark.parametrize("d", [2, 4])
+    def test_matches_qcomplex_reference(self, d):
+        rng = random.Random(d)
+
+        def gaussian_rational():
+            return QComplex(Fraction(rng.randint(-9, 9), rng.randint(1, 9)),
+                            Fraction(rng.randint(-9, 9), rng.randint(1, 9)))
+
+        alphas = multi_indices(d, 4)
+        for _ in range(20):
+            p = Polynomial(d, {a: gaussian_rational() for a in rng.sample(alphas, 12)})
+            q = Polynomial(d, {a: gaussian_rational() for a in rng.sample(alphas, 12)})
+            reference = QComplex()
+            for alpha, c in p.terms.items():
+                if alpha in q.terms:
+                    reference = reference + c * q.terms[alpha].conjugate() * monomial_norm_sq(alpha)
+            assert da_inner(p, q) == reference
+
     @given(st.lists(st.tuples(st.integers(0, 3), st.integers(0, 3)), min_size=1, max_size=5))
     @settings(max_examples=40)
     def test_conjugate_symmetry_and_positivity(self, alphas):
@@ -98,6 +118,11 @@ class TestRPowerNorm:
         assert r_power_norm_sq(4, 1) == Fraction(32, 3)
         # d^{dn} (n!)^d / (dn)! at d=2, n=2: 16*4/24
         assert r_power_norm_sq(2, 2) == Fraction(8, 3)
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 4])
+    def test_running_products_equal_factorial_formula(self, d):
+        # the weights isometry_check uses, against the factorial formula
+        assert _r_power_norm_sqs(d, 201) == [r_power_norm_sq(d, n) for n in range(201)]
 
     def test_agrees_with_multinomial_route(self):
         for d in (2, 4):
