@@ -7,7 +7,6 @@ from .exact import (
     QComplex,
     format_rational,
     multi_indices,
-    parse_rational,
 )
 from .norms import (
     compose_with_r,

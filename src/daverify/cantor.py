@@ -239,10 +239,6 @@ class EnergyEstimate:
     upper: float
     pair_sum: float
 
-    def to_json(self) -> dict:
-        return {"level": self.level, "lower": self.lower, "upper": self.upper,
-                "pair_sum": self.pair_sum}
-
 
 MAX_ENERGY_LEVEL = 14  # 3^14 difference vectors; peak memory about 220 MB
 

@@ -50,6 +50,12 @@ def _require_ifs_level(level: int) -> None:
              f"level must be in [1, {cantor.MAX_IFS_LEVEL}]")
 
 
+def _require_d2_only(**params) -> None:
+    # a parameter the D4 branch never reads must not be accepted and ignored
+    given = [name for name, value in params.items() if value is not None]
+    _require(not given, f"only dim 2 takes {', '.join(given)}")
+
+
 # ---------------------------------------------------------------------------
 # verify-norms
 
@@ -120,7 +126,6 @@ def verify_isometry(count: int = 100, maxdeg: int = 30, seed: int = DEFAULT_SEED
     rng = np.random.default_rng(seed)
     results = []
     for d in (2, 4):
-        seq = disc_kernel.build_kernel_sequence(d, maxdeg)
         bad = 0
         for _ in range(count):
             deg = int(rng.integers(0, maxdeg + 1))
@@ -129,7 +134,7 @@ def verify_isometry(count: int = 100, maxdeg: int = 30, seed: int = DEFAULT_SEED
                          Fraction(int(rng.integers(-9, 10)), int(rng.integers(1, 10))))
                 for _ in range(deg + 1)
             ]
-            if not norms.isometry_check(coeffs, d, a_seq=seq).equal:
+            if not norms.isometry_check(coeffs, d).equal:
                 bad += 1
         results.append({"check": f"isometry/random-exact-d{d}", "pass": bad == 0,
                         "trials": count, "failures": bad})
@@ -342,15 +347,17 @@ def moments(dim: int = 4, alpha: Optional[tuple[int, ...]] = None, count: int = 
 # henkin-check
 
 
-def henkin_check(dim: int = 4, maxdeg: Optional[int] = None, eps: float = 1e-12,
-                 level: int = 14, tol: float = 1e-10):
+def henkin_check(dim: int = 4, maxdeg: Optional[int] = None, eps: Optional[float] = None,
+                 level: Optional[int] = None, tol: Optional[float] = None):
     """The representing identity on every monomial of degree <= maxdeg:
     exactly for D4 (maxdeg 24 unless given), and for D2 (maxdeg 100 unless
     given) between the recursion-built witness and IFS-oracle moments, to
-    `tol`. eps, level and tol apply to D2 only."""
+    `tol`. eps (1e-12), level (14) and tol (1e-10) apply to D2 only and are
+    refused with dim 4."""
     _require_dim(dim)
     results = []
     if dim == 4:
+        _require_d2_only(eps=eps, level=level, tol=tol)
         maxdeg = 24 if maxdeg is None else maxdeg
         _require(0 <= maxdeg <= 40, "maxdeg must be in [0, 40]")
         g = henkin.build_witness("D4", max(1, maxdeg // 4))
@@ -361,6 +368,9 @@ def henkin_check(dim: int = 4, maxdeg: Optional[int] = None, eps: float = 1e-12,
         return {"dim": 4, "maxdeg": maxdeg}, results, {}
 
     maxdeg = 100 if maxdeg is None else maxdeg
+    eps = 1e-12 if eps is None else eps
+    level = 14 if level is None else level
+    tol = 1e-10 if tol is None else tol
     _require(0 <= maxdeg <= 400, "maxdeg must be in [0, 400]")
     _require_positive("eps", eps)
     _require_positive("tol", tol)
@@ -380,17 +390,18 @@ def henkin_check(dim: int = 4, maxdeg: Optional[int] = None, eps: float = 1e-12,
 # witness
 
 
-def witness(dim: int = 4, n: Optional[int] = None, eps: float = 1e-12, level: int = 14,
-            trials: int = 100, seed: int = DEFAULT_SEED):
+def witness(dim: int = 4, n: Optional[int] = None, eps: Optional[float] = None,
+            level: Optional[int] = None, trials: int = 100, seed: int = DEFAULT_SEED):
     """The diagonal witness g truncated at n (12 for D4, 100 for D2 unless
     given) and its certificates: for D4 the moments it reproduces and the
     failure of the classical Henkin property, for D2 its norm by two routes;
-    for both the bound |integral(phi dmu)| <= ||phi|| ||g||. eps and level
-    apply to D2 only."""
+    for both the bound |integral(phi dmu)| <= ||phi|| ||g||. eps (1e-12) and
+    level (14) apply to D2 only and are refused with dim 4."""
     _require_dim(dim)
     _require(trials >= 1, "trials must be >= 1")
     results = []
     if dim == 4:
+        _require_d2_only(eps=eps, level=level)
         n = 12 if n is None else n
         _require(0 <= n <= 200, "n must be in [0, 200]")
         g = henkin.build_witness("D4", n)
@@ -414,6 +425,8 @@ def witness(dim: int = 4, n: Optional[int] = None, eps: float = 1e-12, level: in
         config = {"dim": 4, "n": n, "seed": seed, "trials": trials}
     else:
         n = 100 if n is None else n
+        eps = 1e-12 if eps is None else eps
+        level = 14 if level is None else level
         _require(0 <= n <= 400, "n must be in [0, 400]")
         _require_positive("eps", eps)
         _require_ifs_level(level)

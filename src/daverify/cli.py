@@ -15,9 +15,9 @@ import inspect
 import os
 import sys
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Optional
+from typing import Callable, Mapping, Optional
 
 from . import checks, reports
 from .checks import ConfigError
@@ -27,31 +27,18 @@ OUTPUT_DIR_ENV = "DAVERIFY_OUT"
 
 @dataclass(frozen=True)
 class RunConfig:
-    """The parameters of one CLI invocation. A field left at None takes the
-    check function's default."""
+    """One CLI invocation: the command, its report path and format, and the
+    check parameters given. A parameter left out takes the check function's
+    default."""
 
     command: str
-    dim: Optional[int] = None
-    dims: Optional[tuple[int, ...]] = None
-    maxdeg: Optional[int] = None
-    count: Optional[int] = None
-    n: Optional[int] = None
-    max_n: Optional[int] = None
-    eps: Optional[float] = None
-    level: Optional[int] = None
-    placement: Optional[str] = None
-    levels: Optional[tuple[int, ...]] = None
-    alpha: Optional[tuple[int, ...]] = None
-    samples: Optional[int] = None
-    seed: Optional[int] = None
-    trials: Optional[int] = None
-    delta: Optional[float] = None
-    sections: Optional[tuple[int, ...]] = None
-    sweep_pow: Optional[int] = None
-    tol: Optional[float] = None
-    max_exp: Optional[int] = None
     output: Optional[str] = None
     fmt: Optional[str] = None
+    params: Mapping[str, object] = field(default_factory=dict)
+
+    @property
+    def dim(self) -> Optional[int]:
+        return self.params.get("dim")
 
 
 # commands that have a tabular CSV rendering
@@ -68,9 +55,12 @@ def _resolve_output(cfg: RunConfig) -> Path:
 
 
 def _adapt(check: Callable, cfg: RunConfig):
-    """Run a check function on the fields of cfg that it takes and that are set."""
-    params = inspect.signature(check).parameters
-    return check(**{k: v for k, v in vars(cfg).items() if k in params and v is not None})
+    """Run a check function on the parameters of cfg; one it does not take
+    is refused rather than dropped."""
+    unknown = sorted(set(cfg.params) - set(inspect.signature(check).parameters))
+    if unknown:
+        raise ConfigError(f"command {cfg.command} takes no {', '.join(unknown)}")
+    return check(**cfg.params)
 
 
 # command -> callable of one RunConfig, returning (config, rows, tables)
@@ -80,11 +70,12 @@ _SUBCOMMANDS: dict[str, Callable] = {
 
 def cmd_all(cfg: RunConfig):
     """Run every stage of checks.PLAN and aggregate."""
-    seed = checks.DEFAULT_SEED if cfg.seed is None else cfg.seed
+    seed = cfg.params.get("seed", checks.DEFAULT_SEED)
     results = []
     config = {"seed": seed, "subcommands": []}
     for command, pins in checks.PLAN:
-        sub = RunConfig(command=command, seed=seed, **pins)
+        draws = "seed" in inspect.signature(checks.COMMANDS[command]).parameters
+        sub = RunConfig(command=command, params={**pins, "seed": seed} if draws else pins)
         fn = _SUBCOMMANDS[sub.command]
         t0 = time.perf_counter()
         sub_config, sub_results, _tables = fn(sub)
@@ -199,9 +190,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def config_from_args(args: argparse.Namespace) -> RunConfig:
-    fields = {f for f in RunConfig.__dataclass_fields__}
-    kwargs = {k: v for k, v in vars(args).items() if k in fields and v is not None}
-    return RunConfig(**kwargs)
+    params = {k: v for k, v in vars(args).items() if v is not None}
+    return RunConfig(command=params.pop("command"), output=params.pop("output", None),
+                     fmt=params.pop("fmt", None), params=params)
 
 
 def main(argv=None) -> int:

@@ -34,14 +34,6 @@ class MultMatrix:
     columns: tuple[MultiIndex, ...]
     rows: tuple[MultiIndex, ...]
 
-    def to_json(self) -> dict:
-        return {
-            "phi": self.phi.to_json(),
-            "d": self.d,
-            "N": self.N,
-            "shape": list(self.entries.shape),
-        }
-
 
 def mult_matrix(phi: Polynomial, N: int) -> MultMatrix:
     """Assemble the finite section of M_phi in the normalized monomial basis."""

@@ -40,14 +40,6 @@ class KernelSequence:
         if self.N < 0 or len(self.a_exact) != self.N + 1 or len(self.a_float) != self.N + 1:
             raise ValueError("inconsistent sequence lengths")
 
-    def to_json(self) -> dict:
-        return {
-            "d": self.d,
-            "N": self.N,
-            "a_exact": [format_rational(q) for q in self.a_exact],
-            "a_float": list(self.a_float),
-        }
-
     def csv_rows(self) -> list[list]:
         """Rows (n, a_exact, a_float, a_times_power) where the last column is
         a_n (n+1)^((d-1)/2), the bounded normalization."""
@@ -123,10 +115,6 @@ class PartialSum:
     N: int
     partial: float
     tail_estimate: float
-
-    def to_json(self) -> dict:
-        return {"d": self.d, "N": self.N, "partial": self.partial,
-                "tail_estimate": self.tail_estimate}
 
 
 def sum_a_partial(d: int, N: int) -> PartialSum:

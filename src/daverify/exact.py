@@ -29,10 +29,6 @@ def validate_multi_index(alpha: Sequence[int]) -> MultiIndex:
     return out
 
 
-def degree(alpha: Sequence[int]) -> int:
-    return sum(alpha)
-
-
 def grlex_key(alpha: Sequence[int]) -> tuple:
     """Sort key for graded-lexicographic order (total degree first)."""
     return (sum(alpha), tuple(alpha))
@@ -60,15 +56,6 @@ def format_rational(q: RationalLike) -> str:
     """Serialize a rational as "p/q" in lowest terms with q > 0."""
     f = Fraction(q)
     return f"{f.numerator}/{f.denominator}"
-
-
-def parse_rational(s: str) -> Fraction:
-    """Inverse of format_rational. Accepts "p/q" and bare integers "p"."""
-    text = s.strip()
-    if "/" in text:
-        num, _, den = text.partition("/")
-        return Fraction(int(num), int(den))
-    return Fraction(int(text))
 
 
 def _as_fraction(x) -> Fraction:
@@ -146,12 +133,7 @@ class QComplex:
     def to_json(self) -> dict:
         return {"re": format_rational(self.re), "im": format_rational(self.im)}
 
-    @staticmethod
-    def from_json(obj: Mapping[str, str]) -> "QComplex":
-        return QComplex(parse_rational(obj["re"]), parse_rational(obj["im"]))
 
-
-QC_ZERO = QComplex()
 QC_ONE = QComplex(Fraction(1))
 
 
@@ -159,7 +141,7 @@ class Polynomial:
     """Sparse polynomial in several complex variables with QComplex coefficients.
 
     Terms are stored as a dict mapping multi-index to coefficient; zero
-    coefficients are never stored. Equality and arithmetic are exact.
+    coefficients are never stored.
     """
 
     __slots__ = ("dimension", "terms")
@@ -187,10 +169,6 @@ class Polynomial:
             p.terms[a] = qc
         return p
 
-    @classmethod
-    def zero(cls, dimension: int) -> "Polynomial":
-        return cls(dimension, {})
-
     def degree(self) -> int:
         """Total degree; the zero polynomial has degree 0 by convention here."""
         if not self.terms:
@@ -200,77 +178,7 @@ class Polynomial:
     def sorted_terms(self) -> list[tuple[MultiIndex, QComplex]]:
         return sorted(self.terms.items(), key=lambda kv: grlex_key(kv[0]))
 
-    def coefficient(self, alpha: Sequence[int]) -> QComplex:
-        return self.terms.get(tuple(alpha), QC_ZERO)
-
-    def _check_dim(self, other: "Polynomial") -> None:
-        if self.dimension != other.dimension:
-            raise ValueError(f"dimension mismatch: {self.dimension} vs {other.dimension}")
-
-    def __add__(self, other: "Polynomial") -> "Polynomial":
-        self._check_dim(other)
-        out = dict(self.terms)
-        for a, c in other.terms.items():
-            out[a] = out.get(a, QC_ZERO) + c
-        return Polynomial(self.dimension, out)
-
-    def __sub__(self, other: "Polynomial") -> "Polynomial":
-        return self + other.scale(-1)
-
-    def __mul__(self, other: "Polynomial") -> "Polynomial":
-        self._check_dim(other)
-        out: dict[MultiIndex, QComplex] = {}
-        for a, c in self.terms.items():
-            for b, d in other.terms.items():
-                key = tuple(x + y for x, y in zip(a, b))
-                out[key] = out.get(key, QC_ZERO) + c * d
-        return Polynomial(self.dimension, out)
-
-    def scale(self, c: ScalarLike) -> "Polynomial":
-        qc = QComplex.from_value(c)
-        return Polynomial(self.dimension, {a: v * qc for a, v in self.terms.items()})
-
-    def pow(self, n: int) -> "Polynomial":
-        if n < 0:
-            raise ValueError("negative power")
-        result = Polynomial(self.dimension, {(0,) * self.dimension: 1})
-        base = self
-        k = n
-        while k:
-            if k & 1:
-                result = result * base
-            base = base * base
-            k >>= 1
-        return result
-
-    def eval_complex(self, z: Sequence[complex]) -> complex:
-        """Floating-point evaluation at a point."""
-        if len(z) != self.dimension:
-            raise ValueError("point dimension mismatch")
-        total = 0j
-        for a, c in self.terms.items():
-            term = complex(c)
-            for zi, ai in zip(z, a):
-                if ai:
-                    term *= zi ** ai
-            total += term
-        return total
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, Polynomial):
-            return NotImplemented
-        return self.dimension == other.dimension and self.terms == other.terms
-
     def __repr__(self) -> str:
         parts = [f"{c.to_json()}*z^{a}" for a, c in self.sorted_terms()]
         body = " + ".join(parts) if parts else "0"
         return f"Polynomial(dim={self.dimension}, {body})"
-
-    def to_json(self) -> dict:
-        return {
-            "dimension": self.dimension,
-            "terms": [
-                {"alpha": list(a), "coeff": c.to_json()}
-                for a, c in self.sorted_terms()
-            ],
-        }

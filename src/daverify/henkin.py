@@ -21,14 +21,14 @@ integral(phi dmu) = <phi(z), g> for all polynomials phi, checked exactly
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Literal, Optional, Sequence
 
 import numpy as np
 
 from .cantor import FourierTable, fourier_table_recursion
-from .disc_kernel import KernelSequence, build_kernel_sequence
+from .disc_kernel import build_kernel_sequence
 from .exact import (
     MultiIndex,
     Polynomial,
@@ -145,15 +145,15 @@ def sample_cantor_points(count: int, rng: np.random.Generator) -> np.ndarray:
 def sample_ball(count: int, rng: np.random.Generator, cdim: int,
                 radius: float = 1.0) -> np.ndarray:
     """Uniform samples from the complex ball of the given radius in C^cdim."""
-    g = rng.standard_normal((count, cdim)) + 1j * rng.standard_normal((count, cdim))
-    norms = np.linalg.norm(g, axis=1, keepdims=True)
-    directions = g / norms
+    directions = sample_sphere(count, rng, cdim)
     # uniform in the real 2*cdim-dimensional ball
     radii = radius * rng.random((count, 1)) ** (1.0 / (2 * cdim))
     return directions * radii
 
 
 def sample_sphere(count: int, rng: np.random.Generator, cdim: int) -> np.ndarray:
+    """Uniform samples from the unit sphere of C^cdim: normalized complex
+    Gaussian vectors."""
     g = rng.standard_normal((count, cdim)) + 1j * rng.standard_normal((count, cdim))
     return g / np.linalg.norm(g, axis=1, keepdims=True)
 
@@ -205,17 +205,6 @@ class MomentReport:
     mc_estimate: complex
     mc_stderr: float
     within_4_sigma: bool
-
-    def to_json(self) -> dict:
-        return {
-            "variant": self.variant,
-            "alpha": list(self.alpha),
-            "closed_form": {"re": self.closed_form.real, "im": self.closed_form.imag},
-            "closed_form_exact": self.closed_form_exact,
-            "mc_estimate": {"re": self.mc_estimate.real, "im": self.mc_estimate.imag},
-            "mc_stderr": self.mc_stderr,
-            "within_4_sigma": self.within_4_sigma,
-        }
 
 
 def _monomial_values(alpha: MultiIndex, points: np.ndarray,
@@ -391,9 +380,11 @@ def build_witness(variant: Variant, N: int,
     diag = []
     norm_sq = 0.0
     for n in range(N + 1):
-        s = table[-n]
-        diag.append(float(seq.a_exact[n] * Fraction(2 ** n)) * s.conjugate())
-        norm_sq += seq.a_float[n] * abs(table[n]) ** 2
+        # table[n] = conj(sigma_hat(-n)) for the real measure sigma; reading it
+        # directly keeps the sign of a zero imaginary part positive
+        s = table[n]
+        diag.append(float(seq.a_exact[n] * Fraction(2 ** n)) * s)
+        norm_sq += seq.a_float[n] * abs(s) ** 2
     return HenkinWitness(
         variant="D2", N=N, diag_exact=None, diag_float=tuple(diag),
         norm_sq_exact=None, norm_sq=norm_sq, table_source=table.source,
@@ -408,17 +399,6 @@ class HenkinCheckResult:
     max_dev: float
     failures: tuple
     passed: bool
-
-    def to_json(self) -> dict:
-        return {
-            "variant": self.variant,
-            "maxdeg": self.maxdeg,
-            "checked": self.checked,
-            **finite_or_null("max_dev", self.max_dev,
-                             "exact comparison failed; no float deviation"),
-            "failures": [list(f) for f in self.failures],
-            "passed": self.passed,
-        }
 
 
 def henkin_identity_check(variant: Variant, maxdeg: int, witness: HenkinWitness,
@@ -502,22 +482,6 @@ class NonHenkinReport:
     max_fn_final: float
     origin_value_final: float
     passed: bool
-
-    def to_json(self) -> dict:
-        return {
-            "n_max": self.n_max,
-            "integrals_all_one": self.integrals_all_one,
-            "integral_failures": list(self.integral_failures),
-            "grid_points": self.grid_points,
-            "grid_radius": self.grid_radius,
-            "max_base_abs": self.max_base_abs,
-            "sup_ball_ok": self.sup_ball_ok,
-            "n_below_threshold": self.n_below_threshold,
-            "threshold": self.threshold,
-            "max_fn_final": self.max_fn_final,
-            "origin_value_final": self.origin_value_final,
-            "passed": self.passed,
-        }
 
 
 def _r4_values(points: np.ndarray) -> np.ndarray:
@@ -606,19 +570,6 @@ class PeakReport:
     all_strictly_inside: bool
     passed: bool
 
-    def to_json(self) -> dict:
-        return {
-            "samples": self.samples,
-            "delta": self.delta,
-            "max_peak_dev": self.max_peak_dev,
-            "support_dev": self.support_dev,
-            "kept": self.kept,
-            "rejected": self.rejected,
-            **self.margin_json(),
-            "all_strictly_inside": self.all_strictly_inside,
-            "passed": self.passed,
-        }
-
     def margin_json(self) -> dict:
         """min_margin, or null with a reason when no sample was kept."""
         return finite_or_null("min_margin", self.min_margin, "no sample outside delta")
@@ -678,16 +629,6 @@ class FunctionalBoundReport:
     nonzero_trials: int
     failures: int
     passed: bool
-
-    def to_json(self) -> dict:
-        return {
-            "variant": self.variant,
-            "trials": self.trials,
-            "max_ratio": self.max_ratio,
-            "nonzero_trials": self.nonzero_trials,
-            "failures": self.failures,
-            "passed": self.passed,
-        }
 
 
 # Share of each trial's terms drawn on the diagonal (k, ..., k). Both

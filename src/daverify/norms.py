@@ -136,48 +136,20 @@ class IsometryReport:
     da_norm_sq: Fraction
     equal: bool
 
-    def to_json(self) -> dict:
-        from .exact import format_rational
 
-        return {
-            "d": self.d,
-            "degree": self.degree,
-            "disc_norm_sq": format_rational(self.disc_norm_sq),
-            "da_norm_sq": format_rational(self.da_norm_sq),
-            "equal": self.equal,
-        }
-
-
-def isometry_check(f_coeffs: Sequence[ScalarLike], d: int, a_seq=None) -> IsometryReport:
+def isometry_check(f_coeffs: Sequence[ScalarLike], d: int) -> IsometryReport:
     """Verify, exactly, that f -> f(r(z)) is isometric from the weighted disc
     space with weights a_n = 1/||r^n||^2 into H^2_d.
 
     Left side: sum |f_n|^2 / a_n. Right side: ||f(r(z))||^2 computed through
     the multinomial norm route. The two are required to agree as Fractions.
-
-    a_seq, when given, must provide exact weights consistent with d (duck
-    typed: needs .d and .a_exact); it is spot-checked against
-    r_power_norm_sq before use.
     """
     coeffs = [QComplex.from_value(c) for c in f_coeffs]
     deg = len(coeffs) - 1 if coeffs else 0
 
-    if a_seq is not None:
-        if getattr(a_seq, "d", None) != d:
-            raise ValueError("weight sequence dimension does not match d")
-        a_exact = a_seq.a_exact
-        if len(a_exact) < len(coeffs):
-            raise ValueError("weight sequence shorter than coefficient list")
-        for probe in {0, min(1, deg), deg}:
-            if a_exact[probe] * r_power_norm_sq(d, probe) != 1:
-                raise ValueError("weight sequence inconsistent with r_power_norm_sq")
-        inv_weights = [Fraction(1) / a_exact[n] for n in range(len(coeffs))]
-    else:
-        inv_weights = _r_power_norm_sqs(d, len(coeffs))
-
     lhs = Fraction(0)
-    for n, fn in enumerate(coeffs):
-        lhs += fn.abs2() * inv_weights[n]
+    for fn, norm_sq in zip(coeffs, _r_power_norm_sqs(d, len(coeffs))):
+        lhs += fn.abs2() * norm_sq
 
     composed = compose_with_r(coeffs, d)
     rhs_qc = da_inner(composed, composed)

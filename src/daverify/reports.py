@@ -48,8 +48,6 @@ def jsonable(value):
         return [jsonable(v) for v in value]
     if value is None or isinstance(value, (bool, int, float, str)):
         return value
-    if hasattr(value, "to_json"):
-        return jsonable(value.to_json())
     raise TypeError(f"cannot serialize {type(value).__name__} into a report")
 
 

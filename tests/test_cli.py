@@ -26,7 +26,7 @@ def workdir(tmp_path, monkeypatch):
 
 
 def test_verify_norms_passes(workdir):
-    code = run(RunConfig(command="verify-norms", maxdeg=5))
+    code = run(RunConfig(command="verify-norms", params={"maxdeg": 5}))
     assert code == 0
     rep = load_report(workdir / "verify-norms-report.json")
     assert rep["pass"] is True
@@ -35,17 +35,15 @@ def test_verify_norms_passes(workdir):
 
 
 def test_reports_byte_identical_across_runs(workdir):
-    cfg = RunConfig(command="moments", dim=4, count=5, samples=2000,
-                    output="a.json")
-    run(cfg)
+    params = {"dim": 4, "count": 5, "samples": 2000}
+    run(RunConfig(command="moments", output="a.json", params=params))
     first = (workdir / "a.json").read_bytes()
-    run(RunConfig(command="moments", dim=4, count=5, samples=2000,
-                  output="b.json"))
+    run(RunConfig(command="moments", output="b.json", params=params))
     assert (workdir / "b.json").read_bytes() == first
 
 
 def test_csv_table_written(workdir):
-    code = run(RunConfig(command="kernel-table", dim=2, n=20, fmt="csv"))
+    code = run(RunConfig(command="kernel-table", fmt="csv", params={"dim": 2, "n": 20}))
     assert code == 0
     csv_path = workdir / "kernel-table-report.kernel.csv"
     assert csv_path.exists()
@@ -63,7 +61,7 @@ def test_csv_rejected_where_meaningless():
 def test_output_dir_env(workdir, monkeypatch):
     out = workdir / "nested"
     monkeypatch.setenv("DAVERIFY_OUT", str(out))
-    run(RunConfig(command="verify-norms", maxdeg=3))
+    run(RunConfig(command="verify-norms", params={"maxdeg": 3}))
     assert (out / "verify-norms-report.json").exists()
 
 
@@ -82,6 +80,8 @@ def test_invalid_config_exit_2(workdir):
 
 def test_seed_only_where_a_check_draws(workdir):
     assert main(["kernel-table", "--seed", "3"]) == 2
+    with pytest.raises(ConfigError):
+        run(RunConfig(command="kernel-table", params={"seed": 3}))
     parser = build_parser()
     for name, check in checks.COMMANDS.items():
         argv = [name, "--seed", "3"]
@@ -106,6 +106,28 @@ def test_henkin_check_d4(workdir):
     assert main(["henkin-check", "--dim", "4", "--maxdeg", "12"]) == 0
     rep = load_report(workdir / "henkin-check-report.json")
     assert rep["results"][0]["checked"] == 1820
+
+
+def test_d2_only_options_refused_with_dim_4(workdir, capsys):
+    # the D4 branches never read these, so accepting them would ignore them
+    for argv in (["henkin-check", "--eps", "1e-9"],
+                 ["henkin-check", "--dim", "4", "--level", "12"],
+                 ["henkin-check", "--dim", "4", "--tol", "1e-6"],
+                 ["witness", "--dim", "4", "--eps", "1e-9"],
+                 ["witness", "--level", "12"]):
+        assert main(argv) == 2
+        assert "only dim 2 takes" in capsys.readouterr().err
+    assert not (workdir / "henkin-check-report.json").exists()
+    assert not (workdir / "witness-report.json").exists()
+
+
+def test_d2_only_options_default_on_dim_2(workdir):
+    assert main(["henkin-check", "--dim", "2", "--maxdeg", "8"]) == 0
+    config = load_report(workdir / "henkin-check-report.json")["config"]
+    assert (config["eps"], config["level"], config["tol"]) == (1e-12, 14, 1e-10)
+    assert main(["witness", "--dim", "2", "--n", "8", "--trials", "5"]) == 0
+    config = load_report(workdir / "witness-report.json")["config"]
+    assert (config["eps"], config["level"]) == (1e-12, 14)
 
 
 def test_henkin_check_d2_small(workdir):

