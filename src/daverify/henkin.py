@@ -596,6 +596,7 @@ def peak_check(samples: int = 10_000, seed: int = 0, delta: float = 1e-2,
     f_support = 0.5 * (1.0 + _r4_values(support))
     del support
     max_peak_dev = float(np.max(np.abs(f_support - 1.0)))
+    del f_support
 
     half = samples // 2
     pts = np.vstack([

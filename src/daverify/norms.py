@@ -8,10 +8,17 @@ The space H^2_d on the unit ball of C^d has reproducing kernel
 All norm computations here return Fractions; floating point appears only in
 the asymptotic-ratio helper stirling_ratio, which exists to be compared
 against its exact counterpart.
+
+Two integer shortcuts keep the exact values cheap without changing them. The
+multinomial (d n)!/(n!)^d in ||r^n||^2 is built from its prime exponents
+(Legendre's formula for v_p(m!)) instead of from full factorials, and sums
+of Fractions are taken over one common denominator with a single reduction
+at the end instead of a gcd after every addition.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -31,7 +38,7 @@ from .exact import (
 # integer coefficients: r = 2 z1 z2 and r = 16 z1 z2 z3 z4.
 _DISC_SCALE = {2: 2, 4: 16}
 
-_ZERO = Fraction(0)
+_QC_ZERO = QComplex()
 
 
 def disc_map_scale(d: int) -> int:
@@ -52,32 +59,71 @@ def monomial_norm_sq(alpha: MultiIndex) -> Fraction:
     return Fraction(num, math.factorial(sum(a)))
 
 
+def _fraction_sum(nums: Sequence[int], dens: Sequence[int]) -> Fraction:
+    """Exact sum of nums[i]/dens[i] (dens positive), reduced once: every
+    term is brought to D = lcm(dens) and the integer numerators are added."""
+    D = math.lcm(*dens)
+    return Fraction(sum(n * (D // t) for n, t in zip(nums, dens)), D)
+
+
 def da_inner(p: Polynomial, q: Polynomial) -> QComplex:
     """Exact H^2_d inner product <p, q> = sum_alpha p_a conj(q_a) ||z^a||^2."""
     if p.dimension != q.dimension:
         raise ValueError(f"dimension mismatch: {p.dimension} vs {q.dimension}")
     pt, qt = p.terms, q.terms
-    re = im = _ZERO
+    re_nums, im_nums, dens = [], [], []
     for alpha in (pt if len(pt) <= len(qt) else qt):
         x = pt.get(alpha)
         y = qt.get(alpha)
         if x is None or y is None:
             continue
         w = monomial_norm_sq(alpha)
-        # x * conj(y) = (x.re y.re + x.im y.im) + i (x.im y.re - x.re y.im)
-        re += (x.re * y.re + x.im * y.im) * w
-        im += (x.im * y.re - x.re * y.im) * w
-    return QComplex(re, im)
+        # x = a/b + i c/e, y = f/g + i h/k, w = u/v; over the common
+        # denominator b e g k v, x * conj(y) * w has numerators
+        # (a f e k + c h b g) u and (c f b k - a h e g) u.
+        a, b = x.re.numerator, x.re.denominator
+        c, e = x.im.numerator, x.im.denominator
+        f, g = y.re.numerator, y.re.denominator
+        h, k = y.im.numerator, y.im.denominator
+        u = w.numerator
+        re_nums.append((a * f * e * k + c * h * b * g) * u)
+        im_nums.append((c * f * b * k - a * h * e * g) * u)
+        dens.append(b * e * g * k * w.denominator)
+    if not dens:
+        return _QC_ZERO
+    return QComplex(_fraction_sum(re_nums, dens), _fraction_sum(im_nums, dens))
+
+
+def _multinomial(d: int, n: int) -> int:
+    """(d n)! / (n!)^d, from its prime factorization: by Legendre's formula
+    the exponent of a prime p is sum_i (floor(d n / p^i) - d floor(n / p^i))."""
+    m = d * n
+    if m < 2:
+        return 1
+    is_prime = bytearray([1]) * (m + 1)
+    is_prime[0] = is_prime[1] = 0
+    for p in range(2, math.isqrt(m) + 1):
+        if is_prime[p]:
+            is_prime[p * p::p] = bytes(len(range(p * p, m + 1, p)))
+    powers = []
+    for p in itertools.compress(range(m + 1), is_prime):
+        e = 0
+        q = p
+        while q <= m:
+            e += m // q - d * (n // q)
+            q *= p
+        powers.append(p ** e)
+    return math.prod(powers)
 
 
 def _r_power_norm_terms(d: int, n: int) -> tuple[int, int]:
-    """Unreduced (numerator, denominator) of ||r(z)^n||^2:
-    d^(d n) * (n!)^d and (d n)!."""
+    """(numerator, denominator) of ||r(z)^n||^2 = d^(d n) / M with the
+    multinomial M = (d n)!/(n!)^d, not reduced: the two can share factors."""
     if d < 1:
         raise ValueError("d must be >= 1")
     if n < 0:
         raise ValueError("n must be >= 0")
-    return d ** (d * n) * math.factorial(n) ** d, math.factorial(d * n)
+    return d ** (d * n), _multinomial(d, n)
 
 
 def r_power_norm_sq(d: int, n: int) -> Fraction:
@@ -110,8 +156,8 @@ def stirling_ratio(d: int, n: int) -> float:
     sqrt(pi) for d = 2 and (2 pi)^(3/2) / 2 for d = 4, and it is identically
     1 for d = 1.
     """
-    # int / int is correctly rounded, so dividing the unreduced terms gives
-    # float(r_power_norm_sq(d, n)) without the gcd that reducing them costs.
+    # int / int is correctly rounded, so d^(d n) / M gives
+    # float(r_power_norm_sq(d, n)) without the gcd that reducing it costs.
     num, den = _r_power_norm_terms(d, n)
     return num / den / float(n + 1) ** ((d - 1) / 2.0)
 
@@ -147,9 +193,14 @@ def isometry_check(f_coeffs: Sequence[ScalarLike], d: int) -> IsometryReport:
     coeffs = [QComplex.from_value(c) for c in f_coeffs]
     deg = len(coeffs) - 1 if coeffs else 0
 
-    lhs = Fraction(0)
+    # |a/b + i c/e|^2 * u/v = (a^2 e^2 + c^2 b^2) u / (b^2 e^2 v)
+    nums, dens = [], []
     for fn, norm_sq in zip(coeffs, _r_power_norm_sqs(d, len(coeffs))):
-        lhs += fn.abs2() * norm_sq
+        a, b = fn.re.numerator, fn.re.denominator
+        c, e = fn.im.numerator, fn.im.denominator
+        nums.append((a * a * e * e + c * c * b * b) * norm_sq.numerator)
+        dens.append(b * b * e * e * norm_sq.denominator)
+    lhs = _fraction_sum(nums, dens)
 
     composed = compose_with_r(coeffs, d)
     rhs_qc = da_inner(composed, composed)

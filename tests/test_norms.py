@@ -13,6 +13,7 @@ from hypothesis import given, settings, strategies as st
 from daverify.disc_kernel import float_coeff_sequence
 from daverify.exact import Polynomial, QComplex, multi_indices
 from daverify.norms import (
+    _multinomial,
     _r_power_norm_sqs,
     compose_with_r,
     da_inner,
@@ -81,18 +82,37 @@ class TestDaInner:
         with pytest.raises(ValueError):
             da_inner(Polynomial.monomial((1,)), Polynomial.monomial((1, 0)))
 
-    @pytest.mark.parametrize("d", [2, 4])
+    def test_no_shared_monomial_is_exact_zero(self):
+        p = Polynomial(2, {(2, 0): QComplex(Fraction(1, 3), Fraction(-5, 7))})
+        q = Polynomial(2, {(1, 1): QComplex(Fraction(2, 9)), (0, 2): QComplex(Fraction(4))})
+        for inner in (da_inner(p, q), da_inner(q, p)):
+            assert inner == 0
+            assert inner.re.denominator == 1 and inner.im.denominator == 1
+
+    def test_cancelling_sum_reduces_to_zero(self):
+        # (1/3)(3)||z1^2||^2 + (1/2)(-4)||z1 z2||^2 = 1 - 4/4 = 0
+        p = Polynomial(2, {(2, 0): QComplex(Fraction(1, 3)), (1, 1): QComplex(Fraction(1, 2))})
+        q = Polynomial(2, {(2, 0): QComplex(Fraction(3)), (1, 1): QComplex(Fraction(-4))})
+        inner = da_inner(p, q)
+        assert inner.re == Fraction(0) and inner.re.denominator == 1
+        assert inner.im == Fraction(0) and inner.im.denominator == 1
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 4])
     def test_matches_qcomplex_reference(self, d):
         rng = random.Random(d)
 
+        def rational():
+            den = rng.randint(1, 9) if rng.random() < 0.7 else rng.randint(10**6, 10**9)
+            return Fraction(rng.randint(-9, 9), den)
+
         def gaussian_rational():
-            return QComplex(Fraction(rng.randint(-9, 9), rng.randint(1, 9)),
-                            Fraction(rng.randint(-9, 9), rng.randint(1, 9)))
+            return QComplex(rational(), rational())
 
         alphas = multi_indices(d, 4)
+        size = min(12, len(alphas))
         for _ in range(20):
-            p = Polynomial(d, {a: gaussian_rational() for a in rng.sample(alphas, 12)})
-            q = Polynomial(d, {a: gaussian_rational() for a in rng.sample(alphas, 12)})
+            p = Polynomial(d, {a: gaussian_rational() for a in rng.sample(alphas, size)})
+            q = Polynomial(d, {a: gaussian_rational() for a in rng.sample(alphas, size)})
             reference = QComplex()
             for alpha, c in p.terms.items():
                 if alpha in q.terms:
@@ -123,6 +143,14 @@ class TestRPowerNorm:
     def test_running_products_equal_factorial_formula(self, d):
         # the weights isometry_check uses, against the factorial formula
         assert _r_power_norm_sqs(d, 201) == [r_power_norm_sq(d, n) for n in range(201)]
+
+    def test_prime_exponent_multinomial_matches_factorials(self):
+        cases = [(d, n) for d in range(1, 9) for n in range(301)]
+        cases += [(d, n) for d in range(1, 9) for n in (997, 1000, 2187, 3000)]
+        for d, n in cases:
+            assert _multinomial(d, n) == math.factorial(d * n) // math.factorial(n) ** d
+        # the sieve's m = d n < 2 edge
+        assert _multinomial(4, 0) == _multinomial(1, 1) == 1
 
     def test_agrees_with_multinomial_route(self):
         for d in (2, 4):
@@ -155,10 +183,11 @@ class TestStirlingRatio:
 
     def test_matches_reduced_fraction_bit_for_bit(self):
         # true division of the unreduced terms must round exactly like
-        # float() of the reduced Fraction
+        # float() of the reduced factorial formula
         for d in (1, 2, 3, 4):
             for n in [*range(601), 3000]:
-                expected = float(r_power_norm_sq(d, n)) / float(n + 1) ** ((d - 1) / 2)
+                exact = Fraction(d ** (d * n) * math.factorial(n) ** d, math.factorial(d * n))
+                expected = float(exact) / float(n + 1) ** ((d - 1) / 2)
                 assert stirling_ratio(d, n) == expected
 
     def test_input_guards(self):
@@ -191,6 +220,10 @@ class TestComposeAndIsometry:
     def test_isometry_frozen_examples(self):
         one = isometry_check([1], 2)
         assert one.equal and one.disc_norm_sq == 1
+        for d in (2, 4):
+            for coeffs in ([], [0]):
+                rep = isometry_check(coeffs, d)
+                assert rep.equal and rep.disc_norm_sq == 0 and rep.da_norm_sq == 0
         lin = isometry_check([0, 1], 4)
         assert lin.equal and lin.disc_norm_sq == Fraction(32, 3)
 
