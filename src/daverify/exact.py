@@ -98,6 +98,8 @@ class QComplex:
         return QComplex.from_value(other) - self
 
     def __mul__(self, other: ScalarLike) -> "QComplex":
+        if type(other) is int:
+            return QComplex(self.re * other, self.im * other)
         o = QComplex.from_value(other)
         return QComplex(self.re * o.re - self.im * o.im,
                         self.re * o.im + self.im * o.re)

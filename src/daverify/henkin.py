@@ -23,7 +23,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Literal, Optional, Sequence
+from typing import Iterator, Literal, Optional, Sequence
 
 import numpy as np
 
@@ -142,20 +142,40 @@ def sample_cantor_points(count: int, rng: np.random.Generator) -> np.ndarray:
     return out
 
 
+def _draw_normals(count: int, rng: np.random.Generator,
+                  cdim: int) -> tuple[np.ndarray, np.ndarray]:
+    """Real parts, then imaginary parts, of count standard complex Gaussian
+    vectors in C^cdim: the draws of `sample_sphere`, in its stream order."""
+    re = rng.standard_normal((count, cdim))
+    return re, rng.standard_normal((count, cdim))
+
+
+def _unit_rows(re: np.ndarray, im: np.ndarray) -> np.ndarray:
+    """The rows of re + i im scaled to unit length. Row by row, so a block of
+    rows gives the same values as the full arrays."""
+    g = re + 1j * im
+    return g / np.linalg.norm(g, axis=1, keepdims=True)
+
+
+def _ball_radii(count: int, rng: np.random.Generator, cdim: int,
+                radius: float) -> np.ndarray:
+    """(count, 1) radii that make unit directions uniform in the real
+    2*cdim-dimensional ball of the given radius."""
+    return radius * rng.random((count, 1)) ** (1.0 / (2 * cdim))
+
+
 def sample_ball(count: int, rng: np.random.Generator, cdim: int,
                 radius: float = 1.0) -> np.ndarray:
     """Uniform samples from the complex ball of the given radius in C^cdim."""
-    directions = sample_sphere(count, rng, cdim)
-    # uniform in the real 2*cdim-dimensional ball
-    radii = radius * rng.random((count, 1)) ** (1.0 / (2 * cdim))
-    return directions * radii
+    re, im = _draw_normals(count, rng, cdim)
+    radii = _ball_radii(count, rng, cdim, radius)
+    return _unit_rows(re, im) * radii
 
 
 def sample_sphere(count: int, rng: np.random.Generator, cdim: int) -> np.ndarray:
     """Uniform samples from the unit sphere of C^cdim: normalized complex
     Gaussian vectors."""
-    g = rng.standard_normal((count, cdim)) + 1j * rng.standard_normal((count, cdim))
-    return g / np.linalg.norm(g, axis=1, keepdims=True)
+    return _unit_rows(*_draw_normals(count, rng, cdim))
 
 
 @dataclass(frozen=True)
@@ -211,14 +231,17 @@ def _monomial_values(alpha: MultiIndex, points: np.ndarray,
                      powers: dict[tuple[int, int], np.ndarray]) -> np.ndarray:
     """prod_j points[:, j] ** alpha_j. Each column power is computed once and
     kept in `powers`, keyed by (j, alpha_j), for the next moment of the batch."""
-    vals = np.ones(len(points), dtype=np.complex128)
+    vals = None
     for j, aj in enumerate(alpha):
         if aj:
             p = powers.get((j, aj))
             if p is None:
                 p = powers[j, aj] = points[:, j] ** aj
-            vals *= p
-    return vals
+            if vals is None:
+                vals = p.copy()
+            else:
+                vals *= p
+    return np.ones(len(points), dtype=np.complex128) if vals is None else vals
 
 
 def _mc_report(variant: Variant, alpha: MultiIndex, points: np.ndarray,
@@ -295,16 +318,20 @@ def mc_moment_batch(variant: Variant, count: int, samples: int, seed: int,
         measure = PushforwardMeasure("D2", table)
     points = measure.sample(samples, rng)
 
-    reports = []
+    # A repeated multi-index gets the report of its first occurrence: the
+    # estimate depends only on alpha and the shared points.
+    by_alpha: dict[MultiIndex, MomentReport] = {}
     powers: dict[tuple[int, int], np.ndarray] = {}
     for a in alphas:
+        if a in by_alpha:
+            continue
         if variant == "D4":
             ce = moment_d4(a)
             closed, exact_str = complex(float(ce), 0.0), format_rational(ce)
         else:
             closed, exact_str = measure.moment(a), None
-        reports.append(_mc_report(variant, a, points, closed, exact_str, powers))
-    return reports
+        by_alpha[a] = _mc_report(variant, a, points, closed, exact_str, powers)
+    return [by_alpha[a] for a in alphas]
 
 
 # ---------------------------------------------------------------------------
@@ -488,6 +515,33 @@ def _r4_values(points: np.ndarray) -> np.ndarray:
     return 16.0 * points[:, 0] * points[:, 1] * points[:, 2] * points[:, 3]
 
 
+# Rows evaluated at a time where a check reduces sampled points to a few
+# numbers; a complex (rows, 4) block takes 4 MiB.
+_ROW_BLOCK = 2 ** 16
+
+
+def _closed_ball_r4_blocks(n_ball: int, n_sphere: int,
+                           rng: np.random.Generator) -> Iterator[np.ndarray]:
+    """r(z) on n_ball uniform points of the unit ball of C^4, then on n_sphere
+    uniform points of its sphere, one block of rows at a time.
+
+    The draws are those of sample_ball(n_ball, rng, 4) followed by
+    sample_sphere(n_sphere, rng, 4), in the same order, so the blocks
+    concatenate to _r4_values of the two samples stacked. Only one half's
+    normal draws (and the ball's radii) are held in full, never the points.
+    """
+    re, im = _draw_normals(n_ball, rng, 4)
+    radii = _ball_radii(n_ball, rng, 4, 1.0)
+    for start in range(0, n_ball, _ROW_BLOCK):
+        rows = slice(start, start + _ROW_BLOCK)
+        yield _r4_values(_unit_rows(re[rows], im[rows]) * radii[rows])
+    del re, im, radii
+    re, im = _draw_normals(n_sphere, rng, 4)
+    for start in range(0, n_sphere, _ROW_BLOCK):
+        rows = slice(start, start + _ROW_BLOCK)
+        yield _r4_values(_unit_rows(re[rows], im[rows]))
+
+
 def non_henkin_witness(n_max: int = 50, grid_points: int = 1000,
                        grid_radius: float = 0.9, seed: int = 0,
                        decay_n: int = 1000,
@@ -534,13 +588,12 @@ def non_henkin_witness(n_max: int = 50, grid_points: int = 1000,
         n_star = -1
     max_fn_final = max_base ** decay_n
 
-    # (iii) sup certificate on the closed ball (interior plus sphere samples)
-    closed_pts = np.vstack([
-        sample_ball(grid_points, rng, 4, radius=1.0),
-        sample_sphere(grid_points, rng, 4),
-    ])
-    f1_closed = 0.5 * (1.0 + _r4_values(closed_pts))
-    sup_ok = bool(np.max(np.abs(f1_closed)) <= 1.0 + 1e-12)
+    # (iii) sup certificate on the closed ball (interior plus sphere samples);
+    # np.maximum keeps a NaN, which then fails the comparison
+    sup_f1 = -math.inf
+    for r_vals in _closed_ball_r4_blocks(grid_points, grid_points, rng):
+        sup_f1 = np.maximum(sup_f1, np.max(np.abs(0.5 * (1.0 + r_vals))))
+    sup_ok = bool(sup_f1 <= 1.0 + 1e-12)
 
     passed = (not failures) and sup_ok and 0 < n_star <= decay_n \
         and max_fn_final < threshold
@@ -591,30 +644,36 @@ def peak_check(samples: int = 10_000, seed: int = 0, delta: float = 1e-2,
         raise ValueError("delta must be positive")
     rng = np.random.default_rng(seed)
 
-    support = PushforwardMeasure("D4").sample(samples, rng)
-    support_dev = float(np.max(np.abs(np.sum(np.abs(support) ** 2, axis=1) - 1.0)))
-    f_support = 0.5 * (1.0 + _r4_values(support))
-    del support
-    max_peak_dev = float(np.max(np.abs(f_support - 1.0)))
-    del f_support
+    # Points are drawn and reduced one block of rows at a time. The random
+    # generator fills its arrays row by row, so the blocks take the stream of
+    # one full draw. Blocks are folded with np.maximum/np.minimum, which keep
+    # a NaN where Python's max/min could drop it.
+    support_dev = max_peak_dev = -math.inf
+    for start in range(0, samples, _ROW_BLOCK):
+        support = PushforwardMeasure("D4").sample(min(_ROW_BLOCK, samples - start), rng)
+        support_dev = np.maximum(support_dev, np.max(
+            np.abs(np.sum(np.abs(support) ** 2, axis=1) - 1.0)))
+        f_support = 0.5 * (1.0 + _r4_values(support))
+        max_peak_dev = np.maximum(max_peak_dev, np.max(np.abs(f_support - 1.0)))
+    support_dev, max_peak_dev = float(support_dev), float(max_peak_dev)
 
     half = samples // 2
-    pts = np.vstack([
-        sample_ball(samples - half, rng, 4, radius=1.0),
-        sample_sphere(half, rng, 4),
-    ])
-    r_vals = _r4_values(pts)
-    del pts
-    mask = np.abs(r_vals - 1.0) > delta
-    f_vals = 0.5 * (1.0 + r_vals[mask])
-    margins = 1.0 - np.abs(f_vals)
-    min_margin = float(np.min(margins)) if len(margins) else math.inf
-    all_inside = bool(np.all(margins > 0.0)) if len(margins) else True
+    kept = rejected = 0
+    min_margin = math.inf
+    all_inside = True
+    for r_vals in _closed_ball_r4_blocks(samples - half, half, rng):
+        mask = np.abs(r_vals - 1.0) > delta
+        margins = 1.0 - np.abs(0.5 * (1.0 + r_vals[mask]))
+        kept += len(margins)
+        rejected += len(mask) - len(margins)
+        min_margin = np.minimum(min_margin, np.min(margins, initial=math.inf))
+        all_inside = all_inside and bool(np.all(margins > 0.0))
+    min_margin = float(min_margin)
 
     passed = max_peak_dev <= peak_tol and support_dev <= peak_tol and all_inside
     return PeakReport(samples=samples, delta=delta, max_peak_dev=max_peak_dev,
-                      support_dev=support_dev, kept=int(mask.sum()),
-                      rejected=int((~mask).sum()), min_margin=min_margin,
+                      support_dev=support_dev, kept=kept,
+                      rejected=rejected, min_margin=min_margin,
                       all_strictly_inside=all_inside, passed=passed)
 
 

@@ -13,6 +13,7 @@ from daverify.exact import (
     multi_indices,
     validate_multi_index,
 )
+from daverify.norms import disc_map_scale
 
 fractions = st.fractions(min_value=-10, max_value=10, max_denominator=30)
 qcomplexes = st.builds(QComplex, fractions, fractions)
@@ -53,6 +54,17 @@ class TestQComplex:
         assert prod.im == 0
         assert prod.re == a.abs2()
 
+    @given(qcomplexes)
+    def test_int_product_matches_general_path(self, a):
+        # __mul__ scales by an int without converting it to a QComplex
+        for d in (2, 4):
+            c = disc_map_scale(d)
+            for n in (0, 1, -1, 7, -12, c, -c, c ** 60, -(c ** 200)):
+                general = a * QComplex(Fraction(n))
+                for prod in (a * n, n * a):
+                    assert (prod.re, prod.im) == (general.re, general.im)
+                    assert type(prod.re) is Fraction and type(prod.im) is Fraction
+
     def test_json_round_trip(self):
         a = QComplex(Fraction(-2, 3), Fraction(5, 7))
         js = a.to_json()
@@ -61,6 +73,8 @@ class TestQComplex:
     def test_rejects_floats(self):
         with pytest.raises(TypeError):
             QComplex.from_value(0.5)
+        with pytest.raises(TypeError):
+            QComplex(Fraction(1)) * True
 
 
 class TestMultiIndex:

@@ -9,8 +9,10 @@ import pytest
 
 from daverify import henkin
 from daverify.cantor import fourier_table_ifs, fourier_table_recursion
-from daverify.exact import Polynomial, QComplex
+from daverify.exact import Polynomial, QComplex, format_rational
 from daverify.henkin import (
+    MomentReport,
+    PeakReport,
     PushforwardMeasure,
     build_witness,
     functional_bound_check,
@@ -25,11 +27,13 @@ from daverify.henkin import (
     peak_check,
     sample_ball,
     sample_cantor_points,
+    sample_sphere,
     sample_torus,
 )
 from daverify.norms import da_inner
 
 SIGMA_1 = 0.37143735670876543
+B = henkin._ROW_BLOCK
 
 
 def perturb_diagonal_moment(monkeypatch, j0: int) -> None:
@@ -119,6 +123,25 @@ class TestSamplers:
             got = PushforwardMeasure("D4").sample(count, np.random.default_rng(13))
             assert got.tobytes() == expected.tobytes()
 
+    def test_sphere_and_ball_samples_unchanged(self):
+        # the samplers as one expression each, before the split into a draw
+        # step and a per-row normalise step
+        def sphere(count, rng, cdim):
+            g = rng.standard_normal((count, cdim)) + 1j * rng.standard_normal((count, cdim))
+            return g / np.linalg.norm(g, axis=1, keepdims=True)
+
+        def ball(count, rng, cdim, radius):
+            directions = sphere(count, rng, cdim)
+            return directions * (radius * rng.random((count, 1)) ** (1.0 / (2 * cdim)))
+
+        for seed, count, cdim in ((0, 1, 4), (3, 1000, 4), (5, 777, 2), (8, B + 3, 4)):
+            got = sample_sphere(count, np.random.default_rng(seed), cdim)
+            assert got.tobytes() == sphere(count, np.random.default_rng(seed), cdim).tobytes()
+            for radius in (1.0, 0.9):
+                got = sample_ball(count, np.random.default_rng(seed), cdim, radius)
+                want = ball(count, np.random.default_rng(seed), cdim, radius)
+                assert got.tobytes() == want.tobytes()
+
     def test_cantor_samples_avoid_middle_third(self):
         t = sample_cantor_points(2000, np.random.default_rng(2))
         assert np.all((t < 1.0 / 3.0) | (t >= 2.0 / 3.0))
@@ -150,22 +173,44 @@ class TestMonteCarlo:
         good = sum(1 for r in reps if r.within_4_sigma)
         assert good >= math.ceil(0.95 * len(reps))
 
-    def test_batch_power_cache_is_bit_identical(self, monkeypatch):
-        def reports(variant):
-            return repr(mc_moment_batch(variant, 40, 5000, 29))
+    def test_batch_power_cache_is_bit_identical(self):
+        # mc_moment_batch as one loop over every alpha, repeats included, each
+        # product rebuilt from np.ones: the reference for the power cache and
+        # for reusing a repeated alpha's report
+        def reference(variant, count, samples, seed, max_exp=6):
+            rng = np.random.default_rng(seed)
+            dim = 4 if variant == "D4" else 2
+            alphas = []
+            for i in range(count):
+                if i % 10 == 0:
+                    alphas.append((int(rng.integers(0, max_exp + 1)),) * dim)
+                else:
+                    alphas.append(tuple(int(x) for x in rng.integers(0, max_exp + 1, size=dim)))
+            table = None if variant == "D4" else fourier_table_recursion(max_exp, 1e-12)
+            measure = PushforwardMeasure(variant, table)
+            points = measure.sample(samples, rng)
+            reports = []
+            for a in alphas:
+                vals = np.ones(samples, dtype=np.complex128)
+                for j, aj in enumerate(a):
+                    if aj:
+                        vals *= points[:, j] ** aj
+                est = complex(np.mean(vals))
+                stderr = math.sqrt(float(np.var(vals.real) + np.var(vals.imag)) / samples)
+                if variant == "D4":
+                    ce = moment_d4(a)
+                    closed, exact_str = complex(float(ce), 0.0), format_rational(ce)
+                else:
+                    closed, exact_str = measure.moment(a), None
+                ok = abs(est - closed) <= max(4.0 * stderr, 1e-13)
+                reports.append(MomentReport(variant, a, closed, exact_str, est, stderr, ok))
+            return alphas, reports
 
-        cached = {v: reports(v) for v in ("D4", "D2")}
-
-        def uncached(alpha, points, powers):
-            vals = np.ones(len(points), dtype=np.complex128)
-            for j, aj in enumerate(alpha):
-                if aj:
-                    vals *= points[:, j] ** aj
-            return vals
-
-        monkeypatch.setattr(henkin, "_monomial_values", uncached)
-        for v in ("D4", "D2"):
-            assert reports(v) == cached[v]
+        for variant, count, seed in (("D4", 40, 29), ("D2", 40, 29), ("D2", 100, 123)):
+            alphas, want = reference(variant, count, 5000, seed)
+            assert repr(mc_moment_batch(variant, count, 5000, seed)) == repr(want)
+            if (variant, count) == ("D2", 100):
+                assert len(set(alphas)) < len(alphas)
 
     def test_seed_determinism(self):
         a = mc_moment("D4", (1, 0, 0, 1), 5000, 99)
@@ -287,6 +332,19 @@ class TestNonHenkin:
         with pytest.raises(ValueError):
             non_henkin_witness(grid_radius=1.0)
 
+    def test_nan_in_a_later_closed_ball_block_fails_the_sup(self, monkeypatch):
+        unit_rows = henkin._unit_rows
+
+        def nan_in_last_blocks(re, im):
+            out = unit_rows(re, im)
+            if len(out) == 10:  # the last block of the ball and of the sphere
+                out[0, 0] = np.nan
+            return out
+
+        monkeypatch.setattr(henkin, "_unit_rows", nan_in_last_blocks)
+        rep = non_henkin_witness(n_max=2, grid_points=B + 10, seed=5)
+        assert not rep.sup_ball_ok and not rep.passed
+
     def test_wrong_moment_fails_every_integral_that_uses_it(self, monkeypatch):
         j0 = 7
         perturb_diagonal_moment(monkeypatch, j0)
@@ -296,6 +354,51 @@ class TestNonHenkin:
 
 
 class TestPeak:
+    @staticmethod
+    def unblocked(samples, seed, delta, peak_tol=1e-12):
+        """peak_check with every point of a phase held at once: the reference
+        for the blocked reductions."""
+        rng = np.random.default_rng(seed)
+        support = PushforwardMeasure("D4").sample(samples, rng)
+        support_dev = float(np.max(np.abs(np.sum(np.abs(support) ** 2, axis=1) - 1.0)))
+        f_support = 0.5 * (1.0 + henkin._r4_values(support))
+        max_peak_dev = float(np.max(np.abs(f_support - 1.0)))
+        half = samples // 2
+        pts = np.vstack([sample_ball(samples - half, rng, 4, radius=1.0),
+                         sample_sphere(half, rng, 4)])
+        r_vals = henkin._r4_values(pts)
+        mask = np.abs(r_vals - 1.0) > delta
+        margins = 1.0 - np.abs(0.5 * (1.0 + r_vals[mask]))
+        min_margin = float(np.min(margins)) if len(margins) else math.inf
+        all_inside = bool(np.all(margins > 0.0)) if len(margins) else True
+        passed = max_peak_dev <= peak_tol and support_dev <= peak_tol and all_inside
+        return PeakReport(samples, delta, max_peak_dev, support_dev, int(mask.sum()),
+                          int((~mask).sum()), min_margin, all_inside, passed)
+
+    @pytest.mark.parametrize("delta", [1e-3, 1e-2, 0.3])
+    @pytest.mark.parametrize("samples", [1, 2, B - 1, B, B + 1, 3 * B + 7])
+    def test_blocked_equals_unblocked(self, samples, delta):
+        seed = samples % 1009
+        assert repr(peak_check(samples, seed, delta)) == repr(self.unblocked(samples, seed, delta))
+
+    def test_nan_in_a_later_block_fails_the_check(self, monkeypatch):
+        target = B + 5  # a row of the second support block
+        seen = [0]
+
+        def h_with_nan(zeta):
+            out = h_d4(zeta)
+            if 0 <= target - seen[0] < len(out):
+                out[target - seen[0], 0] = np.nan
+            seen[0] += len(out)
+            return out
+
+        monkeypatch.setattr(henkin, "h_d4", h_with_nan)
+        rep = peak_check(B + 10, 4)
+        assert math.isnan(rep.max_peak_dev) and math.isnan(rep.support_dev)
+        assert not rep.passed
+        seen[0] = 0
+        assert repr(rep) == repr(self.unblocked(B + 10, 4, 1e-2))
+
     def test_peaks_on_support_strict_inside(self):
         rep = peak_check(samples=4000, seed=21)
         assert rep.passed
