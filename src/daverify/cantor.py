@@ -16,43 +16,32 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Literal
 
 import numpy as np
 
-Placement = Literal["midpoint", "left"]
-
-# First absolute moment of sigma about a cell's barycenter is at most the
-# cell half-width; about the left endpoint it is the measure's mean, 1/2,
-# scaled by the cell width. These drive the a-priori table tolerances below.
-_MEAN = 0.5
+# The variance of sigma about its barycenter 1/2 drives the IFS oracle's
+# a-priori tolerance below.
 _VARIANCE = 0.125  # E[(t - 1/2)^2] under sigma
 
 MAX_IFS_LEVEL = 20  # a 64-row phase block then holds 64 x 2^20 complex values, 1 GiB
 MAX_TABLE_N = 2 ** 20  # a table then holds 2^21 + 1 complex values, 32 MiB
 
 
-def atoms(level: int, placement: Placement = "midpoint") -> np.ndarray:
+def atoms(level: int) -> np.ndarray:
     """The 2^level equal-weight atom positions of the level-`level` IFS
     discretization, as float64 in [0, 1).
 
-    "left" places each atom at its cell's left endpoint (the image of 0 under
-    the digit maps); "midpoint" places it at the cell barycenter, which
-    cancels the first-order term of the discretization error and is the
-    default everywhere accuracy matters. Levels above MAX_IFS_LEVEL are
-    refused.
+    Each atom sits at its cell's barycenter, which cancels the first-order
+    term of the discretization error. Levels above MAX_IFS_LEVEL are refused.
     """
     if not 0 <= level <= MAX_IFS_LEVEL:
         raise ValueError(f"level must be in [0, {MAX_IFS_LEVEL}], got {level}")
-    if placement not in ("midpoint", "left"):
-        raise ValueError(f"unknown placement {placement!r}")
     idx = np.arange(2 ** level, dtype=np.int64)
     t = np.zeros(len(idx), dtype=np.float64)
     for j in range(level):
         digit = (idx >> j) & 1          # 0 or 1; 1 selects the offset 2/3 branch
         t += (2.0 * digit) * 3.0 ** (-(j + 1))
-    if placement == "midpoint":
-        t += 0.5 * 3.0 ** (-level)
+    t += 0.5 * 3.0 ** (-level)
     return t
 
 
@@ -156,8 +145,7 @@ def fourier_table_recursion(max_n: int, eps: float = 1e-10) -> FourierTable:
 _IFS_BLOCK = 64
 
 
-def fourier_table_ifs(max_n: int, level: int = 14,
-                      placement: Placement = "midpoint") -> FourierTable:
+def fourier_table_ifs(max_n: int, level: int = 14) -> FourierTable:
     """Table of sigma_hat(n), |n| <= max_n, by direct summation over the
     level-`level` atomic discretization. Independent of the recursion route.
 
@@ -166,8 +154,8 @@ def fourier_table_ifs(max_n: int, level: int = 14,
     coefficients is one matrix product of the n0 phases with the 64 shared
     m phases, and only 1/64 of the exponentials are evaluated.
 
-    The a-priori accuracy estimate is first order in the cell width for
-    left-endpoint atoms and second order for midpoint atoms. Levels above
+    The atoms sit at cell barycenters, so the a-priori accuracy estimate,
+    pi^2 max_n^2 9^-level / 4, is second order in the cell width. Levels above
     MAX_IFS_LEVEL are refused; the m phases and each chunk of at most 64
     n0 phases are the two largest blocks held. max_n above MAX_TABLE_N is
     refused.
@@ -175,7 +163,7 @@ def fourier_table_ifs(max_n: int, level: int = 14,
     _check_table_size(max_n)
     if not 0 <= level <= MAX_IFS_LEVEL:
         raise ValueError(f"level must be in [0, {MAX_IFS_LEVEL}], got {level}")
-    t = atoms(level, placement)
+    t = atoms(level)
     first = -max_n // _IFS_BLOCK  # the block holding n = -max_n
     offsets = np.arange(first, max_n // _IFS_BLOCK + 1, dtype=np.float64) * _IFS_BLOCK
     inner = _phases(np.arange(_IFS_BLOCK, dtype=np.float64), t).T
@@ -185,13 +173,9 @@ def fourier_table_ifs(max_n: int, level: int = 14,
     vals = np.concatenate(rows).ravel() / len(t)
     lo = -max_n - first * _IFS_BLOCK  # position of n = -max_n in vals
     coeffs = vals[lo:lo + 2 * max_n + 1]
-    width = 3.0 ** (-level)
-    if placement == "midpoint":
-        tol = 0.5 * (2.0 * np.pi * max_n * width) ** 2 * _VARIANCE
-    else:
-        tol = 2.0 * np.pi * max_n * width * _MEAN
+    tol = 0.5 * (2.0 * np.pi * max_n * 3.0 ** (-level)) ** 2 * _VARIANCE
     return FourierTable(max_n=max_n, coeffs=coeffs, tolerance=float(tol),
-                        source=f"ifs-level-{level}-{placement}")
+                        source=f"ifs-level-{level}")
 
 
 def _phases(ks: np.ndarray, t: np.ndarray) -> np.ndarray:
@@ -271,7 +255,7 @@ def _difference_weights(level: int) -> np.ndarray:
     return w
 
 
-def riesz_energy(level: int, placement: Placement = "midpoint") -> EnergyEstimate:
+def riesz_energy(level: int) -> EnergyEstimate:
     """Proven bracket on the Riesz 1/2-energy of sigma on the circle,
 
         I(sigma) = double integral f(x - y) dsigma dsigma,
@@ -303,10 +287,8 @@ def riesz_energy(level: int, placement: Placement = "midpoint") -> EnergyEstimat
 
     pair_sum is the sum of the chordal kernel over ordered pairs of distinct
     level-`level` atoms, weight 4^-level per pair. It leaves out the
-    same-cell energy, so it lies below I. Both placements put the atom at the
-    same offset in every cell, so the atom differences are the offset
-    differences D, and neither pair_sum nor the bracket depends on
-    `placement`.
+    same-cell energy, so it lies below I. Every atom sits at the same offset
+    in its cell, so the atom differences are the offset differences D.
 
     The 4^level cell pairs enter only through the 3^level values of D and
     their probabilities, so the work is O(3^level). Levels above
@@ -314,8 +296,6 @@ def riesz_energy(level: int, placement: Placement = "midpoint") -> EnergyEstimat
     """
     if not 1 <= level <= MAX_ENERGY_LEVEL:
         raise ValueError(f"level must be in [1, {MAX_ENERGY_LEVEL}], got {level}")
-    if placement not in ("midpoint", "left"):
-        raise ValueError(f"unknown placement {placement!r}")
     n = 3 ** level  # every distance below is j * h for an integer j
     M = (n - 1) // 2
     w = _difference_weights(level)

@@ -205,17 +205,16 @@ def kernel_table(dim: int = 2, n: int = 200):
 
 
 def cantor_fourier(max_n: int = 256, eps: float = 1e-10, level: int = 14,
-                   placement: str = "midpoint", sweep_pow: int = 17):
+                   sweep_pow: int = 17):
     """The Cantor Fourier table by the recursion against the IFS oracle, and
     the weighted partial sums S(2^10), ..., S(2^sweep_pow)."""
     _require(1 <= max_n <= cantor.MAX_TABLE_N, f"max-n must be in [1, {cantor.MAX_TABLE_N}]")
     _require_positive("eps", eps)
     _require_ifs_level(level)
-    _require(placement in ("midpoint", "left"), "placement must be midpoint or left")
     _require(10 <= sweep_pow <= 22, "sweep-pow must be in [10, 22]")
 
     rec = cantor.fourier_table_recursion(max_n, eps)
-    ifs = cantor.fourier_table_ifs(max_n, level, placement)
+    ifs = cantor.fourier_table_ifs(max_n, level)
     results = []
 
     results.append({"check": "cantor/coeff-at-zero-is-one",
@@ -229,7 +228,7 @@ def cantor_fourier(max_n: int = 256, eps: float = 1e-10, level: int = 14,
     diff = max(abs(rec[k] - ifs[k]) for k in range(-max_n, max_n + 1))
     results.append({"check": "cantor/recursion-vs-ifs-oracle",
                     "pass": diff <= 1e-6, "max_abs_diff": diff,
-                    "level": level, "placement": placement})
+                    "level": level})
 
     tri_dev = max(abs(rec[3 * k] - rec[k]) for k in range(max_n // 3 + 1))
     results.append({"check": "cantor/self-similarity-at-triples",
@@ -249,8 +248,7 @@ def cantor_fourier(max_n: int = 256, eps: float = 1e-10, level: int = 14,
         "first_power_below_one_percent": first_below,
     })
 
-    config = {"max_n": max_n, "eps": eps, "level": level,
-              "placement": placement, "sweep_pow": sweep_pow}
+    config = {"max_n": max_n, "eps": eps, "level": level, "sweep_pow": sweep_pow}
     return config, results, {"fourier": (["n", "re", "im", "abs"], rec.csv_rows())}
 
 
@@ -258,15 +256,14 @@ def cantor_fourier(max_n: int = 256, eps: float = 1e-10, level: int = 14,
 # cantor-energy
 
 
-def cantor_energy(levels: tuple[int, ...] = (10, 12), placement: str = "midpoint"):
+def cantor_energy(levels: tuple[int, ...] = (10, 12)):
     """The proven Riesz 1/2-energy bracket at each level, its monotonicity
     across levels, and the shrinking support cover."""
     _require(len(levels) >= 1, "need at least one level")
     _require(all(1 <= lv <= cantor.MAX_ENERGY_LEVEL for lv in levels),
              f"levels must lie in [1, {cantor.MAX_ENERGY_LEVEL}]")
-    _require(placement in ("midpoint", "left"), "placement must be midpoint or left")
     levels = sorted(set(levels))
-    estimates = [cantor.riesz_energy(lv, placement) for lv in levels]
+    estimates = [cantor.riesz_energy(lv) for lv in levels]
     results = []
     for est in estimates:
         results.append({"check": f"energy/lower-below-upper-L{est.level}",
@@ -288,7 +285,7 @@ def cantor_energy(levels: tuple[int, ...] = (10, 12), placement: str = "midpoint
     zero = cantor.support_measure_zero(max(levels))
     results.append({"check": "energy/support-cover-shrinks",
                     "pass": zero < 1.0, "cover_measure": zero})
-    return {"levels": levels, "placement": placement}, results, {}
+    return {"levels": levels}, results, {}
 
 
 # ---------------------------------------------------------------------------
@@ -376,7 +373,7 @@ def henkin_check(dim: int = 4, maxdeg: Optional[int] = None, eps: Optional[float
     _require_positive("tol", tol)
     _require_ifs_level(level)
     rec_table = cantor.fourier_table_recursion(maxdeg, eps)
-    oracle_table = cantor.fourier_table_ifs(maxdeg, level, "midpoint")
+    oracle_table = cantor.fourier_table_ifs(maxdeg, level)
     g = henkin.build_witness("D2", maxdeg, rec_table)
     res = henkin.henkin_identity_check("D2", maxdeg, g, table=oracle_table, tol=tol)
     results.append({"check": "henkin/d2-two-route-identity", "pass": res.passed,
@@ -432,7 +429,7 @@ def witness(dim: int = 4, n: Optional[int] = None, eps: Optional[float] = None,
         _require_ifs_level(level)
         rec_table = cantor.fourier_table_recursion(n, eps)
         g = henkin.build_witness("D2", n, rec_table)
-        oracle_table = cantor.fourier_table_ifs(n, level, "midpoint")
+        oracle_table = cantor.fourier_table_ifs(n, level)
         seq = disc_kernel.build_kernel_sequence(2, n)
         other = sum(seq.a_float[k] * abs(oracle_table[k]) ** 2 for k in range(n + 1))
         results.append({"check": "witness/d2-norm-two-routes",

@@ -136,7 +136,7 @@ def _parse_int_tuple(text: str) -> tuple[int, ...]:
 
 
 # argparse type of each check parameter that is not an int
-_OPTION_TYPES = {"eps": float, "tol": float, "delta": float, "placement": str,
+_OPTION_TYPES = {"eps": float, "tol": float, "delta": float,
                  "dims": _parse_int_tuple, "levels": _parse_int_tuple,
                  "alpha": _parse_int_tuple, "sections": _parse_int_tuple}
 
@@ -179,7 +179,6 @@ def build_parser() -> argparse.ArgumentParser:
         for param in inspect.signature(check).parameters.values():
             p.add_argument("--" + param.name.replace("_", "-"),
                            type=_OPTION_TYPES.get(param.name, int),
-                           choices=["midpoint", "left"] if param.name == "placement" else None,
                            help=None if param.default is None else f"default {_show(param.default)}")
         common(p, csv_ok=name in _CSV_COMMANDS)
 

@@ -45,11 +45,6 @@ Variant = Literal["D4", "D2"]
 _CANTOR_SAMPLE_DEPTH = 64  # base-3 digits drawn per Cantor sample; 3^-64 << 1 ulp
 
 
-def _check_variant(variant: str) -> None:
-    if variant not in ("D4", "D2"):
-        raise ValueError(f"variant must be 'D4' or 'D2', got {variant!r}")
-
-
 # ---------------------------------------------------------------------------
 # closed-form moments
 
@@ -180,15 +175,22 @@ def sample_sphere(count: int, rng: np.random.Generator, cdim: int) -> np.ndarray
 
 @dataclass(frozen=True)
 class PushforwardMeasure:
-    """Handle bundling a variant with the Fourier data the D2 moments need."""
+    """One of the two measures: its variant, with the Fourier table the D2
+    moments read. The only place that validates a variant name."""
 
     variant: Variant
     table: Optional[FourierTable] = None
 
     def __post_init__(self):
-        _check_variant(self.variant)
+        if self.variant not in ("D4", "D2"):
+            raise ValueError(f"variant must be 'D4' or 'D2', got {self.variant!r}")
         if self.variant == "D2" and self.table is None:
             raise ValueError("the D2 measure needs a FourierTable for its moments")
+
+    @property
+    def dim(self) -> int:
+        """d of the sphere of C^d that carries the measure."""
+        return 4 if self.variant == "D4" else 2
 
     def moment(self, alpha: Sequence[int]):
         if self.variant == "D4":
@@ -197,6 +199,14 @@ class PushforwardMeasure:
         if len(a) != 2:
             raise ValueError("D2 moments take multi-indices of length 2")
         return moment_d2(a[0], a[1], self.table)
+
+    def closed_form(self, alpha: Sequence[int]) -> tuple[complex, Optional[str]]:
+        """The moment as a complex number, with its exact "p/q" form for D4
+        and None for D2."""
+        if self.variant == "D4":
+            q = moment_d4(alpha)
+            return complex(float(q), 0.0), format_rational(q)
+        return self.moment(alpha), None
 
     def sample(self, count: int, rng: np.random.Generator) -> np.ndarray:
         """count points on the sphere distributed according to the measure."""
@@ -244,18 +254,27 @@ def _monomial_values(alpha: MultiIndex, points: np.ndarray,
     return np.ones(len(points), dtype=np.complex128) if vals is None else vals
 
 
-def _mc_report(variant: Variant, alpha: MultiIndex, points: np.ndarray,
-               closed: complex, exact_str: Optional[str],
+def _mc_report(measure: PushforwardMeasure, alpha: MultiIndex, points: np.ndarray,
                powers: dict[tuple[int, int], np.ndarray]) -> MomentReport:
+    closed, exact_str = measure.closed_form(alpha)
     vals = _monomial_values(alpha, points, powers)
     est = complex(np.mean(vals))
     m = len(vals)
     var = float(np.var(vals.real) + np.var(vals.imag))
     stderr = math.sqrt(var / m)
     ok = abs(est - closed) <= max(4.0 * stderr, _MC_ABS_FLOOR)
-    return MomentReport(variant=variant, alpha=alpha, closed_form=closed,
+    return MomentReport(variant=measure.variant, alpha=alpha, closed_form=closed,
                         closed_form_exact=exact_str, mc_estimate=est,
                         mc_stderr=stderr, within_4_sigma=ok)
+
+
+def _mc_measure(variant: Variant, table: Optional[FourierTable],
+                max_n: int) -> PushforwardMeasure:
+    """The measure a Monte Carlo check samples; a D2 measure given no table
+    reads the recursion table up to max_n."""
+    if variant == "D2" and table is None:
+        table = fourier_table_recursion(max_n, 1e-12)
+    return PushforwardMeasure(variant, table)
 
 
 def mc_moment(variant: Variant, alpha: Sequence[int], samples: int, seed: int,
@@ -265,24 +284,12 @@ def mc_moment(variant: Variant, alpha: Sequence[int], samples: int, seed: int,
     Requires samples >= 1000 so the standard error is meaningful. The check
     passes when |estimate - closed| <= max(4 stderr, 1e-13).
     """
-    _check_variant(variant)
     if samples < 1000:
         raise ValueError("samples must be >= 1000")
     a = validate_multi_index(alpha)
-    rng = np.random.default_rng(seed)
-    if variant == "D4":
-        measure = PushforwardMeasure("D4")
-        closed_exact = moment_d4(a)
-        closed = complex(float(closed_exact), 0.0)
-        exact_str = format_rational(closed_exact)
-    else:
-        if table is None:
-            table = fourier_table_recursion(max(a), 1e-12)
-        measure = PushforwardMeasure("D2", table)
-        closed = measure.moment(a)
-        exact_str = None
-    points = measure.sample(samples, rng)
-    return _mc_report(variant, a, points, closed, exact_str, {})
+    measure = _mc_measure(variant, table, max(a))
+    points = measure.sample(samples, np.random.default_rng(seed))
+    return _mc_report(measure, a, points, {})
 
 
 def mc_moment_batch(variant: Variant, count: int, samples: int, seed: int,
@@ -295,13 +302,13 @@ def mc_moment_batch(variant: Variant, count: int, samples: int, seed: int,
     are always represented. Sharing one batch keeps 100 checks at 1e5
     samples fast without changing any single check's semantics.
     """
-    _check_variant(variant)
     if samples < 1000:
         raise ValueError("samples must be >= 1000")
     if count < 1:
         raise ValueError("count must be >= 1")
+    measure = _mc_measure(variant, table, max_exp)
+    dim = measure.dim
     rng = np.random.default_rng(seed)
-    dim = 4 if variant == "D4" else 2
     alphas: list[MultiIndex] = []
     for i in range(count):
         if i % 10 == 0:
@@ -309,13 +316,6 @@ def mc_moment_batch(variant: Variant, count: int, samples: int, seed: int,
             alphas.append((k,) * dim)
         else:
             alphas.append(tuple(int(x) for x in rng.integers(0, max_exp + 1, size=dim)))
-
-    if variant == "D4":
-        measure = PushforwardMeasure("D4")
-    else:
-        if table is None:
-            table = fourier_table_recursion(max_exp, 1e-12)
-        measure = PushforwardMeasure("D2", table)
     points = measure.sample(samples, rng)
 
     # A repeated multi-index gets the report of its first occurrence: the
@@ -323,14 +323,8 @@ def mc_moment_batch(variant: Variant, count: int, samples: int, seed: int,
     by_alpha: dict[MultiIndex, MomentReport] = {}
     powers: dict[tuple[int, int], np.ndarray] = {}
     for a in alphas:
-        if a in by_alpha:
-            continue
-        if variant == "D4":
-            ce = moment_d4(a)
-            closed, exact_str = complex(float(ce), 0.0), format_rational(ce)
-        else:
-            closed, exact_str = measure.moment(a), None
-        by_alpha[a] = _mc_report(variant, a, points, closed, exact_str, powers)
+        if a not in by_alpha:
+            by_alpha[a] = _mc_report(measure, a, points, powers)
     return [by_alpha[a] for a in alphas]
 
 
@@ -354,10 +348,6 @@ class HenkinWitness:
     norm_sq_exact: Optional[Fraction]
     norm_sq: float
     table_source: Optional[str] = None
-
-    @property
-    def dimension(self) -> int:
-        return 4 if self.variant == "D4" else 2
 
     def as_polynomial(self) -> Polynomial:
         """Exact polynomial form; D4 only."""
@@ -388,11 +378,13 @@ def build_witness(variant: Variant, N: int,
     D2 requires a Fourier table with max_n >= N; the table used is recorded
     in the report so independent-route checks stay auditable.
     """
-    _check_variant(variant)
+    measure = PushforwardMeasure(variant, table)
     if N < 0:
         raise ValueError("N must be >= 0")
+    if variant == "D2" and table.max_n < N:
+        raise ValueError("D2 witness needs a FourierTable with max_n >= N")
+    seq = build_kernel_sequence(measure.dim, N)
     if variant == "D4":
-        seq = build_kernel_sequence(4, N)
         diag = tuple(seq.a_exact[k] * Fraction(16 ** k) for k in range(N + 1))
         norm_sq = sum(seq.a_exact, Fraction(0))
         return HenkinWitness(
@@ -401,9 +393,6 @@ def build_witness(variant: Variant, N: int,
             diag_float=tuple(complex(float(q), 0.0) for q in diag),
             norm_sq_exact=norm_sq, norm_sq=float(norm_sq),
         )
-    if table is None or table.max_n < N:
-        raise ValueError("D2 witness needs a FourierTable with max_n >= N")
-    seq = build_kernel_sequence(2, N)
     diag = []
     norm_sq = 0.0
     for n in range(N + 1):
@@ -442,7 +431,7 @@ def henkin_identity_check(variant: Variant, maxdeg: int, witness: HenkinWitness,
     against the inner-product route, to tolerance tol. Requires
     witness.N >= maxdeg.
     """
-    _check_variant(variant)
+    measure = PushforwardMeasure(variant, table)
     if variant != witness.variant:
         raise ValueError("witness variant does not match")
     if maxdeg < 0:
@@ -454,7 +443,7 @@ def henkin_identity_check(variant: Variant, maxdeg: int, witness: HenkinWitness,
             raise ValueError("witness truncation too small for maxdeg")
         g = witness.as_polynomial()
         checked = 0
-        for alpha in multi_indices(4, maxdeg):
+        for alpha in multi_indices(measure.dim, maxdeg):
             lhs = moment_d4(alpha)
             rhs = da_inner(Polynomial.monomial(alpha), g)
             if not (rhs.im == 0 and rhs.re == lhs):
@@ -466,8 +455,6 @@ def henkin_identity_check(variant: Variant, maxdeg: int, witness: HenkinWitness,
 
     if witness.N < maxdeg:
         raise ValueError("witness truncation too small for maxdeg")
-    if table is None:
-        raise ValueError("the D2 check needs a moment-route FourierTable")
     if table.max_n < maxdeg:
         raise ValueError("moment-route table too short for maxdeg")
     checked = 0
@@ -711,11 +698,10 @@ def functional_bound_check(witness: HenkinWitness, trials: int, seed: int,
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
+    measure = PushforwardMeasure(witness.variant, table)
     rng = np.random.default_rng(seed)
     g_norm = math.sqrt(witness.norm_sq)
-    dim = witness.dimension
-    if witness.variant == "D2" and table is None:
-        raise ValueError("the D2 bound check needs a FourierTable")
+    dim = measure.dim
 
     max_ratio = 0.0
     nonzero = 0
@@ -734,10 +720,7 @@ def functional_bound_check(witness: HenkinWitness, trials: int, seed: int,
         lhs = 0j
         norm_sq = 0.0
         for alpha, c in coeffs.items():
-            if witness.variant == "D4":
-                lhs += c * float(moment_d4(alpha))
-            else:
-                lhs += c * moment_d2(alpha[0], alpha[1], table)
+            lhs += c * measure.closed_form(alpha)[0]
             norm_sq += abs(c) ** 2 * float(monomial_norm_sq(alpha))
         rhs = math.sqrt(norm_sq) * g_norm + slack
         max_ratio = max(max_ratio, abs(lhs) / rhs)

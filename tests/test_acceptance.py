@@ -119,8 +119,7 @@ def test_criterion_06_d4_non_henkin_witness():
 
 
 def test_criterion_07_cantor_fourier_routes_agree():
-    rows, elapsed = _rows(checks.cantor_fourier, max_n=256, eps=1e-10, level=14,
-                          placement="midpoint")
+    rows, elapsed = _rows(checks.cantor_fourier, max_n=256, eps=1e-10, level=14)
     routes, sym = rows["cantor/recursion-vs-ifs-oracle"], rows["cantor/conjugate-symmetry"]
     ok = routes["pass"] and sym["pass"] and elapsed < 10.0
     _line(7, ok, f"max route difference {routes['max_abs_diff']:.3e}, "

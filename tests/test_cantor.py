@@ -33,20 +33,25 @@ SIGMA_2 = -0.07654171272866843
 SIGMA_5 = -0.17065796643021197
 
 
+def left_endpoints(level: int) -> np.ndarray:
+    """The cells' left endpoints (the images of 0 under the digit maps): the
+    barycenters shifted down by half a cell width."""
+    return atoms(level) - 3.0 ** -level / 2
+
+
 class TestAtoms:
     def test_level_zero_and_one(self):
-        assert atoms(0, "left").tolist() == [0.0]
-        assert atoms(1, "left").tolist() == [0.0, 2.0 / 3.0]
-        mid = atoms(1, "midpoint")
-        assert mid == pytest.approx([1.0 / 6.0, 2.0 / 3.0 + 1.0 / 6.0])
+        assert atoms(0).tolist() == [0.5]
+        assert atoms(1) == pytest.approx([1.0 / 6.0, 2.0 / 3.0 + 1.0 / 6.0])
+        assert left_endpoints(1) == pytest.approx([0.0, 2.0 / 3.0], abs=1e-16)
 
     def test_self_similarity_of_atom_sets(self):
-        # the level-L set is the union of the two contracted level-(L-1) sets
-        for placement in ("left", "midpoint"):
-            prev = atoms(4, placement)
-            cur = np.sort(atoms(5, placement))
-            images = np.sort(np.concatenate([prev / 3.0, prev / 3.0 + 2.0 / 3.0]))
-            assert cur == pytest.approx(images, abs=1e-15)
+        # the level-L set of barycenters is the union of the two contracted
+        # level-(L-1) sets
+        prev = atoms(4)
+        cur = np.sort(atoms(5))
+        images = np.sort(np.concatenate([prev / 3.0, prev / 3.0 + 2.0 / 3.0]))
+        assert cur == pytest.approx(images, abs=1e-15)
 
     def test_atoms_in_unit_interval(self):
         t = atoms(10)
@@ -58,8 +63,6 @@ class TestAtoms:
             atoms(-1)
         with pytest.raises(ValueError):
             atoms(MAX_IFS_LEVEL + 1)
-        with pytest.raises(ValueError):
-            atoms(3, "center")
 
     def test_support_cover_measure(self):
         assert support_measure_zero(0) == 1.0
@@ -149,22 +152,30 @@ class TestFourierTables:
     def test_midpoint_oracle_beats_left_at_ternary_frequencies(self):
         # at n = 3^m the left-endpoint discretization error is first order
         rec = fourier_table_recursion(243, 1e-11)
-        mid = fourier_table_ifs(243, 14, "midpoint")
-        left = fourier_table_ifs(243, 14, "left")
+        mid = fourier_table_ifs(243, 14)
+        left = np.exp(-2j * np.pi * 243.0 * left_endpoints(14)).mean()
         assert abs(mid[243] - rec[243]) < 1e-7
-        assert abs(left[243] - rec[243]) > 1e-5
+        assert abs(left - rec[243]) > 1e-5
+
+    def test_ifs_tolerance_is_the_midpoint_bound(self):
+        # |sigma_hat(n) - ifs_L(n)| <= pi^2 n^2 9^-L / 4 for |n| <= max_n
+        for max_n, level in ((256, 14), (100, 10)):
+            table = fourier_table_ifs(max_n, level)
+            assert table.tolerance == pytest.approx(
+                math.pi ** 2 * max_n ** 2 * 9.0 ** -level / 4, rel=1e-15)
+            rec = fourier_table_recursion(max_n, 1e-13)
+            assert np.abs(table.coeffs - rec.coeffs).max() <= table.tolerance
 
     def test_ifs_matches_per_frequency_atom_sums(self):
         # the block product against exp(-2 pi i n t) averaged over the atoms
-        for placement in ("midpoint", "left"):
-            t = atoms(6, placement)
-            for max_n in (0, 1, 63, 64, 100):
-                table = fourier_table_ifs(max_n, 6, placement)
-                assert table.coeffs.shape == (2 * max_n + 1,)
-                assert table[0] == 1.0
-                for n in range(-max_n, max_n + 1):
-                    direct = np.exp(-2j * np.pi * float(n) * t).mean()
-                    assert abs(table[n] - direct) <= 1e-13
+        t = atoms(6)
+        for max_n in (0, 1, 63, 64, 100):
+            table = fourier_table_ifs(max_n, 6)
+            assert table.coeffs.shape == (2 * max_n + 1,)
+            assert table[0] == 1.0
+            for n in range(-max_n, max_n + 1):
+                direct = np.exp(-2j * np.pi * float(n) * t).mean()
+                assert abs(table[n] - direct) <= 1e-13
 
     def test_ifs_level_cap_refused_before_allocation(self, monkeypatch):
         def no_atoms(*args):
@@ -191,7 +202,7 @@ class TestFourierTables:
                 table[n]
 
     def test_array_methods_match_per_entry_loops(self):
-        for table in (fourier_table_recursion(40, 1e-10), fourier_table_ifs(40, 8, "left")):
+        for table in (fourier_table_recursion(40, 1e-10), fourier_table_ifs(40, 8)):
             vals = {n: table[n] for n in range(-40, 41)}
             assert table.symmetry_defect() == max(
                 abs(vals[-n] - vals[n].conjugate()) for n in range(41))
@@ -236,15 +247,16 @@ class TestWeightedSum:
         assert np.abs(sq - np.abs(rec) ** 2).max() <= 1e-14
 
 
-def riesz_pair_sum_oracle(level: int, placement: str = "midpoint") -> float:
-    """Plain double loop over atoms; independent of the digit-difference route."""
-    z = np.exp(2j * np.pi * atoms(level, placement))
+def riesz_pair_sum_oracle(t: np.ndarray) -> float:
+    """Plain double loop over the atoms t; independent of the digit-difference
+    route."""
+    z = np.exp(2j * np.pi * t)
     total = 0.0
     for i in range(len(z)):
         for j in range(len(z)):
             if i != j:
                 total += abs(z[i] - z[j]) ** -0.5
-    return total * 4.0 ** (-level)
+    return total / len(z) ** 2
 
 
 def riesz_bracket_oracle(level: int) -> tuple[float, float]:
@@ -258,7 +270,7 @@ def riesz_bracket_oracle(level: int) -> tuple[float, float]:
     pair and divided by their self-similar shares.
     """
     h = 3.0 ** -level
-    t = atoms(level, "left")
+    t = left_endpoints(level)
     last = len(t) - 1
 
     def chord(d):
@@ -298,12 +310,15 @@ class TestRieszEnergy:
     def test_lower_matches_brute_force_oracle(self):
         for level in (2, 3, 5):
             est = riesz_energy(level)
-            assert est.pair_sum == pytest.approx(riesz_pair_sum_oracle(level), rel=1e-12)
+            assert est.pair_sum == pytest.approx(riesz_pair_sum_oracle(atoms(level)),
+                                                 rel=1e-12)
 
-    def test_pair_sum_and_bracket_do_not_depend_on_placement(self):
-        left, mid = riesz_energy(4, "left"), riesz_energy(4, "midpoint")
-        assert left.pair_sum == pytest.approx(riesz_pair_sum_oracle(4, "left"), rel=1e-12)
-        assert (left.lower, left.upper, left.pair_sum) == (mid.lower, mid.upper, mid.pair_sum)
+    def test_pair_sum_does_not_depend_on_atom_offset(self):
+        # every atom sits at the same offset in its cell, so moving all of
+        # them to the left endpoints leaves every atom difference unchanged
+        est = riesz_energy(4)
+        assert est.pair_sum == pytest.approx(riesz_pair_sum_oracle(left_endpoints(4)),
+                                             rel=1e-12)
 
     def test_lower_below_upper_and_monotone(self):
         ests = [riesz_energy(lv) for lv in (2, 4, 6, 8)]
@@ -332,11 +347,9 @@ class TestRieszEnergy:
         with pytest.raises(ValueError):
             riesz_energy(0)
 
-    def test_rejects_level_above_cap_and_unknown_placement(self):
+    def test_rejects_level_above_cap(self):
         with pytest.raises(ValueError):
             riesz_energy(MAX_ENERGY_LEVEL + 1)
-        with pytest.raises(ValueError):
-            riesz_energy(2, "right")
 
 
 _THREAD_PROBE = """

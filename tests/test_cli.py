@@ -92,6 +92,13 @@ def test_seed_only_where_a_check_draws(workdir):
                 parser.parse_args(argv)
 
 
+def test_placement_refused_on_every_command(workdir):
+    # the IFS oracle has one atom placement, the cell barycenters
+    for name in (*checks.COMMANDS, "all"):
+        assert main([name, "--placement", "left"]) == 2
+    assert not list(workdir.iterdir())
+
+
 def test_moments_single_alpha_rational(workdir):
     code = main(["moments", "--dim", "4", "--alpha", "1,1,1,1",
                  "--samples", "2000", "--output", "m.json"])
@@ -196,10 +203,10 @@ def test_witness_d4_includes_serialization(workdir):
 def test_parser_defaults():
     # the parser leaves unset options at None; the check function holds the defaults
     args = build_parser().parse_args(["cantor-fourier"])
-    assert args.max_n is None and args.level is None and args.placement is None
+    assert args.max_n is None and args.level is None and args.sweep_pow is None
     params = inspect.signature(checks.cantor_fourier).parameters
     assert params["max_n"].default == 256 and params["level"].default == 14
-    assert params["placement"].default == "midpoint"
+    assert params["sweep_pow"].default == 17
     args2 = build_parser().parse_args(["all", "--seed", "7"])
     assert args2.seed == 7
 
