@@ -77,15 +77,22 @@ def _cos_product(n_max: int, eps: float) -> np.ndarray:
     exp(-pi i n) = (-1)^n. With x = n / 3^k <= eps / pi, the factors left out
     multiply to 1 - O(eps^2): 1 - prod_{j>k} cos(2 pi n / 3^j) <=
     sum_{j>=1} (2 pi x / 3^j)^2 / 2 = (pi x)^2 / 4 <= eps^2 / 4.
+
+    Each angle is 2 pi (n mod 3^j) / 3^j with the remainder exact, so its
+    rounding error stays within a few units whatever n and j are. The factor
+    at level j has period 3^j in n: it is evaluated on n < min(3^j, n_max + 1),
+    where n mod 3^j = n, and tiled over the rest.
     """
     x = np.arange(n_max + 1, dtype=np.float64)
     v = np.ones(n_max + 1, dtype=np.float64)
     c = np.empty(n_max + 1, dtype=np.float64)
-    for _ in range(recursion_depth(n_max, eps)):
-        x /= 3.0
-        np.multiply(2.0 * np.pi, x, out=c)
-        np.cos(c, out=c)
-        v *= c
+    for j in range(1, recursion_depth(n_max, eps) + 1):
+        period = 3 ** j
+        f = c[:min(period, n_max + 1)]
+        np.divide(x[:len(f)], float(period), out=f)
+        f *= 2.0 * np.pi
+        np.cos(f, out=f)
+        v *= f if len(f) == len(v) else np.resize(f, len(v))
     return v
 
 

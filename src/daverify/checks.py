@@ -1,11 +1,14 @@
 """The checks behind every `daverify` command, one function per command.
 
 Each function takes the command's parameters as keyword arguments, with its
-defaults in its signature (the only copy of them), raises ConfigError on an
-invalid value, and returns (config, rows, tables): the configuration it ran
-with, one dict per check (its name under "check", its verdict under "pass",
-the numbers it was judged on), and the CSV tables, name -> (header, rows).
-PLAN lists the stages of `daverify all`.
+defaults in its signature, raises ConfigError on an invalid value, and
+returns (config, rows, tables): the configuration it ran with, one dict per
+check (its name under "check", its verdict under "pass", the numbers it was
+judged on), and the CSV tables, name -> (header, rows).
+The defaults that depend on the dimension are None in the signature and
+filled in on the branch that reads them: henkin-check's maxdeg, eps, level
+and tol, and witness's n, eps and level. PLAN lists the stages of
+`daverify all`.
 """
 
 from __future__ import annotations
@@ -460,9 +463,9 @@ def peak_check(samples: int = 10_000, seed: int = DEFAULT_SEED, delta: float = 1
     _require_positive("delta", delta)
     rep = henkin.peak_check(samples, seed, delta)
     results = [
-        {"check": "peak/equals-one-on-support", "pass": rep.max_peak_dev <= 1e-12,
+        {"check": "peak/equals-one-on-support", "pass": rep.max_peak_dev <= henkin.PEAK_TOL,
          "max_peak_dev": rep.max_peak_dev},
-        {"check": "peak/support-on-sphere", "pass": rep.support_dev <= 1e-12,
+        {"check": "peak/support-on-sphere", "pass": rep.support_dev <= henkin.PEAK_TOL,
          "support_dev": rep.support_dev},
         {"check": "peak/strictly-inside-off-support", "pass": rep.all_strictly_inside,
          **rep.margin_json(), "kept": rep.kept, "rejected": rep.rejected},

@@ -90,13 +90,6 @@ class QComplex:
 
     __radd__ = __add__
 
-    def __sub__(self, other: ScalarLike) -> "QComplex":
-        o = QComplex.from_value(other)
-        return QComplex(self.re - o.re, self.im - o.im)
-
-    def __rsub__(self, other: ScalarLike) -> "QComplex":
-        return QComplex.from_value(other) - self
-
     def __mul__(self, other: ScalarLike) -> "QComplex":
         if type(other) is int:
             return QComplex(self.re * other, self.im * other)
@@ -105,9 +98,6 @@ class QComplex:
                         self.re * o.im + self.im * o.re)
 
     __rmul__ = __mul__
-
-    def __neg__(self) -> "QComplex":
-        return QComplex(-self.re, -self.im)
 
     def conjugate(self) -> "QComplex":
         return QComplex(self.re, -self.im)

@@ -175,8 +175,9 @@ def sample_sphere(count: int, rng: np.random.Generator, cdim: int) -> np.ndarray
 
 @dataclass(frozen=True)
 class PushforwardMeasure:
-    """One of the two measures: its variant, with the Fourier table the D2
-    moments read. The only place that validates a variant name."""
+    """One of the two measures: its variant and the Fourier table the D2
+    moments read. The functions of this module validate a variant, require
+    the D2 table, and read the dimension and the closed forms only here."""
 
     variant: Variant
     table: Optional[FourierTable] = None
@@ -615,12 +616,15 @@ class PeakReport:
         return finite_or_null("min_margin", self.min_margin, "no sample outside delta")
 
 
-def peak_check(samples: int = 10_000, seed: int = 0, delta: float = 1e-2,
-               peak_tol: float = 1e-12) -> PeakReport:
+# How far from 1 |f| and the squared radius may be on the D4 support.
+PEAK_TOL = 1e-12
+
+
+def peak_check(samples: int = 10_000, seed: int = 0, delta: float = 1e-2) -> PeakReport:
     """f = (1 + r)/2 equals 1 on the D4 support and is strictly smaller
     elsewhere on the closed ball.
 
-    On `samples` pushforward points: |f - 1| <= peak_tol and the points sit
+    On `samples` pushforward points: |f - 1| <= PEAK_TOL and the points sit
     on the sphere to the same tolerance. On `samples` closed-ball points with
     |r(z) - 1| > delta: |f| < 1 strictly; the minimum margin 1 - |f| is
     reported.
@@ -657,7 +661,7 @@ def peak_check(samples: int = 10_000, seed: int = 0, delta: float = 1e-2,
         all_inside = all_inside and bool(np.all(margins > 0.0))
     min_margin = float(min_margin)
 
-    passed = max_peak_dev <= peak_tol and support_dev <= peak_tol and all_inside
+    passed = max_peak_dev <= PEAK_TOL and support_dev <= PEAK_TOL and all_inside
     return PeakReport(samples=samples, delta=delta, max_peak_dev=max_peak_dev,
                       support_dev=support_dev, kept=kept,
                       rejected=rejected, min_margin=min_margin,

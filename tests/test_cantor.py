@@ -6,6 +6,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -106,14 +107,14 @@ class TestFourierCoeff:
             fourier_table_recursion(1, 0.0)
 
 
-def complex_product(x: np.ndarray, depth: int) -> np.ndarray:
-    """prod_{j=1..depth} (1 + exp(-4 pi i x / 3^j)) / 2, the defining product
-    in its complex form; independent of the real cosine route."""
-    x = np.array(x, dtype=np.float64)
-    v = np.ones(x.shape, dtype=np.complex128)
-    for _ in range(depth):
-        x /= 3.0
-        v *= 0.5 * (1.0 + np.exp(-4j * np.pi * x))
+def complex_product(n: np.ndarray, depth: int) -> np.ndarray:
+    """prod_{j=1..depth} (1 + exp(-4 pi i n / 3^j)) / 2 for integers n, the
+    defining product in its complex form with n reduced mod 3^j in int64;
+    independent of the real cosine route."""
+    n = np.asarray(n, dtype=np.int64)
+    v = np.ones(n.shape, dtype=np.complex128)
+    for j in range(1, depth + 1):
+        v *= 0.5 * (1.0 + np.exp(-4j * np.pi * ((n % 3 ** j) / float(3 ** j))))
     return v
 
 
@@ -138,6 +139,27 @@ class TestFourierTables:
             assert np.abs(table.coeffs - expected).max() <= eps
             assert np.all(table.coeffs.imag == 0)
             assert table[0] == 1.0
+
+    def test_deep_table_within_tolerance_of_mpmath(self):
+        # the same truncated product in 40-digit arithmetic; at these n,
+        # angles formed by dividing by 3 once per level drift by up to 5e-11
+        table = fourier_table_recursion(2 ** 20, 1e-12)
+        depth = recursion_depth(2 ** 20, 1e-12)
+        mpmath.mp.dps = 40
+        for n in (531442, 797161):
+            exact = (-1) ** n * mpmath.fprod(
+                mpmath.cos(2 * mpmath.pi * n / mpmath.mpf(3) ** j) for j in range(1, depth + 1))
+            assert abs(table[n] - complex(exact)) <= table.tolerance
+
+    def test_periodic_factors_equal_exact_remainder_angles(self):
+        # each factor as written: 2 pi (n mod 3^j) / 3^j with an int64 remainder
+        for max_n, eps in ((0, 1e-9), (2, 1e-12), (9, 1e-9), (80, 1e-12), (82, 1e-10),
+                           (5000, 1e-12)):
+            n = np.arange(max_n + 1, dtype=np.int64)
+            want = np.ones(max_n + 1)
+            for j in range(1, recursion_depth(max_n, eps) + 1):
+                want *= np.cos((n % 3 ** j) / float(3 ** j) * (2.0 * np.pi))
+            assert cantor._cos_product(max_n, eps).tobytes() == want.tobytes()
 
     def test_conjugate_symmetry(self):
         for table in (fourier_table_recursion(64, 1e-10), fourier_table_ifs(64, 12)):

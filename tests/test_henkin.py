@@ -156,6 +156,21 @@ class TestSamplers:
         with pytest.raises(ValueError):
             PushforwardMeasure("D2")
 
+    def test_every_entry_point_refuses_bad_variant_and_missing_table(self):
+        w2 = build_witness("D2", 4, fourier_table_recursion(4, 1e-12))
+        calls = [
+            lambda: mc_moment("D3", (1, 1), 1000, 0),
+            lambda: mc_moment_batch("D3", 5, 1000, 0),
+            lambda: build_witness("D3", 2),
+            lambda: build_witness("D2", 2),
+            lambda: henkin_identity_check("D3", 4, w2),
+            lambda: henkin_identity_check("D2", 4, w2),
+            lambda: functional_bound_check(w2, 3, 0),
+        ]
+        for call in calls:
+            with pytest.raises(ValueError, match="variant must be|needs a FourierTable"):
+                call()
+
 
 class TestMonteCarlo:
     def test_d4_moment_within_4_sigma(self):
