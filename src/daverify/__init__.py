@@ -21,7 +21,6 @@ from .disc_kernel import (
     KernelSequence,
     build_kernel_sequence,
     dirichlet_coeff_check,
-    sum_a_partial,
 )
 from .cantor import (
     EnergyEstimate,
@@ -39,7 +38,6 @@ from .henkin import (
     functional_bound_check,
     henkin_identity_check,
     mc_moment,
-    moment_d2,
     moment_d4,
     non_henkin_witness,
     peak_check,

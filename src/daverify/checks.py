@@ -186,18 +186,22 @@ def kernel_table(dim: int = 2, n: int = 200):
                     "pass": spread < 0.05, "low": lo, "high": hi,
                     "relative_spread": spread})
 
+    # the partial sums read prefixes of the same sweep. D4: the tail past
+    # N = 1000 is estimated by integral comparison against C (n+1)^(-3/2)
+    # with C read off at N. D2: the sum diverges like 2 sqrt(N / pi), so it
+    # grows by sqrt(2) from N = 5000 to N = 10^4.
     if dim == 4:
-        partial = disc_kernel.sum_a_partial(4, 1000)
+        partial = float(np.sum(sweep[:1001]))
+        tail = 2.0 * (float(sweep[1000]) * 1001.0 ** 1.5) / math.sqrt(1001.0)
         results.append({"check": "kernel/partial-sum-converging",
-                        "pass": partial.tail_estimate < 0.1,
-                        "partial": partial.partial,
-                        "tail_estimate": partial.tail_estimate})
+                        "pass": tail < 0.1, "partial": partial,
+                        "tail_estimate": tail})
     else:
-        big = disc_kernel.sum_a_partial(2, 10_000)
-        growth = big.partial / disc_kernel.sum_a_partial(2, 5_000).partial
+        big = float(np.sum(sweep))
+        growth = big / float(np.sum(sweep[:5001]))
         results.append({"check": "kernel/partial-sum-diverging-sqrt",
                         "pass": abs(growth - math.sqrt(2.0)) < 0.02,
-                        "partial_1e4": big.partial, "doubling_ratio": growth})
+                        "partial_1e4": big, "doubling_ratio": growth})
 
     tables = {"kernel": (["n", "a_exact", "a_float", "a_times_power"], seq.csv_rows())}
     return {"dim": dim, "n": n}, results, tables
@@ -306,7 +310,8 @@ def moments(dim: int = 4, alpha: Optional[tuple[int, ...]] = None, count: int = 
 
     if alpha is not None:
         _require(len(alpha) == dim, f"alpha must have {dim} entries for dim {dim}")
-        _require(all(a >= 0 for a in alpha), "alpha entries must be >= 0")
+        _require(all(0 <= a <= cantor.MAX_TABLE_N for a in alpha),
+                 f"alpha entries must be in [0, {cantor.MAX_TABLE_N}]")
         rep = henkin.mc_moment(variant, alpha, samples, seed)
         results.append({
             "check": "moments/single-alpha-within-4-sigma",
@@ -320,7 +325,8 @@ def moments(dim: int = 4, alpha: Optional[tuple[int, ...]] = None, count: int = 
         reports_list = [rep]
     else:
         _require(count >= 1, "count must be >= 1")
-        _require(max_exp >= 0, "max-exp must be >= 0")
+        _require(0 <= max_exp <= cantor.MAX_TABLE_N,
+                 f"max-exp must be in [0, {cantor.MAX_TABLE_N}]")
         reports_list = henkin.mc_moment_batch(variant, count, samples, seed, max_exp=max_exp)
         good = sum(1 for r in reports_list if r.within_4_sigma)
         results.append({
@@ -549,9 +555,9 @@ PLAN: tuple[tuple[str, dict], ...] = (
     ("moments", {"dim": 4}),
     ("moments", {"dim": 2}),
     ("henkin-check", {"dim": 4}),
-    ("henkin-check", {"dim": 2, "eps": 1e-12}),
+    ("henkin-check", {"dim": 2}),
     ("witness", {"dim": 4}),
-    ("witness", {"dim": 2, "eps": 1e-12}),
+    ("witness", {"dim": 2}),
     ("peak-check", {"samples": 100_000}),
     ("compression", {"dim": 2}),
     ("compression", {"dim": 4}),

@@ -54,14 +54,19 @@ def mult_matrix(phi: Polynomial, N: int) -> MultMatrix:
                       columns=tuple(cols), rows=tuple(rows))
 
 
-def top_singular_value(A: np.ndarray, tol: float = 1e-12,
-                       max_iter: int = 20_000) -> float:
+# Relative eigen-residual at which power iteration stops, and its step cap.
+_POWER_TOL = 1e-12
+_POWER_MAX_ITER = 20_000
+
+
+def top_singular_value(A: np.ndarray) -> float:
     """Largest singular value by power iteration on the Gram matrix A* A.
 
     Deterministic: starts from the normalized all-ones vector and stops when
-    the eigen-residual ||A*A v - lambda v|| drops below tol * lambda. The
-    Rayleigh quotient is then accurate to about the residual squared over
-    the spectral gap, so the returned sigma is converged well past tol.
+    the eigen-residual ||A*A v - lambda v|| drops below _POWER_TOL * lambda,
+    or after _POWER_MAX_ITER steps. The Rayleigh quotient is then accurate
+    to about the residual squared over the spectral gap, so the returned
+    sigma is converged well past _POWER_TOL.
     """
     if A.ndim != 2:
         raise ValueError("need a matrix")
@@ -70,12 +75,12 @@ def top_singular_value(A: np.ndarray, tol: float = 1e-12,
     ncols = A.shape[1]
     v = np.ones(ncols, dtype=np.complex128) / math.sqrt(ncols)
     lam = 0.0
-    for _ in range(max_iter):
+    for _ in range(_POWER_MAX_ITER):
         # A* w as conj(A^T conj(w)): A.T is a view, so no conjugate copy of A
         u = (A.T @ (A @ v).conj()).conj()
         lam = float(np.real(np.vdot(v, u)))
         residual = float(np.linalg.norm(u - lam * v))
-        if residual <= tol * max(lam, 1e-300):
+        if residual <= _POWER_TOL * max(lam, 1e-300):
             break
         nu = float(np.linalg.norm(u))
         if nu == 0.0:
@@ -84,10 +89,10 @@ def top_singular_value(A: np.ndarray, tol: float = 1e-12,
     return math.sqrt(max(lam, 0.0))
 
 
-def compression_norm(phi: Polynomial, N: int, tol: float = 1e-12) -> float:
+def compression_norm(phi: Polynomial, N: int) -> float:
     """Top singular value of the degree-N section of M_phi; a lower bound
     for the multiplier norm, nondecreasing in N."""
-    return top_singular_value(mult_matrix(phi, N).entries, tol=tol)
+    return top_singular_value(mult_matrix(phi, N).entries)
 
 
 def diagonal_shift_weights(d: int, N: int) -> list[float]:

@@ -1,4 +1,4 @@
-"""The weighted-disc kernel sequence a_n = 1/||r(z)^n||^2 and its kernel sums.
+"""The weighted-disc kernel sequence a_n = 1/||r(z)^n||^2, exact and in float.
 
 For d = 2 the weights are the central binomial ratios (2n)! / (4^n (n!)^2),
 i.e. the Taylor coefficients of (1 - x)^(-1/2), so the disc space is a
@@ -16,7 +16,7 @@ from fractions import Fraction
 import numpy as np
 
 from .exact import format_rational
-from .norms import r_power_norm_sq
+from .norms import _kernel_weights, r_power_norm_sq
 
 SUPPORTED_DIMS = (2, 4)
 
@@ -58,21 +58,13 @@ class KernelSequence:
 def build_kernel_sequence(d: int, N: int) -> KernelSequence:
     """Exact a_n = 1/r_power_norm_sq(d, n) for n <= N, with float shadows.
 
-    The exact values are built by the one-step recurrence
-    a_{n+1} = a_n * prod_{j=1..d}(dn + j) / (d^d (n+1)^d), which keeps the
-    intermediate integers small; a spot check against the closed form guards
-    the recurrence.
+    The exact values come from the one-step recurrence of
+    norms._kernel_weights; a spot check against the closed form guards it.
     """
     _check_dim(d)
     if N < 0:
         raise ValueError("N must be >= 0")
-    a: list[Fraction] = [Fraction(1)]
-    dd = d ** d
-    for n in range(N):
-        num = 1
-        for j in range(1, d + 1):
-            num *= d * n + j
-        a.append(a[n] * Fraction(num, dd * (n + 1) ** d))
+    a = _kernel_weights(d, N + 1)
     if a[min(N, 3)] * r_power_norm_sq(d, min(N, 3)) != 1:
         raise AssertionError("kernel sequence recurrence drifted from the closed form")
     return KernelSequence(d=d, N=N, a_exact=tuple(a), a_float=tuple(float(q) for q in a))
@@ -107,29 +99,3 @@ def dirichlet_coeff_check(n: int) -> bool:
         num *= Fraction(-1, 2) - j
     binom = num / math.factorial(n)
     return a_n == (-1) ** n * binom
-
-
-@dataclass(frozen=True)
-class PartialSum:
-    d: int
-    N: int
-    partial: float
-    tail_estimate: float
-
-
-def sum_a_partial(d: int, N: int) -> PartialSum:
-    """Partial sum of the weights, sum_{n<=N} a_n, with a tail estimate.
-
-    d = 4: the tail is estimated by integral comparison against
-    C (n+1)^(-3/2) with C read off at n = N. d = 2: the sum diverges like
-    2 sqrt(N) / sqrt(pi); the "tail estimate" reports the next increment,
-    a_{N+1}, as a divergence-rate witness.
-    """
-    seq = float_coeff_sequence(d, N + 1)
-    partial = float(np.sum(seq[: N + 1]))
-    if d == 4:
-        c = float(seq[N]) * (N + 1.0) ** 1.5
-        tail = 2.0 * c / math.sqrt(N + 1.0)
-    else:
-        tail = float(seq[N + 1])
-    return PartialSum(d=d, N=N, partial=partial, tail_estimate=tail)

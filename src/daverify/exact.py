@@ -102,10 +102,6 @@ class QComplex:
     def conjugate(self) -> "QComplex":
         return QComplex(self.re, -self.im)
 
-    def abs2(self) -> Fraction:
-        """Squared modulus, exact."""
-        return self.re * self.re + self.im * self.im
-
     def is_zero(self) -> bool:
         return self.re == 0 and self.im == 0
 
@@ -118,9 +114,6 @@ class QComplex:
         if isinstance(other, QComplex):
             return self.re == other.re and self.im == other.im
         return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.re, self.im))
 
     def to_json(self) -> dict:
         return {"re": format_rational(self.re), "im": format_rational(self.im)}

@@ -67,21 +67,6 @@ def moment_d4(alpha: Sequence[int]) -> Fraction:
     return _ZERO
 
 
-def moment_d2(m: int, n: int, table: FourierTable) -> complex:
-    """Moment integral z1^m z2^n dmu for the D2 measure.
-
-    Zero unless m = n; on the diagonal it equals 2^(-n) sigma_hat(-n), read
-    from the supplied Fourier table (ValueError if the table is too short).
-    """
-    if m < 0 or n < 0:
-        raise ValueError("exponents must be >= 0")
-    if m != n:
-        return 0j
-    if n > table.max_n:
-        raise ValueError(f"fourier table covers |n| <= {table.max_n}, need {n}")
-    return 2.0 ** (-n) * table[-n]
-
-
 # ---------------------------------------------------------------------------
 # samplers and the pushforward maps
 
@@ -140,7 +125,8 @@ def sample_cantor_points(count: int, rng: np.random.Generator) -> np.ndarray:
 def _draw_normals(count: int, rng: np.random.Generator,
                   cdim: int) -> tuple[np.ndarray, np.ndarray]:
     """Real parts, then imaginary parts, of count standard complex Gaussian
-    vectors in C^cdim: the draws of `sample_sphere`, in its stream order."""
+    vectors in C^cdim, drawn in that order; normalised by _unit_rows they are
+    uniform on the unit sphere."""
     re = rng.standard_normal((count, cdim))
     return re, rng.standard_normal((count, cdim))
 
@@ -157,20 +143,6 @@ def _ball_radii(count: int, rng: np.random.Generator, cdim: int,
     """(count, 1) radii that make unit directions uniform in the real
     2*cdim-dimensional ball of the given radius."""
     return radius * rng.random((count, 1)) ** (1.0 / (2 * cdim))
-
-
-def sample_ball(count: int, rng: np.random.Generator, cdim: int,
-                radius: float = 1.0) -> np.ndarray:
-    """Uniform samples from the complex ball of the given radius in C^cdim."""
-    re, im = _draw_normals(count, rng, cdim)
-    radii = _ball_radii(count, rng, cdim, radius)
-    return _unit_rows(re, im) * radii
-
-
-def sample_sphere(count: int, rng: np.random.Generator, cdim: int) -> np.ndarray:
-    """Uniform samples from the unit sphere of C^cdim: normalized complex
-    Gaussian vectors."""
-    return _unit_rows(*_draw_normals(count, rng, cdim))
 
 
 @dataclass(frozen=True)
@@ -194,12 +166,19 @@ class PushforwardMeasure:
         return 4 if self.variant == "D4" else 2
 
     def moment(self, alpha: Sequence[int]):
+        """Exact moment integral z^alpha dmu for D4 (see moment_d4). For D2,
+        integral z1^m z2^n dmu: zero unless m = n, and on the diagonal
+        2^(-n) sigma_hat(-n), read from the table (ValueError past its range).
+        """
         if self.variant == "D4":
             return moment_d4(alpha)
         a = validate_multi_index(alpha)
         if len(a) != 2:
             raise ValueError("D2 moments take multi-indices of length 2")
-        return moment_d2(a[0], a[1], self.table)
+        m, n = a
+        if m != n:
+            return 0j
+        return 2.0 ** (-n) * self.table[-n]
 
     def closed_form(self, alpha: Sequence[int]) -> tuple[complex, Optional[str]]:
         """The moment as a complex number, with its exact "p/q" form for D4
@@ -269,17 +248,15 @@ def _mc_report(measure: PushforwardMeasure, alpha: MultiIndex, points: np.ndarra
                         mc_stderr=stderr, within_4_sigma=ok)
 
 
-def _mc_measure(variant: Variant, table: Optional[FourierTable],
-                max_n: int) -> PushforwardMeasure:
-    """The measure a Monte Carlo check samples; a D2 measure given no table
-    reads the recursion table up to max_n."""
-    if variant == "D2" and table is None:
-        table = fourier_table_recursion(max_n, 1e-12)
+def _mc_measure(variant: Variant, max_n: int) -> PushforwardMeasure:
+    """The measure a Monte Carlo check samples; a D2 measure reads the
+    recursion table up to max_n."""
+    table = fourier_table_recursion(max_n, 1e-12) if variant == "D2" else None
     return PushforwardMeasure(variant, table)
 
 
-def mc_moment(variant: Variant, alpha: Sequence[int], samples: int, seed: int,
-              table: Optional[FourierTable] = None) -> MomentReport:
+def mc_moment(variant: Variant, alpha: Sequence[int], samples: int,
+              seed: int) -> MomentReport:
     """Monte Carlo estimate of one moment against its closed form.
 
     Requires samples >= 1000 so the standard error is meaningful. The check
@@ -288,13 +265,12 @@ def mc_moment(variant: Variant, alpha: Sequence[int], samples: int, seed: int,
     if samples < 1000:
         raise ValueError("samples must be >= 1000")
     a = validate_multi_index(alpha)
-    measure = _mc_measure(variant, table, max(a))
+    measure = _mc_measure(variant, max(a))
     points = measure.sample(samples, np.random.default_rng(seed))
     return _mc_report(measure, a, points, {})
 
 
 def mc_moment_batch(variant: Variant, count: int, samples: int, seed: int,
-                    table: Optional[FourierTable] = None,
                     max_exp: int = 6) -> list[MomentReport]:
     """count Monte Carlo moment checks on one shared sample batch.
 
@@ -307,7 +283,7 @@ def mc_moment_batch(variant: Variant, count: int, samples: int, seed: int,
         raise ValueError("samples must be >= 1000")
     if count < 1:
         raise ValueError("count must be >= 1")
-    measure = _mc_measure(variant, table, max_exp)
+    measure = _mc_measure(variant, max_exp)
     dim = measure.dim
     rng = np.random.default_rng(seed)
     alphas: list[MultiIndex] = []
@@ -463,7 +439,7 @@ def henkin_identity_check(variant: Variant, maxdeg: int, witness: HenkinWitness,
     for m in range(maxdeg + 1):
         for n in range(maxdeg + 1):
             if m == n:
-                lhs = moment_d2(n, n, table)
+                lhs = measure.moment((n, n))
                 rhs = witness.diag_float[n].conjugate() * float(monomial_norm_sq((n, n)))
                 dev = abs(lhs - rhs)
                 max_dev = max(max_dev, dev)
@@ -471,7 +447,7 @@ def henkin_identity_check(variant: Variant, maxdeg: int, witness: HenkinWitness,
                     failures.append((m, n))
             else:
                 # both routes vanish identically; record the comparison
-                if moment_d2(m, n, table) != 0:
+                if measure.moment((m, n)) != 0:
                     failures.append((m, n))
             checked += 1
     return HenkinCheckResult(variant="D2", maxdeg=maxdeg, checked=checked,
@@ -508,18 +484,19 @@ def _r4_values(points: np.ndarray) -> np.ndarray:
 _ROW_BLOCK = 2 ** 16
 
 
-def _closed_ball_r4_blocks(n_ball: int, n_sphere: int,
-                           rng: np.random.Generator) -> Iterator[np.ndarray]:
-    """r(z) on n_ball uniform points of the unit ball of C^4, then on n_sphere
-    uniform points of its sphere, one block of rows at a time.
+def _closed_ball_r4_blocks(n_ball: int, n_sphere: int, rng: np.random.Generator,
+                           radius: float) -> Iterator[np.ndarray]:
+    """r(z) on n_ball uniform points of the ball of C^4 of the given radius,
+    then on n_sphere uniform points of the unit sphere, one block of rows at
+    a time.
 
-    The draws are those of sample_ball(n_ball, rng, 4) followed by
-    sample_sphere(n_sphere, rng, 4), in the same order, so the blocks
-    concatenate to _r4_values of the two samples stacked. Only one half's
-    normal draws (and the ball's radii) are held in full, never the points.
+    Each half draws its normals, then (the ball only) its radii, so the
+    blocks concatenate to r of the two samples drawn one after the other in
+    full. Only one half's normal draws (and the ball's radii) are held in
+    full, never the points. A half of size zero takes nothing from rng.
     """
     re, im = _draw_normals(n_ball, rng, 4)
-    radii = _ball_radii(n_ball, rng, 4, 1.0)
+    radii = _ball_radii(n_ball, rng, 4, radius)
     for start in range(0, n_ball, _ROW_BLOCK):
         rows = slice(start, start + _ROW_BLOCK)
         yield _r4_values(_unit_rows(re[rows], im[rows]) * radii[rows])
@@ -565,11 +542,12 @@ def non_henkin_witness(n_max: int = 50, grid_points: int = 1000,
             failures.append(n)
         binom = [a + b for a, b in zip([0] + binom, binom + [0])]
 
-    # (ii) interior decay on a fixed seeded grid
+    # (ii) interior decay on a fixed seeded grid; np.maximum keeps a NaN
     rng = np.random.default_rng(seed)
-    interior = sample_ball(grid_points, rng, 4, radius=grid_radius)
-    base = 0.5 * (1.0 + _r4_values(interior))
-    max_base = float(np.max(np.abs(base)))
+    max_base = -math.inf
+    for r_vals in _closed_ball_r4_blocks(grid_points, 0, rng, grid_radius):
+        max_base = np.maximum(max_base, np.max(np.abs(0.5 * (1.0 + r_vals))))
+    max_base = float(max_base)
     if max_base < 1.0:
         n_star = max(1, math.ceil(math.log(threshold) / math.log(max_base)))
     else:
@@ -577,9 +555,9 @@ def non_henkin_witness(n_max: int = 50, grid_points: int = 1000,
     max_fn_final = max_base ** decay_n
 
     # (iii) sup certificate on the closed ball (interior plus sphere samples);
-    # np.maximum keeps a NaN, which then fails the comparison
+    # a NaN kept by np.maximum fails the comparison
     sup_f1 = -math.inf
-    for r_vals in _closed_ball_r4_blocks(grid_points, grid_points, rng):
+    for r_vals in _closed_ball_r4_blocks(grid_points, grid_points, rng, 1.0):
         sup_f1 = np.maximum(sup_f1, np.max(np.abs(0.5 * (1.0 + r_vals))))
     sup_ok = bool(sup_f1 <= 1.0 + 1e-12)
 
@@ -652,7 +630,7 @@ def peak_check(samples: int = 10_000, seed: int = 0, delta: float = 1e-2) -> Pea
     kept = rejected = 0
     min_margin = math.inf
     all_inside = True
-    for r_vals in _closed_ball_r4_blocks(samples - half, half, rng):
+    for r_vals in _closed_ball_r4_blocks(samples - half, half, rng, 1.0):
         mask = np.abs(r_vals - 1.0) > delta
         margins = 1.0 - np.abs(0.5 * (1.0 + r_vals[mask]))
         kept += len(margins)
@@ -687,12 +665,14 @@ class FunctionalBoundReport:
 # [0, N]^d would almost never have a nonzero integral to bound.
 _DIAGONAL_SHARE = 0.5
 
+# Absolute float roundoff allowed on top of the Cauchy-Schwarz bound.
+_BOUND_SLACK = 1e-9
+
 
 def functional_bound_check(witness: HenkinWitness, trials: int, seed: int,
-                           table: Optional[FourierTable] = None,
-                           slack: float = 1e-9) -> FunctionalBoundReport:
+                           table: Optional[FourierTable] = None) -> FunctionalBoundReport:
     """Random polynomials phi with degree inside the witness truncation must
-    satisfy |integral(phi dmu)| <= ||phi||_{H^2_d} ||g|| + slack.
+    satisfy |integral(phi dmu)| <= ||phi||_{H^2_d} ||g|| + _BOUND_SLACK.
 
     Degrees are capped so the truncated witness is exact for every phi
     tried; the bound is then Cauchy-Schwarz and the slack only absorbs float
@@ -726,7 +706,7 @@ def functional_bound_check(witness: HenkinWitness, trials: int, seed: int,
         for alpha, c in coeffs.items():
             lhs += c * measure.closed_form(alpha)[0]
             norm_sq += abs(c) ** 2 * float(monomial_norm_sq(alpha))
-        rhs = math.sqrt(norm_sq) * g_norm + slack
+        rhs = math.sqrt(norm_sq) * g_norm + _BOUND_SLACK
         max_ratio = max(max_ratio, abs(lhs) / rhs)
         nonzero += lhs != 0
         failures += abs(lhs) > rhs

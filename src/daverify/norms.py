@@ -134,18 +134,16 @@ def r_power_norm_sq(d: int, n: int) -> Fraction:
     return Fraction(*_r_power_norm_terms(d, n))
 
 
-def _r_power_norm_sqs(d: int, count: int) -> list[Fraction]:
-    """[r_power_norm_sq(d, n) for n < count], from running products of the
-    three factors d^(d n), (n!)^d and (d n)! rather than fresh factorials."""
+def _kernel_weights(d: int, count: int) -> list[Fraction]:
+    """[1 / r_power_norm_sq(d, n) for n < count], each reduced, by the
+    one-step recurrence a_{n+1} = a_n prod_{j=1..d}(d n + j) / (d^d (n+1)^d),
+    which keeps the intermediate integers small."""
     if d < 1:
         raise ValueError("d must be >= 1")
-    out = []
-    num = den = 1
-    for n in range(count):
-        if n:
-            num *= d ** d * n ** d
-            den *= math.prod(range(d * n - d + 1, d * n + 1))
-        out.append(Fraction(num, den))
+    out = [Fraction(1)] if count > 0 else []
+    for n in range(count - 1):
+        out.append(out[n] * Fraction(math.prod(range(d * n + 1, d * n + d + 1)),
+                                     d ** d * (n + 1) ** d))
     return out
 
 
@@ -193,13 +191,14 @@ def isometry_check(f_coeffs: Sequence[ScalarLike], d: int) -> IsometryReport:
     coeffs = [QComplex.from_value(c) for c in f_coeffs]
     deg = len(coeffs) - 1 if coeffs else 0
 
-    # |a/b + i c/e|^2 * u/v = (a^2 e^2 + c^2 b^2) u / (b^2 e^2 v)
+    # |a/b + i c/e|^2 / (u/v) = (a^2 e^2 + c^2 b^2) v / (b^2 e^2 u) with
+    # u/v = a_n = 1/||r^n||^2
     nums, dens = [], []
-    for fn, norm_sq in zip(coeffs, _r_power_norm_sqs(d, len(coeffs))):
+    for fn, weight in zip(coeffs, _kernel_weights(d, len(coeffs))):
         a, b = fn.re.numerator, fn.re.denominator
         c, e = fn.im.numerator, fn.im.denominator
-        nums.append((a * a * e * e + c * c * b * b) * norm_sq.numerator)
-        dens.append(b * b * e * e * norm_sq.denominator)
+        nums.append((a * a * e * e + c * c * b * b) * weight.denominator)
+        dens.append(b * b * e * e * weight.numerator)
     lhs = _fraction_sum(nums, dens)
 
     composed = compose_with_r(coeffs, d)

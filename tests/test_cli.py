@@ -70,6 +70,9 @@ def test_invalid_config_exit_2(workdir):
     assert main(["moments", "--dim", "3"]) == 2
     assert main(["no-such-command"]) == 2
     assert main(["kernel-table", "--n", "-4"]) == 2
+    # past the longest Fourier table the D2 moments can read
+    assert main(["moments", "--dim", "2", "--max-exp", "2000000", "--samples", "1000"]) == 2
+    assert main(["moments", "--dim", "2", "--alpha", "2000000,2000000"]) == 2
     # inf and nan have no JSON form, so they must not reach the report
     assert main(["henkin-check", "--dim", "2", "--eps", "inf"]) == 2
     assert main(["henkin-check", "--dim", "2", "--tol", "nan"]) == 2

@@ -6,12 +6,12 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from daverify import checks
 from daverify.disc_kernel import (
     KernelSequence,
     build_kernel_sequence,
     dirichlet_coeff_check,
     float_coeff_sequence,
-    sum_a_partial,
 )
 from daverify.norms import r_power_norm_sq
 
@@ -69,22 +69,25 @@ class TestDirichletIdentity:
 
 
 class TestPartialSums:
-    def test_single_term(self):
-        assert sum_a_partial(4, 0).partial == 1.0
+    """The partial-sum rows of checks.kernel_table."""
+
+    @staticmethod
+    def row(dim, name):
+        _config, rows, _tables = checks.kernel_table(dim=dim, n=0)
+        return next(row for row in rows if row["check"] == name)
 
     def test_d4_converges_with_shrinking_tail(self):
-        p1 = sum_a_partial(4, 1000)
-        p2 = sum_a_partial(4, 10_000)
-        assert p2.partial - p1.partial < p1.tail_estimate
-        assert p2.tail_estimate < p1.tail_estimate
-        # frozen from two partial resolutions of the same series
-        assert p1.partial == pytest.approx(1.2777, abs=2e-3)
-        assert abs(p2.partial - p1.partial) < 2e-2
+        row = self.row(4, "kernel/partial-sum-converging")
+        assert row["pass"] and row["tail_estimate"] < 0.1
+        assert row["partial"] == pytest.approx(1.2777, abs=2e-3)
+        # the estimate covers what the terms past N = 1000 add up to 10^4
+        rest = float(np.sum(float_coeff_sequence(4, 10_000)[1001:]))
+        assert 0.0 < rest < min(row["tail_estimate"], 2e-2)
 
     def test_d2_diverges_like_sqrt(self):
-        lo = sum_a_partial(2, 5_000).partial
-        hi = sum_a_partial(2, 10_000).partial
-        assert hi / lo == pytest.approx(math.sqrt(2.0), abs=0.02)
+        row = self.row(2, "kernel/partial-sum-diverging-sqrt")
+        assert row["pass"]
+        assert row["doubling_ratio"] == pytest.approx(math.sqrt(2.0), abs=0.02)
 
 
 class TestKernelEval:

@@ -37,7 +37,6 @@ class TestQComplex:
         i = QComplex(Fraction(0), Fraction(1))
         assert i * i == QComplex(Fraction(-1))
         assert (i * i.conjugate()).re == 1
-        assert QComplex(Fraction(3, 4)).abs2() == Fraction(9, 16)
 
     def test_equality_against_rationals(self):
         assert QComplex(Fraction(1, 2)) == Fraction(1, 2)
@@ -47,12 +46,6 @@ class TestQComplex:
     def test_mul_commutes_and_conjugation_distributes(self, a, b):
         assert a * b == b * a
         assert (a * b).conjugate() == a.conjugate() * b.conjugate()
-
-    @given(qcomplexes)
-    def test_abs2_is_self_times_conjugate(self, a):
-        prod = a * a.conjugate()
-        assert prod.im == 0
-        assert prod.re == a.abs2()
 
     @given(qcomplexes)
     def test_int_product_matches_general_path(self, a):

@@ -21,19 +21,28 @@ from daverify.henkin import (
     henkin_identity_check,
     mc_moment,
     mc_moment_batch,
-    moment_d2,
     moment_d4,
     non_henkin_witness,
     peak_check,
-    sample_ball,
     sample_cantor_points,
-    sample_sphere,
     sample_torus,
 )
 from daverify.norms import da_inner
 
 SIGMA_1 = 0.37143735670876543
 B = henkin._ROW_BLOCK
+
+
+# Uniform samples of the unit sphere and of a ball in C^cdim as one
+# expression each: the references for the blocked closed-ball draws.
+def sphere(count, rng, cdim):
+    g = rng.standard_normal((count, cdim)) + 1j * rng.standard_normal((count, cdim))
+    return g / np.linalg.norm(g, axis=1, keepdims=True)
+
+
+def ball(count, rng, cdim, radius):
+    directions = sphere(count, rng, cdim)
+    return directions * (radius * rng.random((count, 1)) ** (1.0 / (2 * cdim)))
 
 
 def perturb_diagonal_moment(monkeypatch, j0: int) -> None:
@@ -59,16 +68,16 @@ class TestClosedFormMoments:
             moment_d4((1, 1))
 
     def test_d2_diagonal_and_off(self):
-        table = fourier_table_recursion(8, 1e-12)
-        assert moment_d2(0, 0, table) == 1.0 + 0j
-        assert moment_d2(1, 2, table) == 0j
+        m2 = PushforwardMeasure("D2", fourier_table_recursion(8, 1e-12))
+        assert m2.moment((0, 0)) == 1.0 + 0j
+        assert m2.moment((1, 2)) == 0j
         expected = 0.5 * SIGMA_1
-        assert moment_d2(1, 1, table).real == pytest.approx(expected, abs=1e-9)
+        assert m2.moment((1, 1)).real == pytest.approx(expected, abs=1e-9)
 
     def test_d2_range_guard(self):
-        table = fourier_table_recursion(4, 1e-12)
+        m2 = PushforwardMeasure("D2", fourier_table_recursion(4, 1e-12))
         with pytest.raises(ValueError):
-            moment_d2(5, 5, table)
+            m2.moment((5, 5))
 
     def test_mass_one_and_bounded(self):
         table = fourier_table_recursion(6, 1e-12)
@@ -123,34 +132,15 @@ class TestSamplers:
             got = PushforwardMeasure("D4").sample(count, np.random.default_rng(13))
             assert got.tobytes() == expected.tobytes()
 
-    def test_sphere_and_ball_samples_unchanged(self):
-        # the samplers as one expression each, before the split into a draw
-        # step and a per-row normalise step
-        def sphere(count, rng, cdim):
-            g = rng.standard_normal((count, cdim)) + 1j * rng.standard_normal((count, cdim))
-            return g / np.linalg.norm(g, axis=1, keepdims=True)
-
-        def ball(count, rng, cdim, radius):
-            directions = sphere(count, rng, cdim)
-            return directions * (radius * rng.random((count, 1)) ** (1.0 / (2 * cdim)))
-
-        for seed, count, cdim in ((0, 1, 4), (3, 1000, 4), (5, 777, 2), (8, B + 3, 4)):
-            got = sample_sphere(count, np.random.default_rng(seed), cdim)
-            assert got.tobytes() == sphere(count, np.random.default_rng(seed), cdim).tobytes()
-            for radius in (1.0, 0.9):
-                got = sample_ball(count, np.random.default_rng(seed), cdim, radius)
-                want = ball(count, np.random.default_rng(seed), cdim, radius)
-                assert got.tobytes() == want.tobytes()
-
     def test_cantor_samples_avoid_middle_third(self):
         t = sample_cantor_points(2000, np.random.default_rng(2))
         assert np.all((t < 1.0 / 3.0) | (t >= 2.0 / 3.0))
         assert t.min() >= 0.0 and t.max() < 1.0
 
     def test_ball_samples_inside_radius(self):
-        pts = sample_ball(1000, np.random.default_rng(3), 4, radius=0.9)
-        norms = np.sqrt(np.sum(np.abs(pts) ** 2, axis=1))
-        assert norms.max() <= 0.9 + 1e-12
+        # |r(z)| = 16 |z1 z2 z3 z4| <= |z|^4 by the AM-GM inequality
+        blocks = henkin._closed_ball_r4_blocks(1000, 0, np.random.default_rng(3), 0.9)
+        assert max(float(np.abs(r).max()) for r in blocks) <= 0.9 ** 4 + 1e-12
 
     def test_d2_requires_table(self):
         with pytest.raises(ValueError):
@@ -360,6 +350,18 @@ class TestNonHenkin:
         rep = non_henkin_witness(n_max=2, grid_points=B + 10, seed=5)
         assert not rep.sup_ball_ok and not rep.passed
 
+    @pytest.mark.parametrize("grid_points", [1, 1000, B + 10])
+    def test_blocked_draws_equal_one_shot_samples(self, grid_points):
+        rep = non_henkin_witness(n_max=2, grid_points=grid_points, seed=11)
+        rng = np.random.default_rng(11)
+        interior = henkin._r4_values(ball(grid_points, rng, 4, 0.9))
+        max_base = float(np.max(np.abs(0.5 * (1.0 + interior))))
+        closed = henkin._r4_values(np.vstack([ball(grid_points, rng, 4, 1.0),
+                                              sphere(grid_points, rng, 4)]))
+        sup_f1 = float(np.max(np.abs(0.5 * (1.0 + closed))))
+        assert rep.max_base_abs.hex() == max_base.hex()
+        assert rep.sup_ball_ok == (sup_f1 <= 1.0 + 1e-12)
+
     def test_wrong_moment_fails_every_integral_that_uses_it(self, monkeypatch):
         j0 = 7
         perturb_diagonal_moment(monkeypatch, j0)
@@ -379,8 +381,7 @@ class TestPeak:
         f_support = 0.5 * (1.0 + henkin._r4_values(support))
         max_peak_dev = float(np.max(np.abs(f_support - 1.0)))
         half = samples // 2
-        pts = np.vstack([sample_ball(samples - half, rng, 4, radius=1.0),
-                         sample_sphere(half, rng, 4)])
+        pts = np.vstack([ball(samples - half, rng, 4, 1.0), sphere(half, rng, 4)])
         r_vals = henkin._r4_values(pts)
         mask = np.abs(r_vals - 1.0) > delta
         margins = 1.0 - np.abs(0.5 * (1.0 + r_vals[mask]))

@@ -13,8 +13,8 @@ from hypothesis import given, settings, strategies as st
 from daverify.disc_kernel import float_coeff_sequence
 from daverify.exact import Polynomial, QComplex, multi_indices
 from daverify.norms import (
+    _kernel_weights,
     _multinomial,
-    _r_power_norm_sqs,
     compose_with_r,
     da_inner,
     disc_map_scale,
@@ -141,8 +141,11 @@ class TestRPowerNorm:
 
     @pytest.mark.parametrize("d", [1, 2, 3, 4])
     def test_running_products_equal_factorial_formula(self, d):
-        # the weights isometry_check uses, against the factorial formula
-        assert _r_power_norm_sqs(d, 201) == [r_power_norm_sq(d, n) for n in range(201)]
+        # the weights isometry_check and build_kernel_sequence use, against
+        # the factorial formula
+        inverses = [1 / a for a in _kernel_weights(d, 201)]
+        assert inverses == [r_power_norm_sq(d, n) for n in range(201)]
+        assert _kernel_weights(d, 0) == []
 
     def test_prime_exponent_multinomial_matches_factorials(self):
         cases = [(d, n) for d in range(1, 9) for n in range(301)]
