@@ -24,7 +24,8 @@ class MultMatrix:
 
     entry[beta, alpha] = phi_{beta - alpha} * sqrt(nu(beta) / nu(alpha))
     with nu the squared monomial norm; the square root converts between the
-    normalized bases on either side.
+    normalized bases on either side. `entries` is float64 when every
+    coefficient of phi is real (as for r), complex128 otherwise.
     """
 
     phi: Polynomial
@@ -43,13 +44,17 @@ def mult_matrix(phi: Polynomial, N: int) -> MultMatrix:
     cols = multi_indices(d, N)
     rows = multi_indices(d, N + phi.degree())
     row_pos = {beta: i for i, beta in enumerate(rows)}
-    A = np.zeros((len(rows), len(cols)), dtype=np.complex128)
+    # A real phi needs no imaginary half: float(c.re) * weight is exactly
+    # the real part of complex(c) * weight.
+    real = all(c.im == 0 for c in phi.terms.values())
+    terms = [(gamma, float(c.re) if real else complex(c)) for gamma, c in phi.terms.items()]
+    A = np.zeros((len(rows), len(cols)), dtype=np.float64 if real else np.complex128)
     for j, alpha in enumerate(cols):
         nu_alpha = monomial_norm_sq(alpha)
-        for gamma, c in phi.terms.items():
+        for gamma, c in terms:
             beta = tuple(a + g for a, g in zip(alpha, gamma))
             weight = math.sqrt(float(monomial_norm_sq(beta) / nu_alpha))
-            A[row_pos[beta], j] += complex(c) * weight
+            A[row_pos[beta], j] += c * weight
     return MultMatrix(phi=phi, d=d, N=N, entries=A,
                       columns=tuple(cols), rows=tuple(rows))
 
@@ -62,7 +67,8 @@ _POWER_MAX_ITER = 20_000
 def top_singular_value(A: np.ndarray) -> float:
     """Largest singular value by power iteration on the Gram matrix A* A.
 
-    Deterministic: starts from the normalized all-ones vector and stops when
+    Deterministic: starts from the normalized all-ones vector, in A's own
+    dtype (a real A is never cast to complex), and stops when
     the eigen-residual ||A*A v - lambda v|| drops below _POWER_TOL * lambda,
     or after _POWER_MAX_ITER steps. The Rayleigh quotient is then accurate
     to about the residual squared over the spectral gap, so the returned
@@ -73,7 +79,7 @@ def top_singular_value(A: np.ndarray) -> float:
     if A.shape[0] == 0 or A.shape[1] == 0:
         return 0.0
     ncols = A.shape[1]
-    v = np.ones(ncols, dtype=np.complex128) / math.sqrt(ncols)
+    v = np.ones(ncols, dtype=np.result_type(A.dtype, np.float64)) / math.sqrt(ncols)
     lam = 0.0
     for _ in range(_POWER_MAX_ITER):
         # A* w as conj(A^T conj(w)): A.T is a view, so no conjugate copy of A

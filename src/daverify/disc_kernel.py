@@ -9,7 +9,6 @@ everywhere on the closed disc.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -88,14 +87,15 @@ def float_coeff_sequence(d: int, n_max: int) -> np.ndarray:
 
 
 def dirichlet_coeff_check(n: int) -> bool:
-    """For d = 2: a_n equals (-1)^n * binom(-1/2, n), the Taylor coefficient
-    of (1 - x)^(-1/2). Exact comparison."""
+    """For d = 2: a_k equals (-1)^k * binom(-1/2, k), the Taylor coefficient
+    of (1 - x)^(-1/2), for every k <= n. Exact comparison against the closed
+    form 1/r_power_norm_sq(2, k); the binomial side is one running product
+    binom(-1/2, k + 1) = binom(-1/2, k) * (-1/2 - k) / (k + 1)."""
     if n < 0:
         raise ValueError("n must be >= 0")
-    a_n = Fraction(1) / r_power_norm_sq(2, n)
-    # binom(-1/2, n) = prod_{j=1..n} (-1/2 - (j-1)) / n!
-    num = Fraction(1)
-    for j in range(n):
-        num *= Fraction(-1, 2) - j
-    binom = num / math.factorial(n)
-    return a_n == (-1) ** n * binom
+    binom = Fraction(1)
+    for k in range(n + 1):
+        if (-binom if k % 2 else binom) * r_power_norm_sq(2, k) != 1:
+            return False
+        binom *= Fraction(-1 - 2 * k, 2 * (k + 1))
+    return True

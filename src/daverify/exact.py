@@ -115,6 +115,11 @@ class QComplex:
             return self.re == other.re and self.im == other.im
         return NotImplemented
 
+    def __hash__(self) -> int:
+        # as __eq__ does, a value with zero imaginary part stands for its
+        # real part, so it hashes as that int or Fraction
+        return hash(self.re) if self.im == 0 else hash((self.re, self.im))
+
     def to_json(self) -> dict:
         return {"re": format_rational(self.re), "im": format_rational(self.im)}
 

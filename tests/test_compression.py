@@ -13,7 +13,7 @@ from daverify.compression import (
     r_polynomial,
     top_singular_value,
 )
-from daverify.exact import Polynomial
+from daverify.exact import Polynomial, QComplex
 from daverify.norms import monomial_norm_sq
 
 
@@ -49,6 +49,19 @@ class TestMultMatrix:
         expect2 = (1.0 / 3.0) * math.sqrt(float(monomial_norm_sq((1, 3)) / monomial_norm_sq((1, 1))))
         assert M.entries[r2, col] == pytest.approx(expect2)
 
+    def test_real_phi_gives_real_entries(self):
+        for d in (2, 4):
+            assert mult_matrix(r_polynomial(d), 2).entries.dtype == np.float64
+
+    def test_non_real_phi_stays_complex(self):
+        # 2i z1 z2: the imaginary half is bit-equal to the real matrix of 2 z1 z2
+        M = mult_matrix(Polynomial.monomial((1, 1), QComplex(Fraction(0), Fraction(2))), 4)
+        assert M.entries.dtype == np.complex128
+        assert np.array_equal(M.entries.imag, mult_matrix(r_polynomial(2), 4).entries)
+        assert not M.entries.real.any()
+        ref = float(np.linalg.svd(M.entries, compute_uv=False)[0])
+        assert top_singular_value(M.entries) == pytest.approx(ref, rel=1e-9)
+
 
 class TestTopSingularValue:
     def test_identity(self):
@@ -77,6 +90,11 @@ class TestTopSingularValue:
         ours = top_singular_value(A)
         assert ours == pytest.approx(float(np.linalg.svd(A, compute_uv=False)[0]), abs=1e-10)
         assert abs(ours - reference) <= 4 * math.ulp(reference)
+
+    def test_real_matrix_matches_its_complex_copy(self):
+        A = mult_matrix(r_polynomial(4), 4).entries
+        real, cplx = top_singular_value(A), top_singular_value(A.astype(complex))
+        assert abs(real - cplx) <= 4 * math.ulp(cplx)
 
     def test_zero_matrix(self):
         assert top_singular_value(np.zeros((4, 3))) == 0.0

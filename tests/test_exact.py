@@ -42,6 +42,15 @@ class TestQComplex:
         assert QComplex(Fraction(1, 2)) == Fraction(1, 2)
         assert QComplex(Fraction(1, 2), Fraction(1)) != Fraction(1, 2)
 
+    def test_hash_agrees_with_equality(self):
+        assert {QComplex(Fraction(1, 2)), Fraction(1, 2)} == {Fraction(1, 2)}
+        assert len({QComplex(Fraction(3)), 3}) == 1
+        assert {QComplex(Fraction(1, 2), Fraction(1)): "z"}[QComplex(Fraction(1, 2), Fraction(1))] == "z"
+
+    @given(fractions)
+    def test_real_value_hashes_as_its_real_part(self, q):
+        assert hash(QComplex(q)) == hash(q)
+
     @given(qcomplexes, qcomplexes)
     def test_mul_commutes_and_conjugation_distributes(self, a, b):
         assert a * b == b * a

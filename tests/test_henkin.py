@@ -2,6 +2,7 @@
 and peak behaviour."""
 
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -216,6 +217,18 @@ class TestMonteCarlo:
             assert repr(mc_moment_batch(variant, count, 5000, seed)) == repr(want)
             if (variant, count) == ("D2", 100):
                 assert len(set(alphas)) < len(alphas)
+
+    def test_batch_drops_each_column_power_after_its_last_reader(self):
+        # in units of one complex column of the batch; keeping every cached
+        # power to the end of the batch needs about 30
+        samples = 5 * 10 ** 4
+        tracemalloc.start()
+        try:
+            mc_moment_batch("D4", 100, samples, 31)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 24 * samples * 16
 
     def test_seed_determinism(self):
         a = mc_moment("D4", (1, 0, 0, 1), 5000, 99)
