@@ -38,7 +38,6 @@ from .henkin import (
     functional_bound_check,
     henkin_identity_check,
     mc_moment,
-    moment_d4,
     non_henkin_witness,
     peak_check,
 )

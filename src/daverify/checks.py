@@ -45,7 +45,7 @@ def _require_positive(name: str, value: float) -> None:
 
 
 def _require_dim(dim: int) -> None:
-    _require(dim in (2, 4), "dim must be 2 or 4")
+    _require(dim in norms.SUPPORTED_DIMS, f"dim must be one of {norms.SUPPORTED_DIMS}")
 
 
 def _require_ifs_level(level: int) -> None:
@@ -128,7 +128,7 @@ def verify_isometry(count: int = 100, maxdeg: int = 30, seed: int = DEFAULT_SEED
     _require(maxdeg >= 0, "maxdeg must be >= 0")
     rng = np.random.default_rng(seed)
     results = []
-    for d in (2, 4):
+    for d in norms.SUPPORTED_DIMS:
         bad = 0
         for _ in range(count):
             deg = int(rng.integers(0, maxdeg + 1))
@@ -164,8 +164,8 @@ def kernel_table(dim: int = 2, n: int = 200):
     seq = disc_kernel.build_kernel_sequence(dim, n)
     results = []
 
-    product_ok = all(seq.a_exact[k] * norms.r_power_norm_sq(dim, k) == 1
-                     for k in range(n + 1))
+    norm_sq = [norms.r_power_norm_sq(dim, k) for k in range(n + 1)]
+    product_ok = all(a * q == 1 for a, q in zip(seq.a_exact, norm_sq))
     results.append({"check": "kernel/a-times-norm-is-one", "pass": product_ok})
     results.append({"check": "kernel/a0-is-one", "pass": seq.a_exact[0] == 1})
     decreasing = all(seq.a_exact[k + 1] < seq.a_exact[k] for k in range(n))
@@ -174,7 +174,7 @@ def kernel_table(dim: int = 2, n: int = 200):
                     "pass": decreasing and positive})
     if dim == 2:
         results.append({"check": "kernel/dirichlet-binomial-identity",
-                        "pass": disc_kernel.dirichlet_coeff_check(n), "checked": n + 1})
+                        "pass": disc_kernel.dirichlet_coeff_check(norm_sq), "checked": n + 1})
 
     sweep = disc_kernel.float_coeff_sequence(dim, 10_000)
     ratio = sweep * (np.arange(10_001, dtype=np.float64) + 1.0) ** ((dim - 1) / 2.0)
@@ -438,13 +438,13 @@ def witness(dim: int = 4, n: Optional[int] = None, eps: Optional[float] = None,
         rec_table = cantor.fourier_table_recursion(n, eps)
         g = henkin.build_witness("D2", n, rec_table)
         oracle_table = cantor.fourier_table_ifs(n, level)
-        seq = disc_kernel.build_kernel_sequence(2, n)
-        other = sum(seq.a_float[k] * abs(oracle_table[k]) ** 2 for k in range(n + 1))
+        other = henkin.build_witness("D2", n, oracle_table).norm_sq
         results.append({"check": "witness/d2-norm-two-routes",
                         "pass": abs(g.norm_sq - other) <= 1e-8,
                         "norm_sq": g.norm_sq, "norm_sq_oracle": other})
-        env = max(seq.a_float[k] * math.sqrt(k + 1.0) for k in range(n + 1))
-        bound = env * cantor.weighted_fourier_sum(n)
+        # a_k <= (k + 1)^(-1/2), with equality at k = 0, so the weighted sum
+        # S(n) = sum_k |sigma_hat(k)|^2 (k + 1)^(-1/2) bounds ||g||^2
+        bound = cantor.weighted_fourier_sum(n)
         results.append({"check": "witness/d2-norm-below-weighted-sum",
                         "pass": g.norm_sq <= bound + 1e-12,
                         "norm_sq": g.norm_sq, "bound": bound})

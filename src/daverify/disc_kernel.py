@@ -11,18 +11,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Sequence
 
 import numpy as np
 
 from .exact import format_rational
-from .norms import _kernel_weights, r_power_norm_sq
-
-SUPPORTED_DIMS = (2, 4)
-
-
-def _check_dim(d: int) -> None:
-    if d not in SUPPORTED_DIMS:
-        raise ValueError(f"d must be one of {SUPPORTED_DIMS}, got {d}")
+from .norms import _kernel_weights, disc_map_scale, r_power_norm_sq
 
 
 @dataclass(frozen=True)
@@ -35,7 +29,7 @@ class KernelSequence:
     a_float: tuple[float, ...]
 
     def __post_init__(self):
-        _check_dim(self.d)
+        disc_map_scale(self.d)  # ValueError unless d is supported
         if self.N < 0 or len(self.a_exact) != self.N + 1 or len(self.a_float) != self.N + 1:
             raise ValueError("inconsistent sequence lengths")
 
@@ -60,7 +54,7 @@ def build_kernel_sequence(d: int, N: int) -> KernelSequence:
     The exact values come from the one-step recurrence of
     norms._kernel_weights; a spot check against the closed form guards it.
     """
-    _check_dim(d)
+    disc_map_scale(d)  # ValueError unless d is supported
     if N < 0:
         raise ValueError("N must be >= 0")
     a = _kernel_weights(d, N + 1)
@@ -71,7 +65,7 @@ def build_kernel_sequence(d: int, N: int) -> KernelSequence:
 
 def float_coeff_sequence(d: int, n_max: int) -> np.ndarray:
     """a_n for n = 0..n_max in float64 via the same recurrence, O(n_max)."""
-    _check_dim(d)
+    disc_map_scale(d)  # ValueError unless d is supported
     if n_max < 0:
         raise ValueError("n_max must be >= 0")
     out = np.empty(n_max + 1, dtype=np.float64)
@@ -86,16 +80,16 @@ def float_coeff_sequence(d: int, n_max: int) -> np.ndarray:
     return out
 
 
-def dirichlet_coeff_check(n: int) -> bool:
-    """For d = 2: a_k equals (-1)^k * binom(-1/2, k), the Taylor coefficient
-    of (1 - x)^(-1/2), for every k <= n. Exact comparison against the closed
-    form 1/r_power_norm_sq(2, k); the binomial side is one running product
-    binom(-1/2, k + 1) = binom(-1/2, k) * (-1/2 - k) / (k + 1)."""
-    if n < 0:
-        raise ValueError("n must be >= 0")
+def dirichlet_coeff_check(norm_sq: Sequence[Fraction]) -> bool:
+    """For d = 2: 1/norm_sq[k] equals (-1)^k * binom(-1/2, k), the Taylor
+    coefficient of (1 - x)^(-1/2), for every k < len(norm_sq), where
+    norm_sq[k] is the closed form r_power_norm_sq(2, k). The binomial side is
+    one running product binom(-1/2, k + 1) = binom(-1/2, k) * (-1/2 - k) / (k + 1)."""
+    if not norm_sq:
+        raise ValueError("norm_sq must hold at least ||r^0||^2")
     binom = Fraction(1)
-    for k in range(n + 1):
-        if (-binom if k % 2 else binom) * r_power_norm_sq(2, k) != 1:
+    for k, q in enumerate(norm_sq):
+        if (-binom if k % 2 else binom) * q != 1:
             return False
         binom *= Fraction(-1 - 2 * k, 2 * (k + 1))
     return True

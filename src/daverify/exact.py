@@ -8,6 +8,7 @@ explicit conversion helpers.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from decimal import Decimal
 from fractions import Fraction
 from typing import Mapping, Sequence, Union
 
@@ -53,9 +54,10 @@ def multi_indices(dimension: int, max_degree: int) -> list[MultiIndex]:
 
 
 def format_rational(q: RationalLike) -> str:
-    """Serialize a rational as "p/q" in lowest terms with q > 0."""
+    """Serialize a rational as "p/q" in lowest terms with q > 0. The parts go
+    through Decimal: same digits as str(int), without its 4300-digit limit."""
     f = Fraction(q)
-    return f"{f.numerator}/{f.denominator}"
+    return f"{Decimal(f.numerator)}/{Decimal(f.denominator)}"
 
 
 def _as_fraction(x) -> Fraction:

@@ -37,34 +37,12 @@ from .exact import (
     multi_indices,
     validate_multi_index,
 )
-from .norms import da_inner, monomial_norm_sq
+from .norms import da_inner, disc_map_scale, monomial_norm_sq
 from .reports import finite_or_null
 
 Variant = Literal["D4", "D2"]
 
 _CANTOR_SAMPLE_DEPTH = 64  # base-3 digits drawn per Cantor sample; 3^-64 << 1 ulp
-
-
-# ---------------------------------------------------------------------------
-# closed-form moments
-
-_ZERO = Fraction(0)
-
-
-def moment_d4(alpha: Sequence[int]) -> Fraction:
-    """Exact moment integral z^alpha dmu for the D4 measure.
-
-    Nonzero only on the diagonal alpha = (k, k, k, k), where it equals
-    2^(-4k): the torus average of zeta^(alpha_1 - alpha_4, ...) kills every
-    off-diagonal monomial and the radius 1/2 contributes 2^(-|alpha|).
-    """
-    a = validate_multi_index(alpha)
-    if len(a) != 4:
-        raise ValueError("D4 moments take multi-indices of length 4")
-    k = a[0]
-    if a[1] == k and a[2] == k and a[3] == k:
-        return Fraction(1, 2 ** (4 * k))
-    return _ZERO
 
 
 # ---------------------------------------------------------------------------
@@ -145,6 +123,9 @@ def _ball_radii(count: int, rng: np.random.Generator, cdim: int,
     return radius * rng.random((count, 1)) ** (1.0 / (2 * cdim))
 
 
+_ZERO = Fraction(0)
+
+
 @dataclass(frozen=True)
 class PushforwardMeasure:
     """One of the two measures: its variant and the Fourier table the D2
@@ -166,27 +147,28 @@ class PushforwardMeasure:
         return 4 if self.variant == "D4" else 2
 
     def moment(self, alpha: Sequence[int]):
-        """Exact moment integral z^alpha dmu for D4 (see moment_d4). For D2,
-        integral z1^m z2^n dmu: zero unless m = n, and on the diagonal
-        2^(-n) sigma_hat(-n), read from the table (ValueError past its range).
-        """
-        if self.variant == "D4":
-            return moment_d4(alpha)
+        """integral z^alpha dmu for alpha of length dim. The measure is invariant
+        under the torus action that fixes r = c z_1...z_d, so the moment is
+        zero (Fraction(0) for D4, 0j for D2) off the diagonal (k, ..., k) and
+        c^(-k) integral(r^k dmu) on it: 16^(-k) for D4, where r = 1 on the
+        support, and 2^(-k) sigma_hat(-k) for D2 (ValueError past the table)."""
         a = validate_multi_index(alpha)
-        if len(a) != 2:
-            raise ValueError("D2 moments take multi-indices of length 2")
-        m, n = a
-        if m != n:
-            return 0j
-        return 2.0 ** (-n) * self.table[-n]
+        # dim spelled out: this runs once per monomial of the D4 identity
+        dim = 4 if self.variant == "D4" else 2
+        if len(a) != dim:
+            raise ValueError(f"{self.variant} moments take multi-indices of length {dim}")
+        k = a[0]
+        if a.count(k) != dim:
+            return _ZERO if dim == 4 else 0j
+        if dim == 4:
+            return Fraction(1, 16 ** k)
+        return 2.0 ** (-k) * self.table[-k]
 
     def closed_form(self, alpha: Sequence[int]) -> tuple[complex, Optional[str]]:
         """The moment as a complex number, with its exact "p/q" form for D4
         and None for D2."""
-        if self.variant == "D4":
-            q = moment_d4(alpha)
-            return complex(float(q), 0.0), format_rational(q)
-        return self.moment(alpha), None
+        m = self.moment(alpha)
+        return complex(m), (format_rational(m) if self.variant == "D4" else None)
 
     def sample(self, count: int, rng: np.random.Generator) -> np.ndarray:
         """count points on the sphere distributed according to the measure."""
@@ -372,23 +354,26 @@ def build_witness(variant: Variant, N: int,
     if variant == "D2" and table.max_n < N:
         raise ValueError("D2 witness needs a FourierTable with max_n >= N")
     seq = build_kernel_sequence(measure.dim, N)
+    # g_k = a_k c^k times conj(integral(r^k dmu)), which is exactly 1 for D4
+    # and conj(sigma_hat(-k)) = table[k] for D2
+    c = disc_map_scale(measure.dim)
+    weights = [a * c ** k for k, a in enumerate(seq.a_exact)]
     if variant == "D4":
-        diag = tuple(seq.a_exact[k] * Fraction(16 ** k) for k in range(N + 1))
         norm_sq = sum(seq.a_exact, Fraction(0))
         return HenkinWitness(
             variant="D4", N=N,
-            diag_exact=diag,
-            diag_float=tuple(complex(float(q), 0.0) for q in diag),
+            diag_exact=tuple(weights),
+            diag_float=tuple(complex(float(w), 0.0) for w in weights),
             norm_sq_exact=norm_sq, norm_sq=float(norm_sq),
         )
     diag = []
     norm_sq = 0.0
-    for n in range(N + 1):
-        # table[n] = conj(sigma_hat(-n)) for the real measure sigma; reading it
+    for k, w in enumerate(weights):
+        # table[k] = conj(sigma_hat(-k)) for the real measure sigma; reading it
         # directly keeps the sign of a zero imaginary part positive
-        s = table[n]
-        diag.append(float(seq.a_exact[n] * Fraction(2 ** n)) * s)
-        norm_sq += seq.a_float[n] * abs(s) ** 2
+        s = table[k]
+        diag.append(float(w) * s)
+        norm_sq += seq.a_float[k] * abs(s) ** 2
     return HenkinWitness(
         variant="D2", N=N, diag_exact=None, diag_float=tuple(diag),
         norm_sq_exact=None, norm_sq=norm_sq, table_source=table.source,
@@ -432,7 +417,7 @@ def henkin_identity_check(variant: Variant, maxdeg: int, witness: HenkinWitness,
         g = witness.as_polynomial()
         checked = 0
         for alpha in multi_indices(measure.dim, maxdeg):
-            lhs = moment_d4(alpha)
+            lhs = measure.moment(alpha)
             rhs = da_inner(Polynomial.monomial(alpha), g)
             if not (rhs.im == 0 and rhs.re == lhs):
                 failures.append(alpha)
@@ -540,10 +525,12 @@ def non_henkin_witness(n_max: int = 50, grid_points: int = 1000,
         raise ValueError("grid_radius must lie strictly inside (0, 1)")
 
     # (i) exact integrals: 2^n integral(f_n dmu) = sum_j C(n, j) q_j, where
-    # q_j = integral(r^j dmu) = 16^j times the diagonal moment of order j.
+    # q_j = integral(r^j dmu) = c^j times the diagonal moment of order j.
     # Over one common denominator D the test is an identity of integers, so
     # no sum is ever reduced by a gcd.
-    q = [16 ** j * moment_d4((j, j, j, j)) for j in range(n_max + 1)]
+    measure = PushforwardMeasure("D4")
+    c = disc_map_scale(measure.dim)
+    q = [c ** j * measure.moment((j,) * measure.dim) for j in range(n_max + 1)]
     D = math.lcm(*(qj.denominator for qj in q))
     scaled = [qj.numerator * (D // qj.denominator) for qj in q]
     failures = []
@@ -715,7 +702,7 @@ def functional_bound_check(witness: HenkinWitness, trials: int, seed: int,
         lhs = 0j
         norm_sq = 0.0
         for alpha, c in coeffs.items():
-            lhs += c * measure.closed_form(alpha)[0]
+            lhs += c * complex(measure.moment(alpha))
             norm_sq += abs(c) ** 2 * float(monomial_norm_sq(alpha))
         rhs = math.sqrt(norm_sq) * g_norm + _BOUND_SLACK
         max_ratio = max(max_ratio, abs(lhs) / rhs)

@@ -34,19 +34,20 @@ from .exact import (
 )
 
 # The ring maps z -> r(z) are built from c * z_1...z_d with c^2 = d^d.
-# For d in {2, 4} the scale c = d^(d/2) is an integer, so r has exact
-# integer coefficients: r = 2 z1 z2 and r = 16 z1 z2 z3 z4.
+# For the supported d, the keys below, c = d^(d/2) is an integer, so r has
+# exact integer coefficients: r = 2 z1 z2 and r = 16 z1 z2 z3 z4.
 _DISC_SCALE = {2: 2, 4: 16}
+SUPPORTED_DIMS = tuple(_DISC_SCALE)
 
 _QC_ZERO = QComplex()
 
 
 def disc_map_scale(d: int) -> int:
-    """Integer c with c^2 = d^d, defined for d in {2, 4}."""
+    """Integer c with c^2 = d^d; ValueError unless d is in SUPPORTED_DIMS."""
     try:
         return _DISC_SCALE[d]
     except KeyError:
-        raise ValueError(f"disc map scale is defined for d in {{2, 4}}, got {d}")
+        raise ValueError(f"d must be one of {SUPPORTED_DIMS}, got {d}")
 
 
 @lru_cache(maxsize=None)

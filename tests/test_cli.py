@@ -112,6 +112,17 @@ def test_moments_single_alpha_rational(workdir):
     assert row["pass"] is True
 
 
+def test_moments_closed_form_past_the_int_str_limit(workdir):
+    # the moment is 1/16^3600, whose 4,335 digits are more than str(int)
+    # writes by default
+    code = main(["moments", "--dim", "4", "--alpha", "3600,3600,3600,3600",
+                 "--samples", "1000", "--output", "m.json"])
+    assert code == 0
+    row = load_report(workdir / "m.json")["results"][0]
+    num, den = row["closed_form_exact"].split("/")
+    assert num == "1" and len(den) == 4335 and den.endswith("6")
+
+
 def test_henkin_check_d4(workdir):
     assert main(["henkin-check", "--dim", "4", "--maxdeg", "12"]) == 0
     rep = load_report(workdir / "henkin-check-report.json")

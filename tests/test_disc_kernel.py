@@ -59,15 +59,24 @@ class TestSequence:
         assert [row[:2] for row in rows] == [[0, "1/1"], [1, "1/2"], [2, "3/8"]]
 
 
+def closed_forms(n):
+    return [r_power_norm_sq(2, k) for k in range(n + 1)]
+
+
 class TestDirichletIdentity:
     def test_holds_through_200(self):
         # one call checks every k <= n along one running binomial product
-        assert dirichlet_coeff_check(200)
-        assert dirichlet_coeff_check(0) and dirichlet_coeff_check(1)
+        assert dirichlet_coeff_check(closed_forms(200))
+        assert dirichlet_coeff_check(closed_forms(0)) and dirichlet_coeff_check(closed_forms(1))
 
-    def test_rejects_negative(self):
+    def test_one_wrong_closed_form_fails(self):
+        norm_sq = closed_forms(50)
+        norm_sq[37] += Fraction(1, 2 ** 60)
+        assert not dirichlet_coeff_check(norm_sq)
+
+    def test_rejects_empty(self):
         with pytest.raises(ValueError):
-            dirichlet_coeff_check(-1)
+            dirichlet_coeff_check([])
 
 
 class TestPartialSums:

@@ -1,5 +1,6 @@
 """Exact arithmetic core: Gaussian rationals, multi-indices, polynomials."""
 
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -25,6 +26,15 @@ class TestRationalSerialization:
         assert format_rational(Fraction(-3, 6)) == "-1/2"
         assert format_rational(Fraction(5)) == "5/1"
         assert format_rational(0) == "0/1"
+
+    def test_more_digits_than_int_str_allows(self):
+        # str(int) refuses more than 4300 digits; a report must not
+        q = Fraction(7 ** 6000 + 2, 3 ** 9100)
+        p_str, q_str = format_rational(q).split("/")
+        assert len(p_str) > 4300 and len(q_str) > 4300
+        assert Fraction(int(Decimal(p_str)), int(Decimal(q_str))) == q
+        assert p_str.endswith(f"{q.numerator % 10 ** 20:020d}")
+        assert format_rational(-q).startswith("-" + p_str[:50])
 
     @given(fractions)
     def test_round_trip(self, q):

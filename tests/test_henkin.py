@@ -1,6 +1,7 @@
 """Moments of the sphere measures, the witness identities, non-Henkin decay,
 and peak behaviour."""
 
+import itertools
 import math
 import tracemalloc
 from fractions import Fraction
@@ -10,7 +11,7 @@ import pytest
 
 from daverify import henkin
 from daverify.cantor import fourier_table_ifs, fourier_table_recursion
-from daverify.exact import Polynomial, QComplex, format_rational
+from daverify.exact import Polynomial, QComplex, format_rational, multi_indices
 from daverify.henkin import (
     MomentReport,
     PeakReport,
@@ -22,7 +23,6 @@ from daverify.henkin import (
     henkin_identity_check,
     mc_moment,
     mc_moment_batch,
-    moment_d4,
     non_henkin_witness,
     peak_check,
     sample_cantor_points,
@@ -46,27 +46,58 @@ def ball(count, rng, cdim, radius):
     return directions * (radius * rng.random((count, 1)) ** (1.0 / (2 * cdim)))
 
 
+D4 = PushforwardMeasure("D4")
+_MOMENT = PushforwardMeasure.moment
+
+
+def perturb_moments(monkeypatch, wrong_at) -> None:
+    """Make PushforwardMeasure.moment wrong by 2^-60 at each alpha in wrong_at."""
+    def wrong(self, alpha):
+        m = _MOMENT(self, alpha)
+        return m + Fraction(1, 2 ** 60) if tuple(alpha) in wrong_at else m
+    monkeypatch.setattr(PushforwardMeasure, "moment", wrong)
+
+
 def perturb_diagonal_moment(monkeypatch, j0: int) -> None:
-    """Make henkin.moment_d4 wrong by 2^-60 at alpha = (j0, j0, j0, j0)."""
-    def wrong(alpha):
-        m = moment_d4(alpha)
-        return m + Fraction(1, 2 ** 60) if tuple(alpha) == (j0,) * 4 else m
-    monkeypatch.setattr(henkin, "moment_d4", wrong)
+    """Make the D4 moment wrong by 2^-60 at alpha = (j0, j0, j0, j0)."""
+    perturb_moments(monkeypatch, {(j0,) * 4})
 
 
 class TestClosedFormMoments:
     def test_d4_diagonal(self):
-        assert moment_d4((0, 0, 0, 0)) == 1
-        assert moment_d4((1, 1, 1, 1)) == Fraction(1, 16)
-        assert moment_d4((3, 3, 3, 3)) == Fraction(1, 4096)
+        assert D4.moment((0, 0, 0, 0)) == 1
+        assert D4.moment((1, 1, 1, 1)) == Fraction(1, 16)
+        assert D4.moment((3, 3, 3, 3)) == Fraction(1, 4096)
 
     def test_d4_off_diagonal_vanishes(self):
-        assert moment_d4((1, 0, 0, 0)) == 0
-        assert moment_d4((2, 1, 1, 2)) == 0
+        assert D4.moment((1, 0, 0, 0)) == 0
+        assert D4.moment((2, 1, 1, 2)) == 0
 
     def test_d4_needs_length_four(self):
         with pytest.raises(ValueError):
-            moment_d4((1, 1))
+            D4.moment((1, 1))
+
+    def test_moment_pins_both_formulas(self):
+        # each closed form written out on its own, against the shared body:
+        # values and types, on and off the diagonal
+        table = fourier_table_recursion(12, 1e-12)
+        d2 = PushforwardMeasure("D2", table)
+        for alpha in multi_indices(4, 12):
+            m = D4.moment(alpha)
+            want = Fraction(1, 2 ** (4 * alpha[0])) if len(set(alpha)) == 1 else Fraction(0)
+            assert type(m) is Fraction and m == want
+        for i, j in itertools.product(range(13), repeat=2):
+            m = d2.moment((i, j))
+            want = 2.0 ** (-j) * table[-j] if i == j else 0j
+            assert type(m) is complex and repr(m) == repr(want)
+
+    def test_d2_moment_underflows_like_its_formula(self):
+        k = 2 ** 20
+        table = fourier_table_recursion(k, 1e-12)
+        m = PushforwardMeasure("D2", table).moment((k, k))
+        assert 2.0 ** (-k) == 0.0
+        assert type(m) is complex and repr(m) == repr(2.0 ** (-k) * table[-k])
+        assert D4.moment((k,) * 4) == Fraction(1, 16 ** k)
 
     def test_d2_diagonal_and_off(self):
         m2 = PushforwardMeasure("D2", fourier_table_recursion(8, 1e-12))
@@ -204,7 +235,7 @@ class TestMonteCarlo:
                 est = complex(np.mean(vals))
                 stderr = math.sqrt(float(np.var(vals.real) + np.var(vals.imag)) / samples)
                 if variant == "D4":
-                    ce = moment_d4(a)
+                    ce = measure.moment(a)
                     closed, exact_str = complex(float(ce), 0.0), format_rational(ce)
                 else:
                     closed, exact_str = measure.moment(a), None
@@ -287,12 +318,7 @@ class TestHenkinIdentity:
         # one wrong moment on the diagonal and one off it: both must be caught,
         # so no path may skip the off-diagonal comparisons
         wrong_at = {(2, 2, 2, 2), (3, 1, 0, 2)}
-
-        def wrong(alpha):
-            m = moment_d4(alpha)
-            return m + Fraction(1, 2 ** 60) if tuple(alpha) in wrong_at else m
-
-        monkeypatch.setattr(henkin, "moment_d4", wrong)
+        perturb_moments(monkeypatch, wrong_at)
         res = henkin_identity_check("D4", 12, build_witness("D4", 3))
         assert set(res.failures) == wrong_at
         assert res.checked == 1820 and not res.passed
@@ -306,7 +332,7 @@ class TestHenkinIdentity:
         w = build_witness("D4", 2)
         phi = Polynomial(4, {(0, 0, 0, 0): Fraction(2), (1, 1, 1, 1): QComplex(Fraction(1, 3)),
                              (1, 0, 0, 0): QComplex(Fraction(0), Fraction(5))})
-        integral = sum((c * moment_d4(alpha) for alpha, c in phi.terms.items()), QComplex())
+        integral = sum((c * D4.moment(alpha) for alpha, c in phi.terms.items()), QComplex())
         inner = da_inner(phi, w.as_polynomial())
         assert integral == inner
         assert integral.re == 2 + Fraction(1, 3) * Fraction(1, 16)

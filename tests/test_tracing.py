@@ -75,3 +75,21 @@ def test_tracer_wraps_every_boundary_binding_and_restores_it(tmp_path, monkeypat
     assert {"cli.stage.henkin-check-d4", "henkin.henkin_identity_check",
             "norms.da_inner"} <= names
     assert [key for key, value in before.items() if after.get(key) is not value] == []
+
+
+
+def test_kernel_and_witness_reach_the_sites_the_benchmark_requires(tmp_path, monkeypatch):
+    # kernel-table's exact rows share one list of closed forms, and witness's
+    # two norm routes are two build_witness calls; the benchmark's own tests
+    # require these two call sites to stay
+    tracer = _load_tracing().Tracer()
+    tracer.install()
+    try:
+        monkeypatch.chdir(tmp_path)
+        assert cli.run(RunConfig(command="kernel-table", params={"dim": 2, "n": 10})) == 0
+        assert cli.run(RunConfig(command="witness", params={"dim": 2, "n": 4})) == 0
+    finally:
+        tracer.uninstall()
+    sites = {(span.name, span.site) for span in tracer.spans}
+    assert ("norms.r_power_norm_sq", "disc_kernel") in sites
+    assert ("disc_kernel.build_kernel_sequence", "henkin") in sites
