@@ -121,7 +121,7 @@ def run(cfg: RunConfig) -> int:
     if cfg.fmt == "csv":
         for name, (header, rows) in tables.items():
             csv_path = out_path.with_suffix(f".{name}.csv")
-            reports.write_csv(csv_path, header, rows)
+            reports.write_csv(csv_path, header, rows())
 
     status = "PASS" if report["pass"] else "FAIL"
     print(f"{cfg.command}: {status} in {elapsed:.2f}s, report at {out_path}")

@@ -21,35 +21,31 @@ from .norms import _kernel_weights, disc_map_scale, r_power_norm_sq
 
 @dataclass(frozen=True)
 class KernelSequence:
-    """Exact and floating views of the weight sequence a_n, n = 0..N."""
+    """The exact weight sequence a_n, n = 0..N."""
 
     d: int
     N: int
     a_exact: tuple[Fraction, ...]
-    a_float: tuple[float, ...]
 
     def __post_init__(self):
         disc_map_scale(self.d)  # ValueError unless d is supported
-        if self.N < 0 or len(self.a_exact) != self.N + 1 or len(self.a_float) != self.N + 1:
+        if self.N < 0 or len(self.a_exact) != self.N + 1:
             raise ValueError("inconsistent sequence lengths")
 
     def csv_rows(self) -> list[list]:
-        """Rows (n, a_exact, a_float, a_times_power) where the last column is
-        a_n (n+1)^((d-1)/2), the bounded normalization."""
+        """Rows (n, a_exact, a_float, a_times_power) where a_float is a_n in
+        float and the last column is a_n (n+1)^((d-1)/2), the bounded
+        normalization."""
         rows = []
         p = (self.d - 1) / 2.0
-        for n in range(self.N + 1):
-            rows.append([
-                n,
-                format_rational(self.a_exact[n]),
-                self.a_float[n],
-                self.a_float[n] * (n + 1.0) ** p,
-            ])
+        for n, a in enumerate(self.a_exact):
+            a_float = float(a)
+            rows.append([n, format_rational(a), a_float, a_float * (n + 1.0) ** p])
         return rows
 
 
 def build_kernel_sequence(d: int, N: int) -> KernelSequence:
-    """Exact a_n = 1/r_power_norm_sq(d, n) for n <= N, with float shadows.
+    """Exact a_n = 1/r_power_norm_sq(d, n) for n <= N.
 
     The exact values come from the one-step recurrence of
     norms._kernel_weights; a spot check against the closed form guards it.
@@ -60,7 +56,7 @@ def build_kernel_sequence(d: int, N: int) -> KernelSequence:
     a = _kernel_weights(d, N + 1)
     if a[min(N, 3)] * r_power_norm_sq(d, min(N, 3)) != 1:
         raise AssertionError("kernel sequence recurrence drifted from the closed form")
-    return KernelSequence(d=d, N=N, a_exact=tuple(a), a_float=tuple(float(q) for q in a))
+    return KernelSequence(d=d, N=N, a_exact=tuple(a))
 
 
 def float_coeff_sequence(d: int, n_max: int) -> np.ndarray:

@@ -21,7 +21,7 @@ integral(phi dmu) = <phi(z), g> for all polynomials phi, checked exactly
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterator, Literal, Optional, Sequence
 
@@ -37,10 +37,13 @@ from .exact import (
     multi_indices,
     validate_multi_index,
 )
-from .norms import da_inner, disc_map_scale, monomial_norm_sq
+from .norms import SUPPORTED_DIMS, da_inner, disc_map_scale, monomial_norm_sq
 from .reports import finite_or_null
 
 Variant = Literal["D4", "D2"]
+
+# variant name -> d of the sphere of C^d that carries the measure
+_VARIANTS = {f"D{d}": d for d in SUPPORTED_DIMS}
 
 _CANTOR_SAMPLE_DEPTH = 64  # base-3 digits drawn per Cantor sample; 3^-64 << 1 ulp
 
@@ -128,23 +131,21 @@ _ZERO = Fraction(0)
 
 @dataclass(frozen=True)
 class PushforwardMeasure:
-    """One of the two measures: its variant and the Fourier table the D2
-    moments read. The functions of this module validate a variant, require
-    the D2 table, and read the dimension and the closed forms only here."""
+    """One of the two measures: its variant, the d of the sphere of C^d that
+    carries it, and the Fourier table the D2 moments read. This module reads
+    the dimension, the closed forms and the witness factor only here."""
 
     variant: Variant
     table: Optional[FourierTable] = None
+    dim: int = field(init=False)
 
     def __post_init__(self):
-        if self.variant not in ("D4", "D2"):
-            raise ValueError(f"variant must be 'D4' or 'D2', got {self.variant!r}")
-        if self.variant == "D2" and self.table is None:
+        dim = _VARIANTS.get(self.variant)
+        if dim is None:
+            raise ValueError(f"variant must be one of {tuple(_VARIANTS)}, got {self.variant!r}")
+        if dim == 2 and self.table is None:
             raise ValueError("the D2 measure needs a FourierTable for its moments")
-
-    @property
-    def dim(self) -> int:
-        """d of the sphere of C^d that carries the measure."""
-        return 4 if self.variant == "D4" else 2
+        object.__setattr__(self, "dim", dim)
 
     def moment(self, alpha: Sequence[int]):
         """integral z^alpha dmu for alpha of length dim. The measure is invariant
@@ -153,8 +154,7 @@ class PushforwardMeasure:
         c^(-k) integral(r^k dmu) on it: 16^(-k) for D4, where r = 1 on the
         support, and 2^(-k) sigma_hat(-k) for D2 (ValueError past the table)."""
         a = validate_multi_index(alpha)
-        # dim spelled out: this runs once per monomial of the D4 identity
-        dim = 4 if self.variant == "D4" else 2
+        dim = self.dim
         if len(a) != dim:
             raise ValueError(f"{self.variant} moments take multi-indices of length {dim}")
         k = a[0]
@@ -164,11 +164,12 @@ class PushforwardMeasure:
             return Fraction(1, 16 ** k)
         return 2.0 ** (-k) * self.table[-k]
 
-    def closed_form(self, alpha: Sequence[int]) -> tuple[complex, Optional[str]]:
-        """The moment as a complex number, with its exact "p/q" form for D4
-        and None for D2."""
-        m = self.moment(alpha)
-        return complex(m), (format_rational(m) if self.variant == "D4" else None)
+    def conj_r_moment(self, k: int):
+        """conj(integral r^k dmu), the witness factor: Fraction(1) for D4, where
+        r = 1 on the support, and table[k] = conj(sigma_hat(-k)) for D2, whose
+        zero imaginary part stays +0.0. Not derived from `moment`, so that the
+        identity's moment route and inner-product route stay separate code."""
+        return Fraction(1) if self.dim == 4 else self.table[k]
 
     def sample(self, count: int, rng: np.random.Generator) -> np.ndarray:
         """count points on the sphere distributed according to the measure."""
@@ -190,7 +191,6 @@ _MC_ABS_FLOOR = 1e-13
 
 @dataclass(frozen=True)
 class MomentReport:
-    variant: Variant
     alpha: MultiIndex
     closed_form: complex
     closed_form_exact: Optional[str]
@@ -219,14 +219,16 @@ def _monomial_values(alpha: MultiIndex, points: np.ndarray,
 
 def _mc_report(measure: PushforwardMeasure, alpha: MultiIndex, points: np.ndarray,
                powers: dict[tuple[int, int], np.ndarray]) -> MomentReport:
-    closed, exact_str = measure.closed_form(alpha)
+    moment = measure.moment(alpha)
+    closed = complex(moment)
+    exact_str = format_rational(moment) if isinstance(moment, Fraction) else None
     vals = _monomial_values(alpha, points, powers)
     est = complex(np.mean(vals))
     m = len(vals)
     var = float(np.var(vals.real) + np.var(vals.imag))
     stderr = math.sqrt(var / m)
     ok = abs(est - closed) <= max(4.0 * stderr, _MC_ABS_FLOOR)
-    return MomentReport(variant=measure.variant, alpha=alpha, closed_form=closed,
+    return MomentReport(alpha=alpha, closed_form=closed,
                         closed_form_exact=exact_str, mc_estimate=est,
                         mc_stderr=stderr, within_4_sigma=ok)
 
@@ -304,86 +306,61 @@ def mc_moment_batch(variant: Variant, count: int, samples: int, seed: int,
 
 @dataclass(frozen=True)
 class HenkinWitness:
-    """Truncation of the witness g = sum_n a_n c^(2n) conj(moment) (z_1...z_d)^n.
+    """The witness g = sum_k g_k (z_1...z_d)^k of `measure` truncated at N, with
+    g_k = a_k c^k conj(integral r^k dmu) and norm_sq = ||g||^2 = sum_k a_k
+    |integral r^k dmu|^2. The values are exact Fractions for D4 (g_k = a_k 16^k,
+    norm_sq = sum a_k), and complex coefficients with a float norm_sq for D2."""
 
-    For D4 the diagonal coefficients g_k = a_k 16^k are exact rationals and
-    norm_sq_exact = sum a_k. For D2 the coefficients carry conj(sigma_hat(-n))
-    and live in float; norm_sq then equals sum a_n |sigma_hat(n)|^2.
-    """
-
-    variant: Variant
+    measure: PushforwardMeasure
     N: int
-    diag_exact: Optional[tuple[Fraction, ...]]
-    diag_float: tuple[complex, ...]
-    norm_sq_exact: Optional[Fraction]
-    norm_sq: float
-    table_source: Optional[str] = None
+    diag: tuple
+    norm_sq: Fraction | float
 
     def as_polynomial(self) -> Polynomial:
         """Exact polynomial form; D4 only."""
-        if self.variant != "D4":
+        if not isinstance(self.norm_sq, Fraction):
             raise ValueError("only the D4 witness has exact coefficients")
-        terms = {(k, k, k, k): QComplex(self.diag_exact[k]) for k in range(self.N + 1)}
-        return Polynomial(4, terms)
+        dim = self.measure.dim
+        return Polynomial(dim, {(k,) * dim: QComplex(g) for k, g in enumerate(self.diag)})
 
     def to_json(self) -> dict:
         out = {
-            "variant": self.variant,
+            "variant": self.measure.variant,
             "N": self.N,
-            "diag_coeffs": [{"re": c.real, "im": c.imag} for c in self.diag_float],
-            "norm_sq": self.norm_sq,
+            "diag_coeffs": [{"re": c.real, "im": c.imag} for c in map(complex, self.diag)],
+            "norm_sq": float(self.norm_sq),
         }
-        if self.diag_exact is not None:
-            out["diag_coeffs_exact"] = [format_rational(q) for q in self.diag_exact]
-            out["norm_sq_exact"] = format_rational(self.norm_sq_exact)
-        if self.table_source is not None:
-            out["table_source"] = self.table_source
+        if isinstance(self.norm_sq, Fraction):
+            out["diag_coeffs_exact"] = [format_rational(q) for q in self.diag]
+            out["norm_sq_exact"] = format_rational(self.norm_sq)
+        else:
+            out["table_source"] = self.measure.table.source
         return out
 
 
 def build_witness(variant: Variant, N: int,
                   table: Optional[FourierTable] = None) -> HenkinWitness:
-    """Witness truncated at diagonal index N.
-
-    D2 requires a Fourier table with max_n >= N; the table used is recorded
-    in the report so independent-route checks stay auditable.
+    """Witness truncated at diagonal index N. D2 reads conj(sigma_hat(-k))
+    from `table` (ValueError past it), and the report records the table's
+    source so independent-route checks stay auditable.
     """
     measure = PushforwardMeasure(variant, table)
     if N < 0:
         raise ValueError("N must be >= 0")
-    if variant == "D2" and table.max_n < N:
-        raise ValueError("D2 witness needs a FourierTable with max_n >= N")
     seq = build_kernel_sequence(measure.dim, N)
-    # g_k = a_k c^k times conj(integral(r^k dmu)), which is exactly 1 for D4
-    # and conj(sigma_hat(-k)) = table[k] for D2
     c = disc_map_scale(measure.dim)
-    weights = [a * c ** k for k, a in enumerate(seq.a_exact)]
-    if variant == "D4":
-        norm_sq = sum(seq.a_exact, Fraction(0))
-        return HenkinWitness(
-            variant="D4", N=N,
-            diag_exact=tuple(weights),
-            diag_float=tuple(complex(float(w), 0.0) for w in weights),
-            norm_sq_exact=norm_sq, norm_sq=float(norm_sq),
-        )
     diag = []
-    norm_sq = 0.0
-    for k, w in enumerate(weights):
-        # table[k] = conj(sigma_hat(-k)) for the real measure sigma; reading it
-        # directly keeps the sign of a zero imaginary part positive
-        s = table[k]
-        diag.append(float(w) * s)
-        norm_sq += seq.a_float[k] * abs(s) ** 2
-    return HenkinWitness(
-        variant="D2", N=N, diag_exact=None, diag_float=tuple(diag),
-        norm_sq_exact=None, norm_sq=norm_sq, table_source=table.source,
-    )
+    norm_sq = 0
+    # in index order, not by sum(), whose float sums are compensated from Python 3.12
+    for k, a in enumerate(seq.a_exact):
+        s = measure.conj_r_moment(k)
+        diag.append(a * c ** k * s)
+        norm_sq += a * abs(s) ** 2
+    return HenkinWitness(measure=measure, N=N, diag=tuple(diag), norm_sq=norm_sq)
 
 
 @dataclass(frozen=True)
 class HenkinCheckResult:
-    variant: Variant
-    maxdeg: int
     checked: int
     max_dev: float
     failures: tuple
@@ -405,7 +382,7 @@ def henkin_identity_check(variant: Variant, maxdeg: int, witness: HenkinWitness,
     witness.N >= maxdeg.
     """
     measure = PushforwardMeasure(variant, table)
-    if variant != witness.variant:
+    if variant != witness.measure.variant:
         raise ValueError("witness variant does not match")
     if maxdeg < 0:
         raise ValueError("maxdeg must be >= 0")
@@ -422,21 +399,19 @@ def henkin_identity_check(variant: Variant, maxdeg: int, witness: HenkinWitness,
             if not (rhs.im == 0 and rhs.re == lhs):
                 failures.append(alpha)
             checked += 1
-        return HenkinCheckResult(variant="D4", maxdeg=maxdeg, checked=checked,
+        return HenkinCheckResult(checked=checked,
                                  max_dev=0.0 if not failures else math.inf,
                                  failures=tuple(failures), passed=not failures)
 
     if witness.N < maxdeg:
         raise ValueError("witness truncation too small for maxdeg")
-    if table.max_n < maxdeg:
-        raise ValueError("moment-route table too short for maxdeg")
     checked = 0
     max_dev = 0.0
     for m in range(maxdeg + 1):
         for n in range(maxdeg + 1):
             if m == n:
                 lhs = measure.moment((n, n))
-                rhs = witness.diag_float[n].conjugate() * float(monomial_norm_sq((n, n)))
+                rhs = witness.diag[n].conjugate() * float(monomial_norm_sq((n, n)))
                 dev = abs(lhs - rhs)
                 max_dev = max(max_dev, dev)
                 if dev > tol:
@@ -446,7 +421,7 @@ def henkin_identity_check(variant: Variant, maxdeg: int, witness: HenkinWitness,
                 if measure.moment((m, n)) != 0:
                     failures.append((m, n))
             checked += 1
-    return HenkinCheckResult(variant="D2", maxdeg=maxdeg, checked=checked,
+    return HenkinCheckResult(checked=checked,
                              max_dev=max_dev, failures=tuple(failures),
                              passed=not failures)
 
@@ -615,9 +590,10 @@ def peak_check(samples: int = 10_000, seed: int = 0, delta: float = 1e-2) -> Pea
     # generator fills its arrays row by row, so the blocks take the stream of
     # one full draw. Blocks are folded with np.maximum/np.minimum, which keep
     # a NaN where Python's max/min could drop it.
+    measure = PushforwardMeasure("D4")
     support_dev = max_peak_dev = -math.inf
     for start in range(0, samples, _ROW_BLOCK):
-        support = PushforwardMeasure("D4").sample(min(_ROW_BLOCK, samples - start), rng)
+        support = measure.sample(min(_ROW_BLOCK, samples - start), rng)
         support_dev = np.maximum(support_dev, np.max(
             np.abs(np.sum(np.abs(support) ** 2, axis=1) - 1.0)))
         f_support = 0.5 * (1.0 + _r4_values(support))
@@ -650,7 +626,6 @@ def peak_check(samples: int = 10_000, seed: int = 0, delta: float = 1e-2) -> Pea
 
 @dataclass(frozen=True)
 class FunctionalBoundReport:
-    variant: Variant
     trials: int
     max_ratio: float
     nonzero_trials: int
@@ -667,10 +642,11 @@ _DIAGONAL_SHARE = 0.5
 _BOUND_SLACK = 1e-9
 
 
-def functional_bound_check(witness: HenkinWitness, trials: int, seed: int,
-                           table: Optional[FourierTable] = None) -> FunctionalBoundReport:
+def functional_bound_check(witness: HenkinWitness, trials: int,
+                           seed: int) -> FunctionalBoundReport:
     """Random polynomials phi with degree inside the witness truncation must
-    satisfy |integral(phi dmu)| <= ||phi||_{H^2_d} ||g|| + _BOUND_SLACK.
+    satisfy |integral(phi dmu)| <= ||phi||_{H^2_d} ||g|| + _BOUND_SLACK, with
+    the moments of the witness's own measure.
 
     Degrees are capped so the truncated witness is exact for every phi
     tried; the bound is then Cauchy-Schwarz and the slack only absorbs float
@@ -680,7 +656,7 @@ def functional_bound_check(witness: HenkinWitness, trials: int, seed: int,
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    measure = PushforwardMeasure(witness.variant, table)
+    measure = witness.measure
     rng = np.random.default_rng(seed)
     g_norm = math.sqrt(witness.norm_sq)
     dim = measure.dim
@@ -708,6 +684,5 @@ def functional_bound_check(witness: HenkinWitness, trials: int, seed: int,
         max_ratio = max(max_ratio, abs(lhs) / rhs)
         nonzero += lhs != 0
         failures += abs(lhs) > rhs
-    return FunctionalBoundReport(variant=witness.variant, trials=trials,
-                                 max_ratio=max_ratio, nonzero_trials=nonzero,
+    return FunctionalBoundReport(trials=trials, max_ratio=max_ratio, nonzero_trials=nonzero,
                                  failures=failures, passed=failures == 0)

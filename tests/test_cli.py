@@ -81,6 +81,31 @@ def test_invalid_config_exit_2(workdir):
     assert main(["verify-norms", "--dims", ""]) == 2
 
 
+def test_negative_seed_and_tiny_eps_exit_2(workdir, capsys):
+    # numpy refuses a negative seed, and below eps = 1e-300 the recursion
+    # depth passes 646, where float(3 ** j) overflows
+    for argv, message in ((["all", "--seed", "-1"], "seed must be >= 0"),
+                          *(([name, "--seed", "-3"], "seed must be >= 0")
+                            for name in ("verify-isometry", "moments", "witness",
+                                         "peak-check", "compression")),
+                          (["cantor-fourier", "--eps", "1e-320"], "eps must be"),
+                          (["henkin-check", "--dim", "2", "--eps", "1e-310"], "eps must be"),
+                          (["witness", "--dim", "2", "--eps", "1e-310"], "eps must be")):
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert message in err and "Traceback" not in err
+
+
+def test_json_run_builds_no_csv_rows(workdir, monkeypatch):
+    def refuse(self):
+        raise AssertionError("csv_rows called")
+
+    monkeypatch.setattr(daverify.KernelSequence, "csv_rows", refuse)
+    assert main(["kernel-table", "--dim", "4", "--n", "50"]) == 0
+    with pytest.raises(AssertionError, match="csv_rows called"):
+        main(["kernel-table", "--dim", "4", "--n", "50", "--format", "csv"])
+
+
 def test_seed_only_where_a_check_draws(workdir):
     assert main(["kernel-table", "--seed", "3"]) == 2
     with pytest.raises(ConfigError):

@@ -35,7 +35,7 @@ class TestSequence:
     def test_float_shadow_matches(self):
         seq = build_kernel_sequence(4, 60)
         for n in (0, 30, 60):
-            assert seq.a_float[n] == pytest.approx(float(seq.a_exact[n]), rel=1e-13)
+            assert seq.csv_rows()[n][2] == float(seq.a_exact[n])
 
     def test_strictly_decreasing_positive(self):
         for d in (2, 4):
@@ -47,7 +47,7 @@ class TestSequence:
         for d in (2, 4):
             exact = build_kernel_sequence(d, 200)
             sweep = float_coeff_sequence(d, 200)
-            assert sweep[200] == pytest.approx(exact.a_float[200], rel=1e-12)
+            assert sweep[200] == pytest.approx(float(exact.a_exact[200]), rel=1e-12)
 
     def test_rejects_unsupported_dimension(self):
         with pytest.raises(ValueError):
@@ -110,7 +110,7 @@ class TestKernelEval:
         N = max(4, math.ceil(8.0 / max(0.02, -math.log10(rho * rho))))
         seq = build_kernel_sequence(2, N)
         x = rho * rho
-        value = sum(a * x ** n for n, a in enumerate(seq.a_float))
+        value = sum(float(a) * x ** n for n, a in enumerate(seq.a_exact))
         # a_n is nonincreasing, so the tail is at most a_{N+1} x^{N+1} / (1 - x)
         a_next = float(float_coeff_sequence(2, N + 1)[N + 1])
         tail_bound = a_next * x ** (N + 1) / (1.0 - x)

@@ -1,6 +1,7 @@
 """Moments of the sphere measures, the witness identities, non-Henkin decay,
 and peak behaviour."""
 
+import dataclasses
 import itertools
 import math
 import tracemalloc
@@ -187,7 +188,6 @@ class TestSamplers:
             lambda: build_witness("D2", 2),
             lambda: henkin_identity_check("D3", 4, w2),
             lambda: henkin_identity_check("D2", 4, w2),
-            lambda: functional_bound_check(w2, 3, 0),
         ]
         for call in calls:
             with pytest.raises(ValueError, match="variant must be|needs a FourierTable"):
@@ -240,7 +240,7 @@ class TestMonteCarlo:
                 else:
                     closed, exact_str = measure.moment(a), None
                 ok = abs(est - closed) <= max(4.0 * stderr, 1e-13)
-                reports.append(MomentReport(variant, a, closed, exact_str, est, stderr, ok))
+                reports.append(MomentReport(a, closed, exact_str, est, stderr, ok))
             return alphas, reports
 
         for variant, count, seed in (("D4", 40, 29), ("D2", 40, 29), ("D2", 100, 123)):
@@ -274,20 +274,28 @@ class TestMonteCarlo:
 class TestWitness:
     def test_d4_coefficients_frozen(self):
         w = build_witness("D4", 2)
-        assert list(w.diag_exact) == [Fraction(1), Fraction(3, 2), Fraction(315, 32)]
-        assert w.norm_sq_exact == Fraction(1) + Fraction(3, 32) + Fraction(315, 8192)
+        assert list(w.diag) == [Fraction(1), Fraction(3, 2), Fraction(315, 32)]
+        assert w.norm_sq == Fraction(1) + Fraction(3, 32) + Fraction(315, 8192)
 
     def test_d2_coefficients_track_fourier(self):
         table = fourier_table_recursion(3, 1e-12)
         w = build_witness("D2", 3, table)
-        assert w.diag_float[0] == pytest.approx(1.0)
-        assert w.diag_float[1] == pytest.approx(0.5 * 2.0 * SIGMA_1, abs=1e-9)
+        assert w.diag[0] == pytest.approx(1.0)
+        assert w.diag[1] == pytest.approx(0.5 * 2.0 * SIGMA_1, abs=1e-9)
 
     def test_d2_real_table_gives_positive_zero_imaginary_parts(self):
         # a report writes -0.0 as "-0.0", which would carry no information
         w = build_witness("D2", 100, fourier_table_recursion(100, 1e-12))
-        assert any(c.real < 0 for c in w.diag_float)
-        assert all(math.copysign(1.0, c.imag) == 1.0 for c in w.diag_float)
+        assert any(c.real < 0 for c in w.diag)
+        assert all(math.copysign(1.0, c.imag) == 1.0 for c in w.diag)
+
+    def test_values_take_the_type_of_their_measure(self):
+        w4 = build_witness("D4", 5)
+        assert all(type(g) is Fraction for g in w4.diag) and type(w4.norm_sq) is Fraction
+        table = fourier_table_recursion(5, 1e-12)
+        w2 = build_witness("D2", 5, table)
+        assert all(type(g) is complex for g in w2.diag) and type(w2.norm_sq) is float
+        assert w2.measure.table is table and w4.measure == D4
 
     def test_d2_needs_long_enough_table(self):
         table = fourier_table_recursion(3, 1e-12)
@@ -345,6 +353,17 @@ class TestHenkinIdentity:
         assert res.passed
         assert res.max_dev < 1e-10
         assert res.checked == 41 * 41
+
+    def test_d2_moment_route_reads_the_table_argument(self):
+        # the witness carries the recursion table; the moment route must read
+        # the oracle passed in, or the two-route check compares one route
+        rec = fourier_table_recursion(40, 1e-12)
+        oracle = fourier_table_ifs(40, 14)
+        coeffs = oracle.coeffs.copy()
+        coeffs[40 - 5] += 1e-6  # sigma_hat(-5): moment((5, 5)) moves by 2^-5 1e-6
+        shifted = dataclasses.replace(oracle, coeffs=coeffs)
+        res = henkin_identity_check("D2", 40, build_witness("D2", 40, rec), table=shifted)
+        assert res.failures == ((5, 5),) and not res.passed
 
     def test_d2_missing_table_rejected(self):
         rec = fourier_table_recursion(10, 1e-12)
@@ -491,7 +510,7 @@ class TestFunctionalBound:
     def test_d2_bound_holds(self):
         table = fourier_table_recursion(20, 1e-12)
         w = build_witness("D2", 20, table)
-        rep = functional_bound_check(w, trials=60, seed=29, table=table)
+        rep = functional_bound_check(w, trials=60, seed=29)
         assert rep.passed
 
     def test_every_trial_has_a_nonzero_integral(self):
@@ -501,8 +520,10 @@ class TestFunctionalBound:
         d4 = functional_bound_check(build_witness("D4", 12), trials=100, seed=20240817)
         table = fourier_table_recursion(100, 1e-12)
         d2 = functional_bound_check(build_witness("D2", 100, table), trials=100,
-                                    seed=20240817, table=table)
+                                    seed=20240817)
         for rep in (d4, d2):
             assert rep.passed
             assert rep.nonzero_trials == rep.trials
             assert 0.5 < rep.max_ratio <= 1.0
+        # the value from the time the check took the table as a separate argument
+        assert d2.max_ratio.hex() == "0x1.c37a886d4565ep-1"
