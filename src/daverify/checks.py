@@ -8,8 +8,8 @@ judged on), and the CSV tables, name -> (header, function of no arguments
 returning the rows), so that rows are built only when a CSV is written.
 The defaults that depend on the dimension are None in the signature and
 filled in on the branch that reads them: henkin-check's maxdeg, eps, level
-and tol, and witness's n, eps and level. PLAN lists the stages of
-`daverify all`.
+and tol, witness's n, eps and level, and moments' count and max_exp. PLAN
+lists the stages of `daverify all`.
 """
 
 from __future__ import annotations
@@ -68,10 +68,10 @@ def _require_ifs_level(level: int) -> None:
              f"level must be in [1, {cantor.MAX_IFS_LEVEL}]")
 
 
-def _require_d2_only(**params) -> None:
-    # a parameter the D4 branch never reads must not be accepted and ignored
+def _require_unset(only: str, **params) -> None:
+    # a parameter the branch taken never reads must not be accepted and ignored
     given = [name for name, value in params.items() if value is not None]
-    _require(not given, f"only dim 2 takes {', '.join(given)}")
+    _require(not given, f"only {only} takes {', '.join(given)}")
 
 
 # ---------------------------------------------------------------------------
@@ -314,17 +314,21 @@ def cantor_energy(levels: tuple[int, ...] = (10, 12)):
 # moments
 
 
-def moments(dim: int = 4, alpha: Optional[tuple[int, ...]] = None, count: int = 100,
-            samples: int = 100_000, seed: int = DEFAULT_SEED, max_exp: int = 6):
+def moments(dim: int = 4, alpha: Optional[tuple[int, ...]] = None,
+            count: Optional[int] = None, samples: int = 100_000, seed: int = DEFAULT_SEED,
+            max_exp: Optional[int] = None):
     """Closed-form moments against Monte Carlo: one multi-index `alpha`
-    within 4 sigma, or at least 95% of a seeded batch of `count`."""
+    within 4 sigma, or at least 95% of a seeded batch of `count` (100 unless
+    given) multi-indices with entries up to max_exp (6 unless given). count
+    and max_exp apply to the batch only and are refused with alpha."""
     _require_dim(dim)
     _require(samples >= 1000, "samples must be >= 1000")
     _require_seed(seed)
-    variant = "D4" if dim == 4 else "D2"
+    variant = f"D{dim}"
     results = []
 
     if alpha is not None:
+        _require_unset("a batch without alpha", count=count, max_exp=max_exp)
         _require(len(alpha) == dim, f"alpha must have {dim} entries for dim {dim}")
         _require(all(0 <= a <= cantor.MAX_TABLE_N for a in alpha),
                  f"alpha entries must be in [0, {cantor.MAX_TABLE_N}]")
@@ -339,7 +343,11 @@ def moments(dim: int = 4, alpha: Optional[tuple[int, ...]] = None, count: int = 
             "mc_stderr": rep.mc_stderr,
         })
         reports_list = [rep]
+        config = {"dim": dim, "alpha": list(alpha), "count": 1,
+                  "samples": samples, "seed": seed}
     else:
+        count = 100 if count is None else count
+        max_exp = 6 if max_exp is None else max_exp
         _require(count >= 1, "count must be >= 1")
         _require(0 <= max_exp <= cantor.MAX_TABLE_N,
                  f"max-exp must be in [0, {cantor.MAX_TABLE_N}]")
@@ -351,6 +359,8 @@ def moments(dim: int = 4, alpha: Optional[tuple[int, ...]] = None, count: int = 
             "count": len(reports_list),
             "within_4_sigma": good,
         })
+        config = {"dim": dim, "alpha": None, "count": count,
+                  "samples": samples, "seed": seed, "max_exp": max_exp}
 
     def rows():
         return [[
@@ -360,9 +370,6 @@ def moments(dim: int = 4, alpha: Optional[tuple[int, ...]] = None, count: int = 
             rep.mc_estimate.real, rep.mc_estimate.imag, rep.mc_stderr,
         ] for rep in reports_list]
 
-    config = {"dim": dim, "alpha": list(alpha) if alpha else None,
-              "count": count if alpha is None else 1,
-              "samples": samples, "seed": seed, "max_exp": max_exp}
     tables = {"moments": (["alpha", "closed_form", "mc_re", "mc_im", "mc_stderr"], rows)}
     return config, results, tables
 
@@ -381,7 +388,7 @@ def henkin_check(dim: int = 4, maxdeg: Optional[int] = None, eps: Optional[float
     _require_dim(dim)
     results = []
     if dim == 4:
-        _require_d2_only(eps=eps, level=level, tol=tol)
+        _require_unset("dim 2", eps=eps, level=level, tol=tol)
         maxdeg = 24 if maxdeg is None else maxdeg
         _require(0 <= maxdeg <= 40, "maxdeg must be in [0, 40]")
         g = henkin.build_witness("D4", max(1, maxdeg // 4))
@@ -426,7 +433,7 @@ def witness(dim: int = 4, n: Optional[int] = None, eps: Optional[float] = None,
     _require_seed(seed)
     results = []
     if dim == 4:
-        _require_d2_only(eps=eps, level=level)
+        _require_unset("dim 2", eps=eps, level=level)
         n = 12 if n is None else n
         _require(0 <= n <= 200, "n must be in [0, 200]")
         g = henkin.build_witness("D4", n)
@@ -436,8 +443,7 @@ def witness(dim: int = 4, n: Optional[int] = None, eps: Optional[float] = None,
         res = henkin.henkin_identity_check("D4", min(4 * n, 12), g)
         results.append({"check": "witness/d4-reproduces-moments",
                         "pass": res.passed, "checked": res.checked})
-        nh = henkin.non_henkin_witness(n_max=50, grid_points=1000,
-                                       grid_radius=0.9, seed=seed)
+        nh = henkin.non_henkin_witness(seed=seed)
         results.append({"check": "witness/d4-integrals-stay-one",
                         "pass": nh.integrals_all_one, "n_max": nh.n_max})
         results.append({"check": "witness/d4-interior-decay",

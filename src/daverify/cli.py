@@ -71,6 +71,7 @@ _SUBCOMMANDS: dict[str, Callable] = {
 def cmd_all(cfg: RunConfig):
     """Run every stage of checks.PLAN and aggregate."""
     seed = cfg.params.get("seed", checks.DEFAULT_SEED)
+    checks._require_seed(seed)
     results = []
     config = {"seed": seed, "subcommands": []}
     for command, pins in checks.PLAN:

@@ -1,17 +1,17 @@
 """Measures on the unit sphere that represent evaluation-type functionals on
 polynomials without being Henkin in the classical sense.
 
-Two constructions, both pushforwards onto sphere subsets:
+Both are one construction, `PushforwardMeasure`: Haar measure on the torus
+T^(d-1) times a law of t, pushed to the sphere of C^d so that r = c z_1...z_d
+pushes to e^(2 pi i t).
 
-  D4: on the sphere of C^4, the image of normalized Haar measure on the
-      3-torus under h(zeta) = (zeta_1, zeta_2, zeta_3, conj(zeta_1 zeta_2
-      zeta_3)) / 2. Every monomial moment is an exact rational.
+  D4: d = 4 and t = 0, so r = 16 z1 z2 z3 z4 = 1 on the support. Every
+      monomial moment is an exact rational.
 
-  D2: on the sphere of C^2, the image of (Haar on the circle) x (Cantor
-      measure sigma) under (zeta, t) -> (zeta, conj(zeta) e^(2 pi i t)) / sqrt(2).
-      The free circle phase kills every moment off the diagonal m = n, and
-      there r(z) = 2 z1 z2 pushes to e^(2 pi i t), so the diagonal moments
-      are Cantor Fourier coefficients scaled by 2^(-n).
+  D2: d = 2 and t ~ sigma, the Cantor measure. The free circle phase kills
+      every moment off the diagonal m = n, and there r(z) = 2 z1 z2 pushes
+      to e^(2 pi i t), so the diagonal moments are Cantor Fourier
+      coefficients scaled by 2^(-n).
 
 For each variant there is a diagonal witness g in H^2_d with
 integral(phi dmu) = <phi(z), g> for all polynomials phi, checked exactly
@@ -49,28 +49,10 @@ _CANTOR_SAMPLE_DEPTH = 64  # base-3 digits drawn per Cantor sample; 3^-64 << 1 u
 
 
 # ---------------------------------------------------------------------------
-# samplers and the pushforward maps
+# samplers and the measure
 
 
-def h_d4(zeta: np.ndarray) -> np.ndarray:
-    """Map torus points (rows of a (m, 3) array) onto the C^4 sphere."""
-    out = np.empty((len(zeta), 4), dtype=np.complex128)
-    out[:, :3] = zeta
-    z4 = out[:, 3]
-    np.multiply(zeta[:, 0], zeta[:, 1], out=z4)
-    z4 *= zeta[:, 2]
-    np.conjugate(z4, out=z4)
-    out *= 0.5
-    return out
-
-
-def h_d2(zeta: np.ndarray, omega: np.ndarray) -> np.ndarray:
-    """Map circle x circle points (zeta, omega) to (zeta, conj(zeta) omega) / sqrt(2)
-    on the C^2 sphere. The conjugate pairing makes z1 z2 = omega / 2."""
-    return np.column_stack([zeta, np.conj(zeta) * omega]) / math.sqrt(2.0)
-
-
-def sample_torus(count: int, rng: np.random.Generator, k: int = 3) -> np.ndarray:
+def sample_torus(count: int, rng: np.random.Generator, k: int) -> np.ndarray:
     """count independent Haar samples on the k-torus, as unit complex entries."""
     z = 2j * np.pi * rng.random((count, k))
     return np.exp(z, out=z)
@@ -103,15 +85,6 @@ def sample_cantor_points(count: int, rng: np.random.Generator) -> np.ndarray:
     return out
 
 
-def _draw_normals(count: int, rng: np.random.Generator,
-                  cdim: int) -> tuple[np.ndarray, np.ndarray]:
-    """Real parts, then imaginary parts, of count standard complex Gaussian
-    vectors in C^cdim, drawn in that order; normalised by _unit_rows they are
-    uniform on the unit sphere."""
-    re = rng.standard_normal((count, cdim))
-    return re, rng.standard_normal((count, cdim))
-
-
 def _unit_rows(re: np.ndarray, im: np.ndarray) -> np.ndarray:
     """The rows of re + i im scaled to unit length. Row by row, so a block of
     rows gives the same values as the full arrays."""
@@ -119,11 +92,12 @@ def _unit_rows(re: np.ndarray, im: np.ndarray) -> np.ndarray:
     return g / np.linalg.norm(g, axis=1, keepdims=True)
 
 
-def _ball_radii(count: int, rng: np.random.Generator, cdim: int,
-                radius: float) -> np.ndarray:
-    """(count, 1) radii that make unit directions uniform in the real
-    2*cdim-dimensional ball of the given radius."""
-    return radius * rng.random((count, 1)) ** (1.0 / (2 * cdim))
+def _r_values(points: np.ndarray, c: int) -> np.ndarray:
+    """r(z) = c z_1...z_d on the rows of points, multiplied left to right."""
+    r = c * points[:, 0]
+    for j in range(1, points.shape[1]):
+        r = r * points[:, j]
+    return r
 
 
 _ZERO = Fraction(0)
@@ -131,13 +105,20 @@ _ZERO = Fraction(0)
 
 @dataclass(frozen=True)
 class PushforwardMeasure:
-    """One of the two measures: its variant, the d of the sphere of C^d that
-    carries it, and the Fourier table the D2 moments read. This module reads
-    the dimension, the closed forms and the witness factor only here."""
+    """Haar measure on the torus T^(d-1) times a law of t in [0, 1), pushed
+    to the sphere of C^d by
+
+        (zeta, t) -> (zeta_1, ..., zeta_(d-1), conj(zeta_1...zeta_(d-1)) e^(2 pi i t)) / sqrt(d),
+
+    so that r = c z_1...z_d = e^(2 pi i t) on the support, with c = sqrt(d^d)
+    (`scale`). D4 takes t = 0 and no table; D2 takes t ~ sigma, the Cantor
+    measure, whose Fourier coefficients its moments read from `table`. This
+    module reads d, c and the law of t only here."""
 
     variant: Variant
     table: Optional[FourierTable] = None
     dim: int = field(init=False)
+    scale: int = field(init=False)
 
     def __post_init__(self):
         dim = _VARIANTS.get(self.variant)
@@ -145,39 +126,55 @@ class PushforwardMeasure:
             raise ValueError(f"variant must be one of {tuple(_VARIANTS)}, got {self.variant!r}")
         if dim == 2 and self.table is None:
             raise ValueError("the D2 measure needs a FourierTable for its moments")
+        if dim == 4 and self.table is not None:
+            raise ValueError("the D4 measure takes no FourierTable: t = 0 on its support")
         object.__setattr__(self, "dim", dim)
+        object.__setattr__(self, "scale", disc_map_scale(dim))
 
     def moment(self, alpha: Sequence[int]):
         """integral z^alpha dmu for alpha of length dim. The measure is invariant
-        under the torus action that fixes r = c z_1...z_d, so the moment is
-        zero (Fraction(0) for D4, 0j for D2) off the diagonal (k, ..., k) and
-        c^(-k) integral(r^k dmu) on it: 16^(-k) for D4, where r = 1 on the
-        support, and 2^(-k) sigma_hat(-k) for D2 (ValueError past the table)."""
+        under the torus action that fixes r, so the moment is zero off the
+        diagonal (k, ..., k) and c^(-k) integral(r^k dmu) on it: the exact
+        Fraction c^(-k) where t = 0, and c^(-k) sigma_hat(-k) where t ~ sigma
+        (a complex, 0j off the diagonal; ValueError past the table)."""
         a = validate_multi_index(alpha)
         dim = self.dim
         if len(a) != dim:
             raise ValueError(f"{self.variant} moments take multi-indices of length {dim}")
         k = a[0]
         if a.count(k) != dim:
-            return _ZERO if dim == 4 else 0j
-        if dim == 4:
-            return Fraction(1, 16 ** k)
-        return 2.0 ** (-k) * self.table[-k]
+            return _ZERO if self.table is None else 0j
+        if self.table is None:
+            return Fraction(1, self.scale ** k)
+        return float(self.scale) ** (-k) * self.table[-k]
 
     def conj_r_moment(self, k: int):
-        """conj(integral r^k dmu), the witness factor: Fraction(1) for D4, where
-        r = 1 on the support, and table[k] = conj(sigma_hat(-k)) for D2, whose
-        zero imaginary part stays +0.0. Not derived from `moment`, so that the
+        """conj(integral r^k dmu), the witness factor: Fraction(1) where t = 0,
+        and table[k] = conj(sigma_hat(-k)) where t ~ sigma, whose zero
+        imaginary part stays +0.0. Not derived from `moment`, so that the
         identity's moment route and inner-product route stay separate code."""
-        return Fraction(1) if self.dim == 4 else self.table[k]
+        return Fraction(1) if self.table is None else self.table[k]
 
     def sample(self, count: int, rng: np.random.Generator) -> np.ndarray:
-        """count points on the sphere distributed according to the measure."""
-        if self.variant == "D4":
-            return h_d4(sample_torus(count, rng, 3))
-        zeta1 = sample_torus(count, rng, 1)[:, 0]
-        t = sample_cantor_points(count, rng)
-        return h_d2(zeta1, np.exp(2j * np.pi * t))
+        """count points on the sphere distributed according to the measure:
+        the torus draws first, then (t ~ sigma only) the Cantor digits."""
+        dim = self.dim
+        zeta = sample_torus(count, rng, dim - 1)
+        out = np.empty((count, dim), dtype=np.complex128)
+        out[:, :-1] = zeta
+        # from zeta's columns: an operand sharing memory with `last` rounds differently
+        last = out[:, -1]
+        if dim == 2:
+            last[:] = zeta[:, 0]
+        else:
+            np.multiply(zeta[:, 0], zeta[:, 1], out=last)
+            for j in range(2, dim - 1):
+                last *= zeta[:, j]
+        np.conjugate(last, out=last)
+        if self.table is not None:
+            last *= np.exp(2j * np.pi * sample_cantor_points(count, rng))
+        out /= math.sqrt(dim)
+        return out
 
 
 # ---------------------------------------------------------------------------
@@ -348,13 +345,12 @@ def build_witness(variant: Variant, N: int,
     if N < 0:
         raise ValueError("N must be >= 0")
     seq = build_kernel_sequence(measure.dim, N)
-    c = disc_map_scale(measure.dim)
     diag = []
     norm_sq = 0
     # in index order, not by sum(), whose float sums are compensated from Python 3.12
     for k, a in enumerate(seq.a_exact):
         s = measure.conj_r_moment(k)
-        diag.append(a * c ** k * s)
+        diag.append(a * measure.scale ** k * s)
         norm_sq += a * abs(s) ** 2
     return HenkinWitness(measure=measure, N=N, diag=tuple(diag), norm_sq=norm_sq)
 
@@ -435,8 +431,6 @@ class NonHenkinReport:
     n_max: int
     integrals_all_one: bool
     integral_failures: tuple[int, ...]
-    grid_points: int
-    grid_radius: float
     max_base_abs: float
     sup_ball_ok: bool
     n_below_threshold: int
@@ -446,55 +440,57 @@ class NonHenkinReport:
     passed: bool
 
 
-def _r4_values(points: np.ndarray) -> np.ndarray:
-    return 16.0 * points[:, 0] * points[:, 1] * points[:, 2] * points[:, 3]
-
-
 # Rows evaluated at a time where a check reduces sampled points to a few
 # numbers; a complex (rows, 4) block takes 4 MiB.
 _ROW_BLOCK = 2 ** 16
 
 
-def _closed_ball_r4_blocks(n_ball: int, n_sphere: int, rng: np.random.Generator,
-                           radius: float) -> Iterator[np.ndarray]:
-    """r(z) on n_ball uniform points of the ball of C^4 of the given radius,
-    then on n_sphere uniform points of the unit sphere, one block of rows at
-    a time.
+def _closed_ball_r_blocks(measure: PushforwardMeasure, n_ball: int, n_sphere: int,
+                          rng: np.random.Generator, radius: float) -> Iterator[np.ndarray]:
+    """r(z), with the measure's d and c, on n_ball uniform points of the ball
+    of C^d of the given radius, then on n_sphere uniform points of the unit
+    sphere, one block of rows at a time.
 
-    Each half draws its normals, then (the ball only) its radii, so the
-    blocks concatenate to r of the two samples drawn one after the other in
-    full. Only one half's normal draws (and the ball's radii) are held in
-    full, never the points. A half of size zero takes nothing from rng.
+    Each half draws its complex normals (real parts, then imaginary parts),
+    then (the ball only) its radii, so the blocks concatenate to r of the two
+    samples drawn one after the other in full. Only one half's draws are held
+    in full, never the points. A half of size zero takes nothing from rng.
     """
-    re, im = _draw_normals(n_ball, rng, 4)
-    radii = _ball_radii(n_ball, rng, 4, radius)
+    d, c = measure.dim, measure.scale
+    re = rng.standard_normal((n_ball, d))
+    im = rng.standard_normal((n_ball, d))
+    radii = radius * rng.random((n_ball, 1)) ** (1.0 / (2 * d))
     for start in range(0, n_ball, _ROW_BLOCK):
         rows = slice(start, start + _ROW_BLOCK)
-        yield _r4_values(_unit_rows(re[rows], im[rows]) * radii[rows])
+        yield _r_values(_unit_rows(re[rows], im[rows]) * radii[rows], c)
     del re, im, radii
-    re, im = _draw_normals(n_sphere, rng, 4)
+    re = rng.standard_normal((n_sphere, d))
+    im = rng.standard_normal((n_sphere, d))
     for start in range(0, n_sphere, _ROW_BLOCK):
         rows = slice(start, start + _ROW_BLOCK)
-        yield _r4_values(_unit_rows(re[rows], im[rows]))
+        yield _r_values(_unit_rows(re[rows], im[rows]), c)
+
+
+# sup |f_n| on the interior sample must fall below _DECAY_THRESHOLD by n = _DECAY_N
+_DECAY_N = 1000
+_DECAY_THRESHOLD = 1e-6
 
 
 def non_henkin_witness(n_max: int = 50, grid_points: int = 1000,
-                       grid_radius: float = 0.9, seed: int = 0,
-                       decay_n: int = 1000,
-                       threshold: float = 1e-6) -> NonHenkinReport:
+                       grid_radius: float = 0.9, seed: int = 0) -> NonHenkinReport:
     """The sequence f_n = ((1 + r)/2)^n against the D4 measure.
 
     (i) integral f_n dmu = 1 exactly for n <= n_max, by binomial expansion
         in exact rationals: every power r^j integrates to 1.
     (ii) on a seeded interior sample of the ball of radius grid_radius, the
         sup of |f_n| decreases geometrically (it equals max|f_1|^n) and must
-        drop below `threshold` by n = decay_n. Also f_n(0) = 2^(-n) -> 0.
+        drop below 1e-6 by n = 1000. Also f_n(0) = 2^(-n) -> 0.
     (iii) on a seeded sample of the closed ball, sup |f_1| <= 1 + 1e-12.
 
     Together these witness that integral(f_n dmu) fails to converge to 0
     while f_n -> 0 pointwise inside the ball with sup norms at most 1.
     """
-    if n_max < 0 or decay_n < 1 or grid_points < 1:
+    if n_max < 0 or grid_points < 1:
         raise ValueError("bad sizes")
     if not 0.0 < grid_radius < 1.0:
         raise ValueError("grid_radius must lie strictly inside (0, 1)")
@@ -504,44 +500,42 @@ def non_henkin_witness(n_max: int = 50, grid_points: int = 1000,
     # Over one common denominator D the test is an identity of integers, so
     # no sum is ever reduced by a gcd.
     measure = PushforwardMeasure("D4")
-    c = disc_map_scale(measure.dim)
-    q = [c ** j * measure.moment((j,) * measure.dim) for j in range(n_max + 1)]
+    q = [measure.scale ** j * measure.moment((j,) * measure.dim) for j in range(n_max + 1)]
     D = math.lcm(*(qj.denominator for qj in q))
     scaled = [qj.numerator * (D // qj.denominator) for qj in q]
     failures = []
     binom = [1]  # row n of Pascal's triangle: C(n, j) for j = 0..n
     for n in range(n_max + 1):
-        if sum(c * s for c, s in zip(binom, scaled)) != D << n:
+        if sum(b * s for b, s in zip(binom, scaled)) != D << n:
             failures.append(n)
         binom = [a + b for a, b in zip([0] + binom, binom + [0])]
 
     # (ii) interior decay on a fixed seeded grid; np.maximum keeps a NaN
     rng = np.random.default_rng(seed)
     max_base = -math.inf
-    for r_vals in _closed_ball_r4_blocks(grid_points, 0, rng, grid_radius):
+    for r_vals in _closed_ball_r_blocks(measure, grid_points, 0, rng, grid_radius):
         max_base = np.maximum(max_base, np.max(np.abs(0.5 * (1.0 + r_vals))))
     max_base = float(max_base)
     if max_base < 1.0:
-        n_star = max(1, math.ceil(math.log(threshold) / math.log(max_base)))
+        n_star = max(1, math.ceil(math.log(_DECAY_THRESHOLD) / math.log(max_base)))
     else:
         n_star = -1
-    max_fn_final = max_base ** decay_n
+    max_fn_final = max_base ** _DECAY_N
 
     # (iii) sup certificate on the closed ball (interior plus sphere samples);
     # a NaN kept by np.maximum fails the comparison
     sup_f1 = -math.inf
-    for r_vals in _closed_ball_r4_blocks(grid_points, grid_points, rng, 1.0):
+    for r_vals in _closed_ball_r_blocks(measure, grid_points, grid_points, rng, 1.0):
         sup_f1 = np.maximum(sup_f1, np.max(np.abs(0.5 * (1.0 + r_vals))))
     sup_ok = bool(sup_f1 <= 1.0 + 1e-12)
 
-    passed = (not failures) and sup_ok and 0 < n_star <= decay_n \
-        and max_fn_final < threshold
+    passed = (not failures) and sup_ok and 0 < n_star <= _DECAY_N \
+        and max_fn_final < _DECAY_THRESHOLD
     return NonHenkinReport(
         n_max=n_max, integrals_all_one=not failures,
-        integral_failures=tuple(failures), grid_points=grid_points,
-        grid_radius=grid_radius, max_base_abs=max_base, sup_ball_ok=sup_ok,
-        n_below_threshold=n_star, threshold=threshold,
-        max_fn_final=max_fn_final, origin_value_final=2.0 ** (-decay_n),
+        integral_failures=tuple(failures), max_base_abs=max_base, sup_ball_ok=sup_ok,
+        n_below_threshold=n_star, threshold=_DECAY_THRESHOLD,
+        max_fn_final=max_fn_final, origin_value_final=2.0 ** (-_DECAY_N),
         passed=passed,
     )
 
@@ -552,8 +546,6 @@ def non_henkin_witness(n_max: int = 50, grid_points: int = 1000,
 
 @dataclass(frozen=True)
 class PeakReport:
-    samples: int
-    delta: float
     max_peak_dev: float
     support_dev: float
     kept: int
@@ -596,7 +588,7 @@ def peak_check(samples: int = 10_000, seed: int = 0, delta: float = 1e-2) -> Pea
         support = measure.sample(min(_ROW_BLOCK, samples - start), rng)
         support_dev = np.maximum(support_dev, np.max(
             np.abs(np.sum(np.abs(support) ** 2, axis=1) - 1.0)))
-        f_support = 0.5 * (1.0 + _r4_values(support))
+        f_support = 0.5 * (1.0 + _r_values(support, measure.scale))
         max_peak_dev = np.maximum(max_peak_dev, np.max(np.abs(f_support - 1.0)))
     support_dev, max_peak_dev = float(support_dev), float(max_peak_dev)
 
@@ -604,7 +596,7 @@ def peak_check(samples: int = 10_000, seed: int = 0, delta: float = 1e-2) -> Pea
     kept = rejected = 0
     min_margin = math.inf
     all_inside = True
-    for r_vals in _closed_ball_r4_blocks(samples - half, half, rng, 1.0):
+    for r_vals in _closed_ball_r_blocks(measure, samples - half, half, rng, 1.0):
         mask = np.abs(r_vals - 1.0) > delta
         margins = 1.0 - np.abs(0.5 * (1.0 + r_vals[mask]))
         kept += len(margins)
@@ -614,8 +606,7 @@ def peak_check(samples: int = 10_000, seed: int = 0, delta: float = 1e-2) -> Pea
     min_margin = float(min_margin)
 
     passed = max_peak_dev <= PEAK_TOL and support_dev <= PEAK_TOL and all_inside
-    return PeakReport(samples=samples, delta=delta, max_peak_dev=max_peak_dev,
-                      support_dev=support_dev, kept=kept,
+    return PeakReport(max_peak_dev=max_peak_dev, support_dev=support_dev, kept=kept,
                       rejected=rejected, min_margin=min_margin,
                       all_strictly_inside=all_inside, passed=passed)
 

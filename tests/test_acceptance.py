@@ -104,8 +104,7 @@ def test_criterion_05_d4_henkin_identity_exact_to_degree_24():
 
 def test_criterion_06_d4_non_henkin_witness():
     t0 = time.perf_counter()
-    rep = non_henkin_witness(n_max=50, grid_points=1000, grid_radius=0.9,
-                             seed=SEED, decay_n=1000, threshold=1e-6)
+    rep = non_henkin_witness(n_max=50, grid_points=1000, grid_radius=0.9, seed=SEED)
     elapsed = time.perf_counter() - t0
     ok = rep.integrals_all_one and rep.max_fn_final < 1e-6 \
         and rep.n_below_threshold <= 1000 and elapsed < 10.0

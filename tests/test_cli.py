@@ -83,7 +83,8 @@ def test_invalid_config_exit_2(workdir):
 
 def test_negative_seed_and_tiny_eps_exit_2(workdir, capsys):
     # numpy refuses a negative seed, and below eps = 1e-300 the recursion
-    # depth passes 646, where float(3 ** j) overflows
+    # depth passes 646, where float(3 ** j) overflows. No stage of `all` may
+    # run before its seed is refused, so nothing reaches stdout.
     for argv, message in ((["all", "--seed", "-1"], "seed must be >= 0"),
                           *(([name, "--seed", "-3"], "seed must be >= 0")
                             for name in ("verify-isometry", "moments", "witness",
@@ -92,8 +93,9 @@ def test_negative_seed_and_tiny_eps_exit_2(workdir, capsys):
                           (["henkin-check", "--dim", "2", "--eps", "1e-310"], "eps must be"),
                           (["witness", "--dim", "2", "--eps", "1e-310"], "eps must be")):
         assert main(argv) == 2
-        err = capsys.readouterr().err
+        out, err = capsys.readouterr()
         assert message in err and "Traceback" not in err
+        assert out == ""
 
 
 def test_json_run_builds_no_csv_rows(workdir, monkeypatch):
@@ -165,6 +167,22 @@ def test_d2_only_options_refused_with_dim_4(workdir, capsys):
         assert "only dim 2 takes" in capsys.readouterr().err
     assert not (workdir / "henkin-check-report.json").exists()
     assert not (workdir / "witness-report.json").exists()
+
+
+def test_batch_only_options_refused_with_alpha(workdir, capsys):
+    # one alpha is one moment: count and max-exp would be echoed and ignored
+    for argv, given in ((["--count", "7", "--max-exp", "3"], "count, max_exp"),
+                        (["--max-exp", "3"], "max_exp"),
+                        (["--count", "1"], "count")):
+        assert main(["moments", "--alpha", "1,1,1,1", "--samples", "1000", *argv]) == 2
+        assert f"only a batch without alpha takes {given}" in capsys.readouterr().err
+    assert not (workdir / "moments-report.json").exists()
+    assert main(["moments", "--alpha", "1,1,1,1", "--samples", "1000"]) == 0
+    config = load_report(workdir / "moments-report.json")["config"]
+    assert config["count"] == 1 and "max_exp" not in config
+    assert main(["moments", "--dim", "2", "--samples", "1000"]) == 0
+    config = load_report(workdir / "moments-report.json")["config"]
+    assert (config["count"], config["max_exp"]) == (100, 6)
 
 
 def test_d2_only_options_default_on_dim_2(workdir):

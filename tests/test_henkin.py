@@ -19,8 +19,6 @@ from daverify.henkin import (
     PushforwardMeasure,
     build_witness,
     functional_bound_check,
-    h_d2,
-    h_d4,
     henkin_identity_check,
     mc_moment,
     mc_moment_batch,
@@ -45,6 +43,11 @@ def sphere(count, rng, cdim):
 def ball(count, rng, cdim, radius):
     directions = sphere(count, rng, cdim)
     return directions * (radius * rng.random((count, 1)) ** (1.0 / (2 * cdim)))
+
+
+# r = 16 z1 z2 z3 z4 written out: the reference for henkin._r_values
+def r4(points):
+    return 16.0 * points[:, 0] * points[:, 1] * points[:, 2] * points[:, 3]
 
 
 D4 = PushforwardMeasure("D4")
@@ -133,37 +136,62 @@ class TestSamplers:
             assert np.abs(radii - 1.0).max() < 1e-12
 
     def test_d4_map_last_coordinate(self):
-        zeta = sample_torus(100, np.random.default_rng(0), 3)
-        pts = h_d4(zeta)
-        prod = pts[:, 0] * pts[:, 1] * pts[:, 2] * pts[:, 3]
-        # r(h(zeta)) = 16 * prod = 1 identically
-        assert np.abs(16.0 * prod - 1.0).max() < 1e-12
+        pts = D4.sample(100, np.random.default_rng(0))
+        # r(h(zeta)) = 16 z1 z2 z3 z4 = 1 identically
+        assert D4.scale == 16
+        assert np.abs(r4(pts) - 1.0).max() < 1e-12
 
     def test_d2_map_pairs_conjugates(self):
+        # the torus draw comes first, then the Cantor digits, and r = 2 z1 z2
+        # pushes to omega = e^(2 pi i t)
+        m2 = PushforwardMeasure("D2", fourier_table_recursion(4, 1e-12))
+        pts = m2.sample(50, np.random.default_rng(1))
         rng = np.random.default_rng(1)
-        zeta = sample_torus(50, rng, 1)[:, 0]
+        sample_torus(50, rng, 1)
         omega = np.exp(2j * np.pi * sample_cantor_points(50, rng))
-        pts = h_d2(zeta, omega)
-        assert np.abs(2.0 * pts[:, 0] * pts[:, 1] - omega).max() < 1e-12
+        assert m2.scale == 2
+        assert np.abs(henkin._r_values(pts, m2.scale) - omega).max() < 1e-12
 
     def test_chunked_samplers_equal_one_shot_draws(self):
         # integer arithmetic, no BLAS: t = hi 3^-32 + lo 3^-64 with the two
         # 32-digit halves read as exact integers
         place = 2 * 3 ** np.arange(31, -1, -1, dtype=np.int64)
-        for count in (1, 16383, 16384, 16385, 32769, 50000):
-            digits = np.random.default_rng(13).integers(0, 2, size=(count, 64))
+        counts = (*range(1, 21), 16383, 16384, 16385, 32769, 50000)
+        for seed, count in itertools.product((1, 13), counts):
+            digits = np.random.default_rng(seed).integers(0, 2, size=(count, 64))
             hi = (digits[:, :32] * place).sum(axis=1)
             lo = (digits[:, 32:] * place).sum(axis=1)
             expected = hi.astype(np.float64) * 3.0 ** -32 + lo.astype(np.float64) * 3.0 ** -64
-            got = sample_cantor_points(count, np.random.default_rng(13))
+            got = sample_cantor_points(count, np.random.default_rng(seed))
             assert got.tobytes() == expected.tobytes()
 
-            rng = np.random.default_rng(13)
+            # (zeta, conj(zeta_1 zeta_2 zeta_3)) / 2, with the later product in
+            # place as the sampler forms it: out of place, numpy rounds it
+            # differently at one row for some seeds, seed 1 among them
+            rng = np.random.default_rng(seed)
             zeta = np.exp(2j * np.pi * rng.random((count, 3)))
-            z4 = np.conj(zeta[:, 0] * zeta[:, 1] * zeta[:, 2])
-            expected = 0.5 * np.column_stack([zeta[:, 0], zeta[:, 1], zeta[:, 2], z4])
-            got = PushforwardMeasure("D4").sample(count, np.random.default_rng(13))
+            z4 = zeta[:, 0] * zeta[:, 1]
+            z4 *= zeta[:, 2]
+            expected = 0.5 * np.column_stack([zeta[:, 0], zeta[:, 1], zeta[:, 2], np.conj(z4)])
+            got = PushforwardMeasure("D4").sample(count, np.random.default_rng(seed))
             assert got.tobytes() == expected.tobytes()
+
+    def test_d2_sample_equals_its_written_out_map(self):
+        # (zeta, conj(zeta) omega) / sqrt(2), torus draw first, then the digits
+        d2 = PushforwardMeasure("D2", fourier_table_recursion(4, 1e-12))
+        for count in (*range(2, 21), 65537):
+            rng = np.random.default_rng(13)
+            zeta = np.exp(2j * np.pi * rng.random((count, 1)))[:, 0]
+            omega = np.exp(2j * np.pi * sample_cantor_points(count, rng))
+            expected = np.column_stack([zeta, np.conj(zeta) * omega]) / math.sqrt(2.0)
+            got = d2.sample(count, np.random.default_rng(13))
+            assert got.tobytes() == expected.tobytes()
+
+    def test_r_values_equal_the_written_out_product(self):
+        rng = np.random.default_rng(7)
+        for rows in range(1, 21):
+            p = sphere(rows, rng, 4)
+            assert henkin._r_values(p, 16).tobytes() == r4(p).tobytes()
 
     def test_cantor_samples_avoid_middle_third(self):
         t = sample_cantor_points(2000, np.random.default_rng(2))
@@ -171,17 +199,25 @@ class TestSamplers:
         assert t.min() >= 0.0 and t.max() < 1.0
 
     def test_ball_samples_inside_radius(self):
-        # |r(z)| = 16 |z1 z2 z3 z4| <= |z|^4 by the AM-GM inequality
-        blocks = henkin._closed_ball_r4_blocks(1000, 0, np.random.default_rng(3), 0.9)
-        assert max(float(np.abs(r).max()) for r in blocks) <= 0.9 ** 4 + 1e-12
+        # |r(z)| = c |z_1...z_d| <= |z|^d by the AM-GM inequality
+        d2 = PushforwardMeasure("D2", fourier_table_recursion(4, 1e-12))
+        for measure in (D4, d2):
+            blocks = henkin._closed_ball_r_blocks(measure, 1000, 0,
+                                                  np.random.default_rng(3), 0.9)
+            assert max(float(np.abs(r).max()) for r in blocks) <= 0.9 ** measure.dim + 1e-12
 
     def test_d2_requires_table(self):
         with pytest.raises(ValueError):
             PushforwardMeasure("D2")
 
     def test_every_entry_point_refuses_bad_variant_and_missing_table(self):
-        w2 = build_witness("D2", 4, fourier_table_recursion(4, 1e-12))
+        table = fourier_table_recursion(4, 1e-12)
+        w2 = build_witness("D2", 4, table)
         calls = [
+            # the D4 measure has t = 0: a table would be accepted and ignored
+            lambda: PushforwardMeasure("D4", table),
+            lambda: build_witness("D4", 2, table),
+            lambda: henkin_identity_check("D4", 4, build_witness("D4", 1), table=table),
             lambda: mc_moment("D3", (1, 1), 1000, 0),
             lambda: mc_moment_batch("D3", 5, 1000, 0),
             lambda: build_witness("D3", 2),
@@ -190,7 +226,8 @@ class TestSamplers:
             lambda: henkin_identity_check("D2", 4, w2),
         ]
         for call in calls:
-            with pytest.raises(ValueError, match="variant must be|needs a FourierTable"):
+            with pytest.raises(ValueError,
+                               match="variant must be|needs a FourierTable|takes no FourierTable"):
                 call()
 
 
@@ -412,10 +449,9 @@ class TestNonHenkin:
     def test_blocked_draws_equal_one_shot_samples(self, grid_points):
         rep = non_henkin_witness(n_max=2, grid_points=grid_points, seed=11)
         rng = np.random.default_rng(11)
-        interior = henkin._r4_values(ball(grid_points, rng, 4, 0.9))
+        interior = r4(ball(grid_points, rng, 4, 0.9))
         max_base = float(np.max(np.abs(0.5 * (1.0 + interior))))
-        closed = henkin._r4_values(np.vstack([ball(grid_points, rng, 4, 1.0),
-                                              sphere(grid_points, rng, 4)]))
+        closed = r4(np.vstack([ball(grid_points, rng, 4, 1.0), sphere(grid_points, rng, 4)]))
         sup_f1 = float(np.max(np.abs(0.5 * (1.0 + closed))))
         assert rep.max_base_abs.hex() == max_base.hex()
         assert rep.sup_ball_ok == (sup_f1 <= 1.0 + 1e-12)
@@ -436,18 +472,18 @@ class TestPeak:
         rng = np.random.default_rng(seed)
         support = PushforwardMeasure("D4").sample(samples, rng)
         support_dev = float(np.max(np.abs(np.sum(np.abs(support) ** 2, axis=1) - 1.0)))
-        f_support = 0.5 * (1.0 + henkin._r4_values(support))
+        f_support = 0.5 * (1.0 + r4(support))
         max_peak_dev = float(np.max(np.abs(f_support - 1.0)))
         half = samples // 2
         pts = np.vstack([ball(samples - half, rng, 4, 1.0), sphere(half, rng, 4)])
-        r_vals = henkin._r4_values(pts)
+        r_vals = r4(pts)
         mask = np.abs(r_vals - 1.0) > delta
         margins = 1.0 - np.abs(0.5 * (1.0 + r_vals[mask]))
         min_margin = float(np.min(margins)) if len(margins) else math.inf
         all_inside = bool(np.all(margins > 0.0)) if len(margins) else True
         passed = max_peak_dev <= peak_tol and support_dev <= peak_tol and all_inside
-        return PeakReport(samples, delta, max_peak_dev, support_dev, int(mask.sum()),
-                          int((~mask).sum()), min_margin, all_inside, passed)
+        return PeakReport(max_peak_dev, support_dev, int(mask.sum()), int((~mask).sum()),
+                          min_margin, all_inside, passed)
 
     @pytest.mark.parametrize("delta", [1e-3, 1e-2, 0.3])
     @pytest.mark.parametrize("samples", [1, 2, B - 1, B, B + 1, 3 * B + 7])
@@ -459,14 +495,14 @@ class TestPeak:
         target = B + 5  # a row of the second support block
         seen = [0]
 
-        def h_with_nan(zeta):
-            out = h_d4(zeta)
+        def torus_with_nan(count, rng, k):
+            out = sample_torus(count, rng, k)
             if 0 <= target - seen[0] < len(out):
                 out[target - seen[0], 0] = np.nan
             seen[0] += len(out)
             return out
 
-        monkeypatch.setattr(henkin, "h_d4", h_with_nan)
+        monkeypatch.setattr(henkin, "sample_torus", torus_with_nan)
         rep = peak_check(B + 10, 4)
         assert math.isnan(rep.max_peak_dev) and math.isnan(rep.support_dev)
         assert not rep.passed
