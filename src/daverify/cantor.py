@@ -16,8 +16,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
+
+from . import _workers
 
 # The variance of sigma about its barycenter 1/2 drives the IFS oracle's
 # a-priori tolerance below.
@@ -79,21 +82,59 @@ def _cos_product(n_max: int, eps: float) -> np.ndarray:
     sum_{j>=1} (2 pi x / 3^j)^2 / 2 = (pi x)^2 / 4 <= eps^2 / 4.
 
     Each angle is 2 pi (n mod 3^j) / 3^j with the remainder exact, so its
-    rounding error stays within a few units whatever n and j are. The factor
-    at level j has period 3^j in n: it is evaluated on n < min(3^j, n_max + 1),
-    where n mod 3^j = n, and tiled over the rest.
+    rounding error stays within a few units whatever n and j are. A level
+    whose period 3^j is at most n_max is evaluated once on n < 3^j, where
+    n mod 3^j = n, and tiled; the other levels are evaluated on every n.
+
+    The range is cut at the multiples of the largest power of 3 at most
+    n_max, so each of its (at most three) chunks starts at a multiple of
+    every tiled period, and the chunks run as independent tasks. Every entry
+    is the same product, multiplied level by level in the same order,
+    whatever the number of workers.
     """
-    x = np.arange(n_max + 1, dtype=np.float64)
-    v = np.ones(n_max + 1, dtype=np.float64)
-    c = np.empty(n_max + 1, dtype=np.float64)
-    for j in range(1, recursion_depth(n_max, eps) + 1):
-        period = 3 ** j
-        f = c[:min(period, n_max + 1)]
-        np.divide(x[:len(f)], float(period), out=f)
-        f *= 2.0 * np.pi
-        np.cos(f, out=f)
-        v *= f if len(f) == len(v) else np.resize(f, len(v))
+    size = n_max + 1
+    periods = [3 ** j for j in range(1, recursion_depth(n_max, eps) + 1)]
+    tiled = [p for p in periods if p <= n_max]
+    chunk = 3
+    while 3 * chunk <= n_max:
+        chunk *= 3
+    if chunk > n_max:  # no level is tiled
+        chunk = size
+    x = np.arange(size, dtype=np.float64)
+    v = np.ones(size, dtype=np.float64)
+    # the chunks' level factors, then one period of each tiled level
+    scratch = np.empty(size + sum(tiled), dtype=np.float64)
+    tiles = []
+    start = size
+    for p in tiled:
+        tiles.append(_level_factor(x[:p], p, scratch[start:start + p]))
+        start += p
+    bounds = [(s, min(s + chunk, size)) for s in range(0, size, chunk)]
+    _workers.run([partial(_cos_chunk, v[s:e], x[s:e], scratch[s:e], tiles, periods[len(tiled):])
+                  for s, e in bounds])
     return v
+
+
+def _level_factor(x: np.ndarray, period: int, out: np.ndarray) -> np.ndarray:
+    """cos(2 pi x / period), written into out."""
+    np.divide(x, float(period), out=out)
+    out *= 2.0 * np.pi
+    return np.cos(out, out=out)
+
+
+def _cos_chunk(v: np.ndarray, x: np.ndarray, scratch: np.ndarray,
+               tiles: list[np.ndarray], periods: list[int]) -> None:
+    """Multiply v, which starts at a multiple of every tiled period, by each
+    tiled level in place, period by period, then by each later level, whose
+    factor is evaluated at x in scratch."""
+    for tile in tiles:
+        p = len(tile)
+        whole = len(v) - len(v) % p
+        periods_in_v = v[:whole].reshape(-1, p)
+        periods_in_v *= tile
+        v[whole:] *= tile[:len(v) - whole]
+    for p in periods:
+        v *= _level_factor(x, p, scratch)
 
 
 @dataclass(frozen=True)

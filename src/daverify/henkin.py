@@ -23,10 +23,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import partial
 from typing import Iterator, Literal, Optional, Sequence
 
 import numpy as np
 
+from . import _workers
 from .cantor import FourierTable, fourier_table_recursion
 from .disc_kernel import build_kernel_sequence
 from .exact import (
@@ -196,38 +198,82 @@ class MomentReport:
     within_4_sigma: bool
 
 
-def _monomial_values(alpha: MultiIndex, points: np.ndarray,
-                     powers: dict[tuple[int, int], np.ndarray]) -> np.ndarray:
-    """prod_j points[:, j] ** alpha_j. An exponent-1 factor is the column of
-    `points` itself; a higher power is computed once and kept in `powers`,
-    keyed by (j, alpha_j), for the next moment of the batch."""
-    vals = None
-    for j, aj in enumerate(alpha):
-        if aj:
-            p = points[:, j] if aj == 1 else powers.get((j, aj))
-            if p is None:
-                p = powers[j, aj] = points[:, j] ** aj
-            if vals is None:
-                vals = p.copy()
-            else:
-                vals *= p
-    return np.ones(len(points), dtype=np.complex128) if vals is None else vals
+def _moment_sums(factors: list[np.ndarray], out: np.ndarray) -> tuple[complex, float]:
+    """The mean of v = the product of `factors`, and the deviation sum
+    sum |v - mean|^2. v is formed in `out`: the first product out of place,
+    the rest in place, left to right. Both sums are einsum's, whose order is
+    fixed and which calls no BLAS library."""
+    if not factors:
+        out.fill(1.0)
+    elif len(factors) == 1:
+        np.copyto(out, factors[0])
+    else:
+        np.multiply(factors[0], factors[1], out=out)
+        for f in factors[2:]:
+            out *= f
+    est = complex(np.einsum("i->", out)) / len(out)
+    out -= est
+    flat = out.view(np.float64)
+    return est, float(np.einsum("i,i->", flat, flat))
 
 
-def _mc_report(measure: PushforwardMeasure, alpha: MultiIndex, points: np.ndarray,
-               powers: dict[tuple[int, int], np.ndarray]) -> MomentReport:
-    moment = measure.moment(alpha)
-    closed = complex(moment)
-    exact_str = format_rational(moment) if isinstance(moment, Fraction) else None
-    vals = _monomial_values(alpha, points, powers)
-    est = complex(np.mean(vals))
-    m = len(vals)
-    var = float(np.var(vals.real) + np.var(vals.imag))
-    stderr = math.sqrt(var / m)
-    ok = abs(est - closed) <= max(4.0 * stderr, _MC_ABS_FLOOR)
-    return MomentReport(alpha=alpha, closed_form=closed,
-                        closed_form_exact=exact_str, mc_estimate=est,
-                        mc_stderr=stderr, within_4_sigma=ok)
+def _mc_report(measure: PushforwardMeasure, alphas: Sequence[MultiIndex], samples: int,
+               rng: np.random.Generator) -> dict[MultiIndex, MomentReport]:
+    """The report of each distinct multi-index of `alphas`, all on one sample
+    of `samples` points drawn from the measure with rng.
+
+    The points are copied into one contiguous column per coordinate and
+    dropped. The multi-indices are taken in sorted order, a group of
+    `_workers.WORKERS` at a time, each on its own thread with its own
+    product buffer; the column powers the next group needs are computed
+    alongside. A power is kept in `powers`, keyed by (j, alpha_j), until the
+    last multi-index that reads it; an exponent-1 factor is the column
+    itself. Each estimate depends only on alpha and the points, so neither
+    the order nor the number of workers changes a report.
+    """
+    columns = measure.sample(samples, rng).T.copy()
+    distinct = sorted(set(alphas))
+    last_reader = {(j, aj): i for i, a in enumerate(distinct)
+                   for j, aj in enumerate(a) if aj > 1}
+    powers: dict[tuple[int, int], np.ndarray] = {}
+
+    def power_tasks(group: list[MultiIndex]) -> list:
+        tasks = []
+        for a in group:
+            for j, aj in enumerate(a):
+                if aj > 1 and (j, aj) not in powers:
+                    out = powers[j, aj] = np.empty(samples, dtype=np.complex128)
+                    # as `column ** aj` rounds: numpy squares an exponent of 2
+                    tasks.append(partial(np.square, columns[j], out=out) if aj == 2
+                                 else partial(np.power, columns[j], aj, out=out))
+        return tasks
+
+    buffers = [np.empty(samples, dtype=np.complex128)
+               for _ in range(min(_workers.WORKERS, len(distinct)))]
+    groups = [distinct[i:i + len(buffers)] for i in range(0, len(distinct), len(buffers))]
+    _workers.run(power_tasks(groups[0]))
+    sums = []
+    for g, group in enumerate(groups):
+        ahead = power_tasks(groups[g + 1]) if g + 1 < len(groups) else []
+        products = [partial(_moment_sums, [columns[j] if aj == 1 else powers[j, aj]
+                                           for j, aj in enumerate(a) if aj], out)
+                    for a, out in zip(group, buffers)]
+        sums += _workers.run(products + ahead)[:len(group)]
+        for i, a in enumerate(group, g * len(buffers)):
+            for j, aj in enumerate(a):
+                if last_reader.get((j, aj)) == i:
+                    del powers[j, aj]
+
+    reports = {}
+    for a, (est, dev_sum) in zip(distinct, sums):
+        moment = measure.moment(a)
+        closed = complex(moment)
+        exact_str = format_rational(moment) if isinstance(moment, Fraction) else None
+        stderr = math.sqrt(dev_sum / samples / samples)
+        ok = abs(est - closed) <= max(4.0 * stderr, _MC_ABS_FLOOR)
+        reports[a] = MomentReport(alpha=a, closed_form=closed, closed_form_exact=exact_str,
+                                  mc_estimate=est, mc_stderr=stderr, within_4_sigma=ok)
+    return reports
 
 
 def _mc_measure(variant: Variant, max_n: int) -> PushforwardMeasure:
@@ -248,8 +294,7 @@ def mc_moment(variant: Variant, alpha: Sequence[int], samples: int,
         raise ValueError("samples must be >= 1000")
     a = validate_multi_index(alpha)
     measure = _mc_measure(variant, max(a))
-    points = measure.sample(samples, np.random.default_rng(seed))
-    return _mc_report(measure, a, points, {})
+    return _mc_report(measure, [a], samples, np.random.default_rng(seed))[a]
 
 
 def mc_moment_batch(variant: Variant, count: int, samples: int, seed: int,
@@ -259,12 +304,8 @@ def mc_moment_batch(variant: Variant, count: int, samples: int, seed: int,
     Exponents are drawn deterministically from the seeded generator; every
     tenth multi-index is forced onto the diagonal so nonzero closed forms
     are always represented. Sharing one batch keeps 100 checks at 1e5
-    samples fast without changing any single check's semantics.
-
-    Each distinct multi-index is evaluated once, in sorted order, and a
-    cached column power is dropped after the last multi-index that reads
-    it, so only the powers still ahead stay alive. The order does not
-    change any report: each estimate depends only on alpha and the points.
+    samples fast without changing any single check's semantics. A repeated
+    multi-index shares one report.
     """
     if samples < 1000:
         raise ValueError("samples must be >= 1000")
@@ -280,20 +321,7 @@ def mc_moment_batch(variant: Variant, count: int, samples: int, seed: int,
             alphas.append((k,) * dim)
         else:
             alphas.append(tuple(int(x) for x in rng.integers(0, max_exp + 1, size=dim)))
-    points = measure.sample(samples, rng)
-
-    # A repeated multi-index shares one report: the estimate depends only on
-    # alpha and the shared points.
-    distinct = sorted(set(alphas))
-    last_reader = {(j, aj): i for i, a in enumerate(distinct)
-                   for j, aj in enumerate(a) if aj > 1}
-    by_alpha: dict[MultiIndex, MomentReport] = {}
-    powers: dict[tuple[int, int], np.ndarray] = {}
-    for i, a in enumerate(distinct):
-        by_alpha[a] = _mc_report(measure, a, points, powers)
-        for j, aj in enumerate(a):
-            if last_reader.get((j, aj)) == i:
-                del powers[j, aj]
+    by_alpha = _mc_report(measure, alphas, samples, rng)
     return [by_alpha[a] for a in alphas]
 
 
@@ -365,23 +393,30 @@ class HenkinCheckResult:
 
 def henkin_identity_check(variant: Variant, maxdeg: int, witness: HenkinWitness,
                           table: Optional[FourierTable] = None,
-                          tol: float = 1e-10) -> HenkinCheckResult:
+                          tol: Optional[float] = None) -> HenkinCheckResult:
     """Verify integral(z^alpha dmu) = <z^alpha, g> on every monomial.
 
-    D4: all alpha with |alpha| <= maxdeg, compared as exact rationals; tol is
-    ignored and max_dev is 0 on success. Requires witness.N >= maxdeg // 4.
+    D4: all alpha with |alpha| <= maxdeg, compared as exact rationals, so it
+    takes no tol; max_dev is 0 on success. Requires witness.N >= maxdeg // 4.
 
     D2: all pairs (m, n) with m, n <= maxdeg. Off-diagonal entries are exact
     zeros on both sides; diagonal entries compare the moment route (through
     `table`, which should come from a builder independent of the witness's)
-    against the inner-product route, to tolerance tol. Requires
-    witness.N >= maxdeg.
+    against the inner-product route, to tolerance tol (1e-10 unless given;
+    positive and finite). Requires witness.N >= maxdeg.
     """
     measure = PushforwardMeasure(variant, table)
     if variant != witness.measure.variant:
         raise ValueError("witness variant does not match")
     if maxdeg < 0:
         raise ValueError("maxdeg must be >= 0")
+    if measure.table is None:
+        if tol is not None:
+            raise ValueError("the D4 identity is exact and takes no tol")
+    elif tol is None:
+        tol = 1e-10
+    elif not 0.0 < tol < math.inf:
+        raise ValueError(f"tol must be positive and finite, got {tol!r}")
 
     failures: list[tuple] = []
     if variant == "D4":

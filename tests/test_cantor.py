@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import mpmath
@@ -11,7 +12,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from daverify import cantor
+from daverify import _workers, cantor
 from daverify.cantor import (
     MAX_ENERGY_LEVEL,
     MAX_IFS_LEVEL,
@@ -160,6 +161,23 @@ class TestFourierTables:
             for j in range(1, recursion_depth(max_n, eps) + 1):
                 want *= np.cos((n % 3 ** j) / float(3 ** j) * (2.0 * np.pi))
             assert cantor._cos_product(max_n, eps).tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("max_n", [0, 1, 242, 243, 244, 512, 4096, 2 * 3 ** 12 + 5, 2 ** 20])
+    def test_chunked_product_is_bit_identical_for_any_worker_count(self, max_n, monkeypatch):
+        # the product before the range was cut into chunks: each level over
+        # the whole range at once, a tiled level repeated by np.resize
+        eps = 1e-12
+        x = np.arange(max_n + 1, dtype=np.float64)
+        want = np.ones(max_n + 1)
+        for j in range(1, recursion_depth(max_n, eps) + 1):
+            period = 3 ** j
+            f = np.cos(x[:min(period, max_n + 1)] / float(period) * (2.0 * np.pi))
+            want *= f if len(f) == len(want) else np.resize(f, len(want))
+        for workers in (1, 2, 3):
+            monkeypatch.setattr(_workers, "WORKERS", workers)
+            threads = threading.active_count()
+            assert cantor._cos_product(max_n, eps).tobytes() == want.tobytes()
+            assert threading.active_count() == threads
 
     def test_conjugate_symmetry(self):
         for table in (fourier_table_recursion(64, 1e-10), fourier_table_ifs(64, 12)):

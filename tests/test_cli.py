@@ -213,6 +213,16 @@ def test_cantor_fourier_records_sweep(workdir):
     assert "per_doubling_increase" in sweep_row
 
 
+def test_cantor_fourier_below_ifs_rounding_passes(workdir):
+    # the IFS table's symmetry defect is float rounding, about 5.6e-15; it
+    # is judged against that table's own tolerance, not against 2 eps
+    assert main(["cantor-fourier", "--eps", "1e-17"]) == 0
+    rep = load_report(workdir / "cantor-fourier-report.json")
+    row = [r for r in rep["results"] if r["check"] == "cantor/conjugate-symmetry"][0]
+    assert row["pass"] is True and set(row) == {"check", "pass", "defect"}
+    assert 2e-17 < row["defect"] < 1e-13
+
+
 def test_ifs_level_above_cap_exit_2(workdir):
     for argv in (["cantor-fourier", "--level", "21"],
                  ["henkin-check", "--dim", "2", "--level", "21"],

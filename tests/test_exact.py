@@ -1,5 +1,6 @@
 """Exact arithmetic core: Gaussian rationals, multi-indices, polynomials."""
 
+import sys
 from decimal import Decimal
 from fractions import Fraction
 
@@ -35,6 +36,20 @@ class TestRationalSerialization:
         assert Fraction(int(Decimal(p_str)), int(Decimal(q_str))) == q
         assert p_str.endswith(f"{q.numerator % 10 ** 20:020d}")
         assert format_rational(-q).startswith("-" + p_str[:50])
+
+    def test_large_parts_match_str_of_int(self):
+        # the divide-and-conquer conversion against str() with its digit
+        # limit lifted, across the direct-conversion threshold and past it
+        values = [0, 1, -1, 10 ** 19, -(2 ** 1024), 2 ** 1024 + 1, 2 ** 2049 - 1,
+                  -(7 ** 6000 + 2), 3 ** 20_000, 16 ** 2 ** 14 - 1, -(10 ** 30_000)]
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(0)
+        try:
+            for n in values:
+                assert format_rational(n) == f"{n}/1"
+                assert format_rational(Fraction(1, abs(n) + 1)) == f"1/{abs(n) + 1}"
+        finally:
+            sys.set_int_max_str_digits(limit)
 
     @given(fractions)
     def test_round_trip(self, q):

@@ -4,13 +4,14 @@ and peak behaviour."""
 import dataclasses
 import itertools
 import math
+import threading
 import tracemalloc
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from daverify import henkin
+from daverify import _workers, henkin
 from daverify.cantor import fourier_table_ifs, fourier_table_recursion
 from daverify.exact import Polynomial, QComplex, format_rational, multi_indices
 from daverify.henkin import (
@@ -248,9 +249,11 @@ class TestMonteCarlo:
         assert good >= math.ceil(0.95 * len(reps))
 
     def test_batch_power_cache_is_bit_identical(self):
-        # mc_moment_batch as one loop over every alpha, repeats included, each
-        # product rebuilt from np.ones: the reference for the power cache and
-        # for reusing a repeated alpha's report
+        # mc_moment_batch as one loop over every alpha, repeats included, on
+        # contiguous columns, with no power cache and no threads: the first
+        # product out of place, the rest in place, then the einsum mean and
+        # deviation sum. The pinned reference for the cache, the worker
+        # threads and reusing a repeated alpha's report.
         def reference(variant, count, samples, seed, max_exp=6):
             rng = np.random.default_rng(seed)
             dim = 4 if variant == "D4" else 2
@@ -263,28 +266,67 @@ class TestMonteCarlo:
             table = None if variant == "D4" else fourier_table_recursion(max_exp, 1e-12)
             measure = PushforwardMeasure(variant, table)
             points = measure.sample(samples, rng)
-            reports = []
+            columns = points.T.copy()
+            new, old = [], []
             for a in alphas:
+                if variant == "D4":
+                    ce = measure.moment(a)
+                    closed, exact_str = complex(float(ce), 0.0), format_rational(ce)
+                else:
+                    closed, exact_str = measure.moment(a), None
+
+                factors = [columns[j] ** aj for j, aj in enumerate(a) if aj]
+                if not factors:
+                    vals = np.ones(samples, dtype=np.complex128)
+                elif len(factors) == 1:
+                    vals = factors[0].copy()
+                else:
+                    vals = factors[0] * factors[1]
+                    for f in factors[2:]:
+                        vals *= f
+                est = complex(np.einsum("i->", vals)) / samples
+                vals -= est
+                flat = vals.view(np.float64)
+                stderr = math.sqrt(float(np.einsum("i,i->", flat, flat)) / samples / samples)
+                ok = abs(est - closed) <= max(4.0 * stderr, 1e-13)
+                new.append(MomentReport(a, closed, exact_str, est, stderr, ok))
+
+                # the formula before the contiguous columns: strided powers
+                # multiplied into ones, np.mean and np.var
                 vals = np.ones(samples, dtype=np.complex128)
                 for j, aj in enumerate(a):
                     if aj:
                         vals *= points[:, j] ** aj
                 est = complex(np.mean(vals))
                 stderr = math.sqrt(float(np.var(vals.real) + np.var(vals.imag)) / samples)
-                if variant == "D4":
-                    ce = measure.moment(a)
-                    closed, exact_str = complex(float(ce), 0.0), format_rational(ce)
-                else:
-                    closed, exact_str = measure.moment(a), None
                 ok = abs(est - closed) <= max(4.0 * stderr, 1e-13)
-                reports.append(MomentReport(a, closed, exact_str, est, stderr, ok))
-            return alphas, reports
+                old.append(MomentReport(a, closed, exact_str, est, stderr, ok))
+            return alphas, new, old
 
         for variant, count, seed in (("D4", 40, 29), ("D2", 40, 29), ("D2", 100, 123)):
-            alphas, want = reference(variant, count, 5000, seed)
-            assert repr(mc_moment_batch(variant, count, 5000, seed)) == repr(want)
+            alphas, want, old = reference(variant, count, 5000, seed)
+            got = mc_moment_batch(variant, count, 5000, seed)
+            assert repr(got) == repr(want)
+            for g, o in zip(got, old):
+                assert abs(g.mc_estimate - o.mc_estimate) <= 1e-15
+                assert g.within_4_sigma == o.within_4_sigma
             if (variant, count) == ("D2", 100):
                 assert len(set(alphas)) < len(alphas)
+
+    @pytest.mark.parametrize("call", [
+        lambda: mc_moment_batch("D4", 100, 4000, 31),
+        lambda: mc_moment_batch("D2", 100, 4000, 37),
+        lambda: mc_moment("D4", (3, 1, 0, 2), 4000, 41),
+        lambda: mc_moment("D2", (5, 5), 4000, 43),
+    ], ids=["batch-d4", "batch-d2", "one-d4", "one-d2"])
+    def test_reports_do_not_depend_on_worker_count(self, call, monkeypatch):
+        reports = []
+        for workers in (1, 2, 3):
+            monkeypatch.setattr(_workers, "WORKERS", workers)
+            threads = threading.active_count()
+            reports.append(repr(call()))
+            assert threading.active_count() == threads
+        assert reports[1] == reports[0] and reports[2] == reports[0]
 
     def test_batch_drops_each_column_power_after_its_last_reader(self):
         # in units of one complex column of the batch; keeping every cached
@@ -401,6 +443,23 @@ class TestHenkinIdentity:
         shifted = dataclasses.replace(oracle, coeffs=coeffs)
         res = henkin_identity_check("D2", 40, build_witness("D2", 40, rec), table=shifted)
         assert res.failures == ((5, 5),) and not res.passed
+
+    def test_tol_is_d2_only_and_checked(self):
+        # D4 compares exact rationals: a tol would be accepted and ignored
+        w4 = build_witness("D4", 1)
+        for tol in (-1.0, 1e-10):
+            with pytest.raises(ValueError, match="takes no tol"):
+                henkin_identity_check("D4", 4, w4, tol=tol)
+        rec = fourier_table_recursion(10, 1e-12)
+        oracle = fourier_table_ifs(10, 14)
+        w2 = build_witness("D2", 10, rec)
+        for tol in (0.0, -1e-10, math.inf, math.nan):
+            with pytest.raises(ValueError, match="positive and finite"):
+                henkin_identity_check("D2", 10, w2, table=oracle, tol=tol)
+        # the default is 1e-10: a deviation above it fails, one below passes
+        res = henkin_identity_check("D2", 10, w2, table=oracle)
+        assert res.passed and 0.0 < res.max_dev < 1e-10
+        assert not henkin_identity_check("D2", 10, w2, table=oracle, tol=res.max_dev / 2).passed
 
     def test_d2_missing_table_rejected(self):
         rec = fourier_table_recursion(10, 1e-12)

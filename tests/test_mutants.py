@@ -21,6 +21,9 @@ _SAMPLE = PushforwardMeasure.sample
 _MOMENT = PushforwardMeasure.moment
 _CONJ_R_MOMENT = PushforwardMeasure.conj_r_moment
 _IFS = cantor.fourier_table_ifs
+_COS_PRODUCT = cantor._cos_product
+_LEVEL_FACTOR = cantor._level_factor
+_PHASES = cantor._phases
 _BUILD_WITNESS = henkin.build_witness
 
 
@@ -64,6 +67,41 @@ def ifs_sigma_hat_1_times_1_01(mp):
     mp.setattr(cantor, "fourier_table_ifs", ifs)
 
 
+def cos_product_without_sign(mp):
+    # odd n negated, which cancels the table's (-1)^n
+    def cos_product(n_max, eps):
+        v = _COS_PRODUCT(n_max, eps)
+        v[1::2] *= -1.0
+        return v
+    mp.setattr(cantor, "_cos_product", cos_product)
+
+
+def tiled_level_9_times_1_plus_1e_7(mp):
+    def level_factor(x, period, out):
+        f = _LEVEL_FACTOR(x, period, out)
+        if period == 9:
+            f *= 1.0 + 1e-7
+        return f
+    mp.setattr(cantor, "_level_factor", level_factor)
+
+
+def level_9_angle_times_1_plus_1e_6(mp):
+    # sigma_hat(3n) = sigma_hat(n) pairs level j at 3n with level j - 1 at n
+    mp.setattr(cantor, "_level_factor", lambda x, period, out: _LEVEL_FACTOR(
+        x * (1.0 + 1e-6) if period == 9 else x, period, out))
+
+
+def ifs_phases_rotated_by_1e_6(mp):
+    mp.setattr(cantor, "_phases", lambda ks, t: _PHASES(ks, t) * np.exp(1e-6j))
+
+
+def weighted_terms_unsquared(mp):
+    # sigma_hat(n) in place of |sigma_hat(n)|^2: terms of either sign
+    def weighted_terms(n_max, eps):
+        return _COS_PRODUCT(n_max, eps) * (np.arange(n_max + 1) + 1.0) ** -0.5
+    mp.setattr(cantor, "_weighted_terms", weighted_terms)
+
+
 def witness_norm_quartered(mp):
     def build(*args, **kwargs):
         w = _BUILD_WITNESS(*args, **kwargs)
@@ -73,6 +111,17 @@ def witness_norm_quartered(mp):
 
 # (stage as `daverify all` labels it, the entry's mutation, the rows it flips)
 ENTRIES = [
+    ("cantor-fourier", cos_product_without_sign, {"cantor/recursion-vs-ifs-oracle"}),
+    ("cantor-fourier", tiled_level_9_times_1_plus_1e_7,
+     {"cantor/coeff-at-zero-is-one", "cantor/modulus-at-most-one"}),
+    ("cantor-fourier", level_9_angle_times_1_plus_1e_6,
+     {"cantor/self-similarity-at-triples", "cantor/recursion-vs-ifs-oracle"}),
+    # a common phase on the offset and the inner blocks: sigma_hat(n) turns
+    # by 2e-6, and sigma_hat(-n) turns the same way instead of the opposite
+    ("cantor-fourier", ifs_phases_rotated_by_1e_6,
+     {"cantor/coeff-at-zero-is-one", "cantor/conjugate-symmetry",
+      "cantor/recursion-vs-ifs-oracle"}),
+    ("cantor-fourier", weighted_terms_unsquared, {"cantor/weighted-sum-nondecreasing"}),
     ("moments[d4]", sample_unconjugated, {"moments/batch-4-sigma-agreement"}),
     ("moments[d2]", sample_unconjugated, {"moments/batch-4-sigma-agreement"}),
     ("henkin-check[d4]", conj_r_moment_doubled_at_1, {"henkin/d4-exact-identity"}),
