@@ -46,11 +46,20 @@ _CSV_COMMANDS = {"kernel-table", "cantor-fourier", "moments"}
 
 
 def _resolve_output(cfg: RunConfig) -> Path:
+    """The report path, refused with ConfigError where no file can be
+    written: an existing directory, or a path below a file that is not one."""
     name = cfg.output or f"{cfg.command}-report.json"
     path = Path(name)
     base = os.environ.get(OUTPUT_DIR_ENV)
     if base and not path.is_absolute():
         path = Path(base) / path
+    if path.is_dir():
+        raise ConfigError(f"output {path} is a directory")
+    for parent in path.parents:
+        if parent.exists():
+            if not parent.is_dir():
+                raise ConfigError(f"output {path} lies below {parent}, which is not a directory")
+            break
     return path
 
 
@@ -110,12 +119,12 @@ def run(cfg: RunConfig) -> int:
         except KeyError:
             raise ConfigError(f"unknown command {cfg.command!r}")
 
+    out_path = _resolve_output(cfg)
     t0 = time.perf_counter()
     config, results, tables = fn(cfg)
     elapsed = time.perf_counter() - t0
 
     report = reports.make_report(cfg.command, config, results)
-    out_path = _resolve_output(cfg)
     out_path.parent.mkdir(parents=True, exist_ok=True)
     reports.dump_report(report, out_path)
 

@@ -146,8 +146,13 @@ class QComplex:
         return complex(float(self.re), float(self.im))
 
     def __eq__(self, other) -> bool:
-        if isinstance(other, (int, Fraction)) and not isinstance(other, bool):
-            return self.im == 0 and self.re == other
+        # ints and Fractions, like the parts, are in lowest terms, so equal
+        # values have equal numerators and denominators: compared directly,
+        # without Fraction.__eq__'s numbers.Rational check
+        if isinstance(other, (Fraction, int)) and not isinstance(other, bool):
+            re = self.re
+            return (self.im.numerator == 0 and re.numerator == other.numerator
+                    and re.denominator == other.denominator)
         if isinstance(other, QComplex):
             return self.re == other.re and self.im == other.im
         return NotImplemented
@@ -194,6 +199,15 @@ class Polynomial:
         qc = QComplex.from_value(coeff)
         if not qc.is_zero():
             p.terms[a] = qc
+        return p
+
+    @classmethod
+    def _unit_monomial(cls, alpha: MultiIndex) -> "Polynomial":
+        """z^alpha with coefficient 1, for an alpha that is already a valid
+        multi-index tuple (as multi_indices makes them): not checked again."""
+        p = object.__new__(cls)
+        p.dimension = len(alpha)
+        p.terms = {alpha: QC_ONE}
         return p
 
     def degree(self) -> int:

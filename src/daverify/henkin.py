@@ -140,11 +140,15 @@ class PushforwardMeasure:
         Fraction c^(-k) where t = 0, and c^(-k) sigma_hat(-k) where t ~ sigma
         (a complex, 0j off the diagonal; ValueError past the table)."""
         a = validate_multi_index(alpha)
-        dim = self.dim
-        if len(a) != dim:
-            raise ValueError(f"{self.variant} moments take multi-indices of length {dim}")
+        if len(a) != self.dim:
+            raise ValueError(f"{self.variant} moments take multi-indices of length {self.dim}")
+        return self._moment(a)
+
+    def _moment(self, a: MultiIndex):
+        """`moment`'s formula, for an a already checked: a tuple of dim
+        nonnegative ints."""
         k = a[0]
-        if a.count(k) != dim:
+        if a.count(k) != self.dim:
             return _ZERO if self.table is None else 0j
         if self.table is None:
             return Fraction(1, self.scale ** k)
@@ -396,8 +400,9 @@ def henkin_identity_check(variant: Variant, maxdeg: int, witness: HenkinWitness,
                           tol: Optional[float] = None) -> HenkinCheckResult:
     """Verify integral(z^alpha dmu) = <z^alpha, g> on every monomial.
 
-    D4: all alpha with |alpha| <= maxdeg, compared as exact rationals, so it
-    takes no tol; max_dev is 0 on success. Requires witness.N >= maxdeg // 4.
+    D4 (t = 0): all alpha with |alpha| <= maxdeg, compared as exact
+    rationals, so it takes no tol; max_dev is 0 on success. Requires
+    witness.N >= maxdeg // 4.
 
     D2: all pairs (m, n) with m, n <= maxdeg. Off-diagonal entries are exact
     zeros on both sides; diagonal entries compare the moment route (through
@@ -419,15 +424,15 @@ def henkin_identity_check(variant: Variant, maxdeg: int, witness: HenkinWitness,
         raise ValueError(f"tol must be positive and finite, got {tol!r}")
 
     failures: list[tuple] = []
-    if variant == "D4":
+    if measure.table is None:
         if witness.N < maxdeg // 4:
             raise ValueError("witness truncation too small for maxdeg")
         g = witness.as_polynomial()
         checked = 0
+        # multi_indices makes valid tuples of length dim, so neither the
+        # monomial nor the moment checks them again
         for alpha in multi_indices(measure.dim, maxdeg):
-            lhs = measure.moment(alpha)
-            rhs = da_inner(Polynomial.monomial(alpha), g)
-            if not (rhs.im == 0 and rhs.re == lhs):
+            if da_inner(Polynomial._unit_monomial(alpha), g) != measure._moment(alpha):
                 failures.append(alpha)
             checked += 1
         return HenkinCheckResult(checked=checked,

@@ -11,9 +11,10 @@ against its exact counterpart.
 
 Two integer shortcuts keep the exact values cheap without changing them. The
 multinomial (d n)!/(n!)^d in ||r^n||^2 is built from its prime exponents
-(Legendre's formula for v_p(m!)) instead of from full factorials, and sums
-of Fractions are taken over one common denominator with a single reduction
-at the end instead of a gcd after every addition.
+(Legendre's formula for v_p(m!)), with the prime powers multiplied pairwise,
+instead of from full factorials, and sums of Fractions are taken over one
+common denominator with a single reduction at the end instead of a gcd after
+every addition.
 """
 
 from __future__ import annotations
@@ -72,6 +73,9 @@ def da_inner(p: Polynomial, q: Polynomial) -> QComplex:
     if p.dimension != q.dimension:
         raise ValueError(f"dimension mismatch: {p.dimension} vs {q.dimension}")
     pt, qt = p.terms, q.terms
+    # a one-term p absent from q, as for most monomials against a sparse q
+    if len(pt) == 1 and next(iter(pt)) not in qt:
+        return _QC_ZERO
     re_nums, im_nums, dens = [], [], []
     for alpha in (pt if len(pt) <= len(qt) else qt):
         x = pt.get(alpha)
@@ -114,7 +118,12 @@ def _multinomial(d: int, n: int) -> int:
             e += m // q - d * (n // q)
             q *= p
         powers.append(p ** e)
-    return math.prod(powers)
+    # pairwise, so that most products join factors of similar size, which
+    # big-int multiplication does faster than one growing product
+    while len(powers) > 1:
+        it = iter(powers)
+        powers = [a * b for a, b in itertools.zip_longest(it, it, fillvalue=1)]
+    return powers[0]
 
 
 def _r_power_norm_terms(d: int, n: int) -> tuple[int, int]:

@@ -285,6 +285,28 @@ def test_config_from_parser_round_trip(workdir):
     assert rep["config"]["count"] == 5
 
 
+def _refused_before_any_stage(argv, message, capsys):
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert message in err and "Traceback" not in err
+    assert out == ""  # no stage line and no summary: nothing ran
+
+
+def test_output_naming_a_directory_exit_2(workdir, capsys):
+    (workdir / "taken").mkdir()
+    for argv in (["kernel-table", "--dim", "2", "--n", "5"], ["all"]):
+        _refused_before_any_stage(argv + ["--output", "taken"], "is a directory", capsys)
+    assert not any((workdir / "taken").iterdir())
+
+
+def test_output_below_a_regular_file_exit_2(workdir, capsys):
+    (workdir / "plain").write_text("")
+    for output in ("plain/report.json", "plain/sub/report.json"):
+        for argv in (["kernel-table", "--dim", "2", "--n", "5"], ["all"]):
+            _refused_before_any_stage(argv + ["--output", output], "not a directory", capsys)
+    assert (workdir / "plain").read_text() == ""
+
+
 def test_oversized_fourier_table_exit_2(workdir, capsys):
     assert main(["cantor-fourier", "--max-n", "1000000000"]) == 2
     assert "max-n must be in" in capsys.readouterr().err

@@ -21,6 +21,25 @@ fractions = st.fractions(min_value=-10, max_value=10, max_denominator=30)
 qcomplexes = st.builds(QComplex, fractions, fractions)
 
 
+class Ratio(Fraction):
+    pass
+
+
+# ints, Fractions built from unreduced parts and a Fraction subclass
+rationals = st.one_of(
+    st.integers(-10 ** 20, 10 ** 20),
+    fractions,
+    st.builds(lambda n, d, k: Fraction(n * k, d * k),
+              st.integers(-30, 30), st.integers(1, 30), st.integers(2, 9)),
+    st.builds(Ratio, st.integers(-30, 30), st.integers(1, 30)),
+)
+
+
+def parts(x) -> tuple[Fraction, Fraction]:
+    """x as its real and imaginary parts, the definition of QComplex equality."""
+    return (x.re, x.im) if isinstance(x, QComplex) else (Fraction(x), Fraction(0))
+
+
 class TestRationalSerialization:
     def test_format_lowest_terms_positive_denominator(self):
         assert format_rational(Fraction(2, 4)) == "1/2"
@@ -66,6 +85,23 @@ class TestQComplex:
     def test_equality_against_rationals(self):
         assert QComplex(Fraction(1, 2)) == Fraction(1, 2)
         assert QComplex(Fraction(1, 2), Fraction(1)) != Fraction(1, 2)
+        # a bool is not taken for the int it subclasses
+        for b in (False, True):
+            q = QComplex(Fraction(int(b)))
+            assert not q == b and q != b and not b == q and b != q
+
+    @given(rationals, fractions, st.sampled_from([0, Fraction(1, 7)]))
+    def test_equality_with_rationals_is_part_by_part(self, x, im, shift):
+        for q in (QComplex(Fraction(x) + shift), QComplex(Fraction(x) + shift, im)):
+            expected = parts(q) == parts(x)
+            assert (q == x) is expected and (x == q) is expected
+            assert (q != x) is not expected and (x != q) is not expected
+
+    @given(qcomplexes, qcomplexes)
+    def test_equality_with_qcomplex_is_part_by_part(self, a, b):
+        for other in (b, QComplex(a.re, a.im), QComplex(a.re, a.im + 1)):
+            expected = parts(a) == parts(other)
+            assert (a == other) is expected and (a != other) is not expected
 
     def test_hash_agrees_with_equality(self):
         assert {QComplex(Fraction(1, 2)), Fraction(1, 2)} == {Fraction(1, 2)}
@@ -157,3 +193,11 @@ class TestPolynomial:
     def test_dimension_mismatch_raises(self):
         with pytest.raises(ValueError):
             Polynomial(2, {(1, 0, 0): 1})
+
+    def test_unit_monomial_equals_checked_monomial(self):
+        for d, cap in ((4, 12), (2, 30)):
+            for alpha in multi_indices(d, cap):
+                fast, checked = Polynomial._unit_monomial(alpha), Polynomial.monomial(alpha)
+                assert fast.dimension == checked.dimension == d
+                assert fast.terms == checked.terms
+                assert [(c.re, c.im) for c in fast.terms.values()] == [(1, 0)]

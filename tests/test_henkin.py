@@ -52,15 +52,16 @@ def r4(points):
 
 
 D4 = PushforwardMeasure("D4")
-_MOMENT = PushforwardMeasure.moment
+_MOMENT = PushforwardMeasure._moment
 
 
 def perturb_moments(monkeypatch, wrong_at) -> None:
-    """Make PushforwardMeasure.moment wrong by 2^-60 at each alpha in wrong_at."""
+    """Make the moment formula, which `PushforwardMeasure.moment` wraps and
+    the identity check reads, wrong by 2^-60 at each alpha in wrong_at."""
     def wrong(self, alpha):
         m = _MOMENT(self, alpha)
-        return m + Fraction(1, 2 ** 60) if tuple(alpha) in wrong_at else m
-    monkeypatch.setattr(PushforwardMeasure, "moment", wrong)
+        return m + Fraction(1, 2 ** 60) if alpha in wrong_at else m
+    monkeypatch.setattr(PushforwardMeasure, "_moment", wrong)
 
 
 def perturb_diagonal_moment(monkeypatch, j0: int) -> None:
@@ -81,6 +82,17 @@ class TestClosedFormMoments:
     def test_d4_needs_length_four(self):
         with pytest.raises(ValueError):
             D4.moment((1, 1))
+
+    def test_moment_checks_its_index_before_the_formula(self):
+        # the identity check reads the unchecked formula; moment still refuses
+        # what is not a multi-index of the measure's length
+        d2 = PushforwardMeasure("D2", fourier_table_recursion(4, 1e-12))
+        for measure, dim in ((D4, 4), (d2, 2)):
+            for bad in ((1, -1) + (0,) * (dim - 2), (True,) + (0,) * (dim - 1),
+                        (1.0,) + (0,) * (dim - 1), (), (0,) * (dim + 1)):
+                with pytest.raises(ValueError):
+                    measure.moment(bad)
+            assert measure.moment([2] * dim) == measure._moment((2,) * dim)
 
     def test_moment_pins_both_formulas(self):
         # each closed form written out on its own, against the shared body:
@@ -332,6 +344,9 @@ class TestMonteCarlo:
         # in units of one complex column of the batch; keeping every cached
         # power to the end of the batch needs about 30
         samples = 5 * 10 ** 4
+        # numpy.random imports lazily on first use; drawn once here, its
+        # import stays outside the measured window
+        np.random.default_rng(0).random()
         tracemalloc.start()
         try:
             mc_moment_batch("D4", 100, samples, 31)

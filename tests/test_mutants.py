@@ -8,23 +8,90 @@ no entry flips would pass whatever the library computed.
 """
 
 import dataclasses
+import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from daverify import cantor, checks, henkin
+from daverify import cantor, checks, disc_kernel, henkin, norms
 from daverify.henkin import PushforwardMeasure
 
 _R_VALUES = henkin._r_values
 _SAMPLE = PushforwardMeasure.sample
-_MOMENT = PushforwardMeasure.moment
+_MOMENT = PushforwardMeasure._moment
 _CONJ_R_MOMENT = PushforwardMeasure.conj_r_moment
 _IFS = cantor.fourier_table_ifs
 _COS_PRODUCT = cantor._cos_product
 _LEVEL_FACTOR = cantor._level_factor
 _PHASES = cantor._phases
 _BUILD_WITNESS = henkin.build_witness
+_MONOMIAL_NORM_SQ = norms.monomial_norm_sq
+_R_POWER_NORM_SQ = norms.r_power_norm_sq
+_MULTINOMIAL = norms._multinomial
+_KERNEL_WEIGHTS = disc_kernel._kernel_weights
+_FLOAT_COEFFS = disc_kernel.float_coeff_sequence
+
+
+def hardy_space_norms(mp):
+    # alpha! (d-1)! / (|alpha| + d - 1)!, the norms of the Hardy space of the
+    # ball: equal to the Drury-Arveson ones in one variable only
+    def norm_sq(alpha):
+        d = len(alpha)
+        return Fraction(math.prod(map(math.factorial, alpha)) * math.factorial(d - 1),
+                        math.factorial(sum(alpha) + d - 1))
+    mp.setattr(norms, "monomial_norm_sq", norm_sq)
+
+
+def one_variable_norms_doubled(mp):
+    mp.setattr(norms, "monomial_norm_sq", lambda alpha: (
+        2 * _MONOMIAL_NORM_SQ(alpha) if len(alpha) == 1 and alpha[0] > 0
+        else _MONOMIAL_NORM_SQ(alpha)))
+
+
+def r_power_norm_doubled_at_d4_n1(mp):
+    mp.setattr(norms, "r_power_norm_sq", lambda d, n: (
+        2 * _R_POWER_NORM_SQ(d, n) if (d, n) == (4, 1) else _R_POWER_NORM_SQ(d, n)))
+
+
+def norm_sq_at_3333_times_5_4(mp):
+    # the inner-product route: da_inner reads ||z^alpha||^2 from norms
+    mp.setattr(norms, "monomial_norm_sq", lambda alpha: (
+        Fraction(5, 4) * _MONOMIAL_NORM_SQ(alpha) if alpha == (3, 3, 3, 3)
+        else _MONOMIAL_NORM_SQ(alpha)))
+
+
+def multinomial_doubled_at_5(mp):
+    # the closed form ||r^5||^2; the recurrence for a_n stays right
+    mp.setattr(norms, "_multinomial",
+               lambda d, n: 2 * _MULTINOMIAL(d, n) if n == 5 else _MULTINOMIAL(d, n))
+
+
+def kernel_weight_a0_doubled(mp):
+    def weights(d, count):
+        a = _KERNEL_WEIGHTS(d, count)
+        a[0] *= 2
+        return a
+    mp.setattr(disc_kernel, "_kernel_weights", weights)
+
+
+def kernel_weight_a10_repeats_a9(mp):
+    def weights(d, count):
+        a = _KERNEL_WEIGHTS(d, count)
+        a[10] = a[9]
+        return a
+    mp.setattr(disc_kernel, "_kernel_weights", weights)
+
+
+def float_weights_times_1_1_past_5000(mp):
+    mp.setattr(disc_kernel, "float_coeff_sequence", lambda d, n_max: _FLOAT_COEFFS(d, n_max)
+               * np.where(np.arange(n_max + 1) > 5000, 1.1, 1.0))
+
+
+def float_weights_of_d2(mp):
+    # a_n ~ (n+1)^(-1/2) in place of (n+1)^(-3/2): the d = 4 tail estimate
+    # reads a_1000 only, and fails from about 12 times its value
+    mp.setattr(disc_kernel, "float_coeff_sequence", lambda d, n_max: _FLOAT_COEFFS(2, n_max))
 
 
 def r_values_times_5_4(mp):
@@ -46,10 +113,11 @@ def sample_off_sphere(mp):
 
 
 def diagonal_moment_times_5_4(mp):
+    # the formula that `moment` wraps and the identity check reads directly
     def moment(self, alpha):
         m = _MOMENT(self, alpha)
         return m * Fraction(5, 4) if len(set(alpha)) == 1 and alpha[0] > 0 else m
-    mp.setattr(PushforwardMeasure, "moment", moment)
+    mp.setattr(PushforwardMeasure, "_moment", moment)
 
 
 def conj_r_moment_doubled_at_1(mp):
@@ -111,6 +179,28 @@ def witness_norm_quartered(mp):
 
 # (stage as `daverify all` labels it, the entry's mutation, the rows it flips)
 ENTRIES = [
+    ("verify-norms", hardy_space_norms,
+     {"norms/kernel-expansion-oracle-d2", "norms/kernel-expansion-oracle-d3",
+      "norms/kernel-expansion-oracle-d4", "norms/extension-isometric",
+      "norms/frozen-examples"}),
+    ("verify-norms", one_variable_norms_doubled,
+     {"norms/kernel-expansion-oracle-d1", "norms/extension-isometric"}),
+    ("verify-norms", r_power_norm_doubled_at_d4_n1, {"norms/frozen-examples"}),
+    ("kernel-table[d2]", multinomial_doubled_at_5,
+     {"kernel/a-times-norm-is-one", "kernel/dirichlet-binomial-identity"}),
+    ("kernel-table[d2]", kernel_weight_a0_doubled,
+     {"kernel/a-times-norm-is-one", "kernel/a0-is-one"}),
+    ("kernel-table[d2]", kernel_weight_a10_repeats_a9,
+     {"kernel/a-times-norm-is-one", "kernel/positive-strictly-decreasing"}),
+    ("kernel-table[d2]", float_weights_times_1_1_past_5000,
+     {"kernel/normalized-ratio-envelope", "kernel/partial-sum-diverging-sqrt"}),
+    ("kernel-table[d4]", multinomial_doubled_at_5, {"kernel/a-times-norm-is-one"}),
+    ("kernel-table[d4]", kernel_weight_a0_doubled,
+     {"kernel/a-times-norm-is-one", "kernel/a0-is-one"}),
+    ("kernel-table[d4]", kernel_weight_a10_repeats_a9,
+     {"kernel/a-times-norm-is-one", "kernel/positive-strictly-decreasing"}),
+    ("kernel-table[d4]", float_weights_of_d2,
+     {"kernel/normalized-ratio-envelope", "kernel/partial-sum-converging"}),
     ("cantor-fourier", cos_product_without_sign, {"cantor/recursion-vs-ifs-oracle"}),
     ("cantor-fourier", tiled_level_9_times_1_plus_1e_7,
      {"cantor/coeff-at-zero-is-one", "cantor/modulus-at-most-one"}),
@@ -125,6 +215,7 @@ ENTRIES = [
     ("moments[d4]", sample_unconjugated, {"moments/batch-4-sigma-agreement"}),
     ("moments[d2]", sample_unconjugated, {"moments/batch-4-sigma-agreement"}),
     ("henkin-check[d4]", conj_r_moment_doubled_at_1, {"henkin/d4-exact-identity"}),
+    ("henkin-check[d4]", norm_sq_at_3333_times_5_4, {"henkin/d4-exact-identity"}),
     ("henkin-check[d2]", ifs_sigma_hat_1_times_1_01, {"henkin/d2-two-route-identity"}),
     ("witness[d4]", conj_r_moment_doubled_at_1,
      {"witness/d4-first-coefficients", "witness/d4-reproduces-moments"}),

@@ -79,8 +79,36 @@ class TestDaInner:
         assert da_inner(p, p).re == 9 * Fraction(1, 3)
 
     def test_dimension_mismatch(self):
-        with pytest.raises(ValueError):
-            da_inner(Polynomial.monomial((1,)), Polynomial.monomial((1, 0)))
+        # refused whether or not the one-term side's index is shared
+        q = Polynomial(2, {(1, 0): 1, (0, 1): 1})
+        for p in (Polynomial.monomial((1,)), Polynomial.monomial((1, 0, 0)),
+                  Polynomial.monomial((5, 5, 5))):
+            for args in ((p, q), (q, p)):
+                with pytest.raises(ValueError):
+                    da_inner(*args)
+
+    @pytest.mark.parametrize("d", [1, 2, 4])
+    def test_one_term_side_matches_the_term_by_term_sum(self, d):
+        # a one-term p, present in q or absent from it, against the sum
+        # written out, in both argument orders
+        rng = random.Random(10 + d)
+
+        def rational():
+            return Fraction(rng.randint(-9, 9), rng.randint(1, 9))
+
+        alphas = multi_indices(d, 5)
+        q = Polynomial(d, {a: QComplex(rational(), rational())
+                           for a in rng.sample(alphas, len(alphas) // 2)})
+        present = 0
+        for alpha in alphas:
+            p = Polynomial.monomial(alpha, QComplex(Fraction(2, 3), Fraction(-1, 5)))
+            reference = QComplex()
+            if alpha in q.terms:
+                present += 1
+                reference = p.terms[alpha] * q.terms[alpha].conjugate() * monomial_norm_sq(alpha)
+            for inner in (da_inner(p, q), da_inner(q, p).conjugate()):
+                assert (inner.re, inner.im) == (reference.re, reference.im)
+        assert 0 < present < len(alphas)
 
     def test_no_shared_monomial_is_exact_zero(self):
         p = Polynomial(2, {(2, 0): QComplex(Fraction(1, 3), Fraction(-5, 7))})
