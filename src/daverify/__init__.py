@@ -35,7 +35,7 @@ from .henkin import (
     HenkinWitness,
     PushforwardMeasure,
     build_witness,
-    functional_bound_check,
+    extremal_bound_check,
     henkin_identity_check,
     mc_moment,
     non_henkin_witness,

@@ -29,6 +29,14 @@ _VARIANCE = 0.125  # E[(t - 1/2)^2] under sigma
 MAX_IFS_LEVEL = 20  # a 64-row phase block then holds 64 x 2^20 complex values, 1 GiB
 MAX_TABLE_N = 2 ** 20  # a table then holds 2^21 + 1 complex values, 32 MiB
 
+# Unit roundoff of float64.
+_UNIT_ROUNDOFF = 2.0 ** -53
+
+
+def _check_ifs_level(level: int) -> None:
+    if not 0 <= level <= MAX_IFS_LEVEL:
+        raise ValueError(f"level must be in [0, {MAX_IFS_LEVEL}], got {level}")
+
 
 def atoms(level: int) -> np.ndarray:
     """The 2^level equal-weight atom positions of the level-`level` IFS
@@ -37,8 +45,7 @@ def atoms(level: int) -> np.ndarray:
     Each atom sits at its cell's barycenter, which cancels the first-order
     term of the discretization error. Levels above MAX_IFS_LEVEL are refused.
     """
-    if not 0 <= level <= MAX_IFS_LEVEL:
-        raise ValueError(f"level must be in [0, {MAX_IFS_LEVEL}], got {level}")
+    _check_ifs_level(level)
     idx = np.arange(2 ** level, dtype=np.int64)
     t = np.zeros(len(idx), dtype=np.float64)
     for j in range(level):
@@ -82,36 +89,30 @@ def _cos_product(n_max: int, eps: float) -> np.ndarray:
     sum_{j>=1} (2 pi x / 3^j)^2 / 2 = (pi x)^2 / 4 <= eps^2 / 4.
 
     Each angle is 2 pi (n mod 3^j) / 3^j with the remainder exact, so its
-    rounding error stays within a few units whatever n and j are. A level
-    whose period 3^j is at most n_max is evaluated once on n < 3^j, where
-    n mod 3^j = n, and tiled; the other levels are evaluated on every n.
-
-    The range is cut at the multiples of the largest power of 3 at most
-    n_max, so each of its (at most three) chunks starts at a multiple of
-    every tiled period, and the chunks run as independent tasks. Every entry
-    is the same product, multiplied level by level in the same order,
-    whatever the number of workers.
+    rounding error stays within a few units whatever n and j are. The levels
+    whose period 3^j is at most n_max make one period table: level j is
+    evaluated on n < 3^j, where n mod 3^j = n, and multiplies three copies of
+    the table of the levels before it. That table is repeated over 0..n_max,
+    and the later levels are evaluated on every n, in one slice of the range
+    per worker. Every entry is the same product, multiplied level by level in
+    the same order, whatever the number of workers.
     """
     size = n_max + 1
-    periods = [3 ** j for j in range(1, recursion_depth(n_max, eps) + 1)]
-    tiled = [p for p in periods if p <= n_max]
-    chunk = 3
-    while 3 * chunk <= n_max:
-        chunk *= 3
-    if chunk > n_max:  # no level is tiled
-        chunk = size
+    depth = recursion_depth(n_max, eps)
     x = np.arange(size, dtype=np.float64)
-    v = np.ones(size, dtype=np.float64)
-    # the chunks' level factors, then one period of each tiled level
-    scratch = np.empty(size + sum(tiled), dtype=np.float64)
-    tiles = []
-    start = size
-    for p in tiled:
-        tiles.append(_level_factor(x[:p], p, scratch[start:start + p]))
-        start += p
-    bounds = [(s, min(s + chunk, size)) for s in range(0, size, chunk)]
-    _workers.run([partial(_cos_chunk, v[s:e], x[s:e], scratch[s:e], tiles, periods[len(tiled):])
-                  for s, e in bounds])
+    scratch = np.empty(size, dtype=np.float64)  # the level factors being multiplied in
+    period = np.ones(1)
+    j = 1
+    while j <= depth and 3 ** j <= n_max:
+        period = np.tile(period, 3)
+        p = len(period)
+        period *= _level_factor(x[:p], p, scratch[:p])
+        j += 1
+    v = np.resize(period, size)
+    later = [3 ** level for level in range(j, depth + 1)]
+    step = -(-size // _workers.WORKERS)
+    _workers.run([partial(_later_levels, v[s:s + step], x[s:s + step], scratch[s:s + step], later)
+                  for s in range(0, size, step)])
     return v
 
 
@@ -122,17 +123,10 @@ def _level_factor(x: np.ndarray, period: int, out: np.ndarray) -> np.ndarray:
     return np.cos(out, out=out)
 
 
-def _cos_chunk(v: np.ndarray, x: np.ndarray, scratch: np.ndarray,
-               tiles: list[np.ndarray], periods: list[int]) -> None:
-    """Multiply v, which starts at a multiple of every tiled period, by each
-    tiled level in place, period by period, then by each later level, whose
-    factor is evaluated at x in scratch."""
-    for tile in tiles:
-        p = len(tile)
-        whole = len(v) - len(v) % p
-        periods_in_v = v[:whole].reshape(-1, p)
-        periods_in_v *= tile
-        v[whole:] *= tile[:len(v) - whole]
+def _later_levels(v: np.ndarray, x: np.ndarray, scratch: np.ndarray,
+                  periods: list[int]) -> None:
+    """Multiply v in place by the level of each period, evaluated at x in
+    scratch."""
     for p in periods:
         v *= _level_factor(x, p, scratch)
 
@@ -203,14 +197,14 @@ def fourier_table_ifs(max_n: int, level: int = 14) -> FourierTable:
     m phases, and only 1/64 of the exponentials are evaluated.
 
     The atoms sit at cell barycenters, so the a-priori accuracy estimate,
-    pi^2 max_n^2 9^-level / 4, is second order in the cell width. Levels above
-    MAX_IFS_LEVEL are refused; the m phases and each chunk of at most 64
-    n0 phases are the two largest blocks held. max_n above MAX_TABLE_N is
-    refused.
+    pi^2 max_n^2 9^-level / 4, is second order in the cell width. The
+    tolerance adds to it the rounding of the atoms, the phases and the
+    block products (below). Levels above MAX_IFS_LEVEL are refused; the m
+    phases and each chunk of at most 64 n0 phases are the two largest blocks
+    held. max_n above MAX_TABLE_N is refused.
     """
     _check_table_size(max_n)
-    if not 0 <= level <= MAX_IFS_LEVEL:
-        raise ValueError(f"level must be in [0, {MAX_IFS_LEVEL}], got {level}")
+    _check_ifs_level(level)
     t = atoms(level)
     first = -max_n // _IFS_BLOCK  # the block holding n = -max_n
     offsets = np.arange(first, max_n // _IFS_BLOCK + 1, dtype=np.float64) * _IFS_BLOCK
@@ -221,8 +215,24 @@ def fourier_table_ifs(max_n: int, level: int = 14) -> FourierTable:
     vals = np.concatenate(rows).ravel() / len(t)
     lo = -max_n - first * _IFS_BLOCK  # position of n = -max_n in vals
     coeffs = vals[lo:lo + 2 * max_n + 1]
-    tol = 0.5 * (2.0 * np.pi * max_n * 3.0 ** (-level)) ** 2 * _VARIANCE
-    return FourierTable(max_n=max_n, coeffs=coeffs, tolerance=float(tol),
+    midpoint = 0.5 * (2.0 * np.pi * max_n * 3.0 ** (-level)) ** 2 * _VARIANCE
+    # The rounding term assumes that libm's pow, and its exp of an imaginary
+    # argument (cos and sin), are within one ulp. With u the unit roundoff:
+    # - an atom position sums at most level + 1 terms, below 1 in total and
+    #   each within 3u, so it is within (level + 4) u;
+    # - a phase argument 2 pi k t, |k| <= max_n + 64, takes three more
+    #   roundings (pi, 2 pi k, times t), so it is within
+    #   2 pi (max_n + 64)(level + 7) u, and the phase within that plus 2u;
+    # - a product of two phases is within the sum of their errors, plus 4u
+    #   for the second-order terms;
+    # - a complex dot product of n terms is within sqrt(2) gamma_2n of the
+    #   sum of the terms' moduli, in any order of summation (Higham, Accuracy
+    #   and Stability of Numerical Algorithms, 2002, ch. 3), so the average
+    #   of the 2^level products, after its exact division, is within
+    #   3 * 2^level u.
+    rounding = (4.0 * np.pi * (max_n + 64) * (level + 7) + 3.0 * 2 ** level + 8.0) \
+        * _UNIT_ROUNDOFF
+    return FourierTable(max_n=max_n, coeffs=coeffs, tolerance=float(midpoint + rounding),
                         source=f"ifs-level-{level}")
 
 
@@ -273,9 +283,6 @@ class EnergyEstimate:
 
 
 MAX_ENERGY_LEVEL = 14  # 3^14 difference vectors; peak memory about 220 MB
-
-# Unit roundoff of float64.
-_UNIT_ROUNDOFF = 2.0 ** -53
 
 
 def _sinc(x: float) -> float:

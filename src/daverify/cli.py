@@ -84,8 +84,7 @@ def cmd_all(cfg: RunConfig):
     results = []
     config = {"seed": seed, "subcommands": []}
     for command, pins in checks.PLAN:
-        draws = "seed" in inspect.signature(checks.COMMANDS[command]).parameters
-        sub = RunConfig(command=command, params={**pins, "seed": seed} if draws else pins)
+        sub = RunConfig(command=command, params={**pins, "seed": seed} if "seed" in pins else pins)
         fn = _SUBCOMMANDS[sub.command]
         t0 = time.perf_counter()
         sub_config, sub_results, _tables = fn(sub)

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exact import MultiIndex, Polynomial, multi_indices
-from .norms import monomial_norm_sq, r_power_norm_sq
+from .norms import disc_map_scale, monomial_norm_sq, r_power_norm_sq
 
 
 @dataclass(frozen=True)
@@ -118,7 +118,4 @@ def diagonal_shift_weights(d: int, N: int) -> list[float]:
 
 def r_polynomial(d: int) -> Polynomial:
     """The sphere-adapted monomial r: 2 z1 z2 for d = 2, 16 z1 z2 z3 z4 for d = 4."""
-    from .norms import disc_map_scale
-
-    c = disc_map_scale(d)
-    return Polynomial.monomial((1,) * d, c)
+    return Polynomial.monomial((1,) * d, disc_map_scale(d))

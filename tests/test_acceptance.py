@@ -203,8 +203,7 @@ def test_criterion_12_compression_norms():
     details = []
     ok = True
     for dim in (2, 4):
-        rows, _elapsed = _rows(checks.compression_norms, dim=dim, sections=(1, 2, 4, 8),
-                               seed=SEED)
+        rows, _elapsed = _rows(checks.compression_norms, dim=dim, sections=(1, 2, 4, 8))
         growth = rows["compression/nondecreasing-in-section"]
         floor = rows["compression/exceeds-multiplier-floor"]
         ok = ok and growth["pass"] and floor["pass"]

@@ -198,13 +198,17 @@ class TestFourierTables:
         assert abs(left - rec[243]) > 1e-5
 
     def test_ifs_tolerance_is_the_midpoint_bound(self):
-        # |sigma_hat(n) - ifs_L(n)| <= pi^2 n^2 9^-L / 4 for |n| <= max_n
-        for max_n, level in ((256, 14), (100, 10)):
+        # |sigma_hat(n) - ifs_L(n)| <= pi^2 n^2 9^-L / 4 for |n| <= max_n in
+        # exact arithmetic, plus the rounding of the atoms, of the phases,
+        # whose arguments reach 2 pi (max_n + 64), and of the 2^L-term sums
+        for max_n, level in ((256, 14), (100, 10), (1, 16)):
             table = fourier_table_ifs(max_n, level)
+            rounding = (4 * math.pi * (max_n + 64) * (level + 7) + 3 * 2 ** level + 8) * 2.0 ** -53
             assert table.tolerance == pytest.approx(
-                math.pi ** 2 * max_n ** 2 * 9.0 ** -level / 4, rel=1e-15)
+                math.pi ** 2 * max_n ** 2 * 9.0 ** -level / 4 + rounding, rel=1e-15)
             rec = fourier_table_recursion(max_n, 1e-13)
             assert np.abs(table.coeffs - rec.coeffs).max() <= table.tolerance
+            assert table.symmetry_defect() <= 2 * table.tolerance
 
     def test_ifs_matches_per_frequency_atom_sums(self):
         # the block product against exp(-2 pi i n t) averaged over the atoms

@@ -88,7 +88,7 @@ def test_negative_seed_and_tiny_eps_exit_2(workdir, capsys):
     for argv, message in ((["all", "--seed", "-1"], "seed must be >= 0"),
                           *(([name, "--seed", "-3"], "seed must be >= 0")
                             for name in ("verify-isometry", "moments", "witness",
-                                         "peak-check", "compression")),
+                                         "peak-check")),
                           (["cantor-fourier", "--eps", "1e-320"], "eps must be"),
                           (["henkin-check", "--dim", "2", "--eps", "1e-310"], "eps must be"),
                           (["witness", "--dim", "2", "--eps", "1e-310"], "eps must be")):
@@ -169,6 +169,20 @@ def test_d2_only_options_refused_with_dim_4(workdir, capsys):
     assert not (workdir / "witness-report.json").exists()
 
 
+def test_options_that_nothing_reads_exit_2(workdir, capsys):
+    # no check takes trials, compression draws nothing, and the D2 witness
+    # draws nothing: each option would be accepted and ignored
+    for argv, message in ((["witness", "--trials", "5"], "unrecognized arguments"),
+                          (["compression", "--seed", "1"], "unrecognized arguments"),
+                          (["witness", "--dim", "2", "--seed", "1"], "only dim 4 takes seed")):
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert message in err and "Traceback" not in err
+    assert not list(workdir.iterdir())
+    assert main(["witness", "--dim", "4", "--n", "4", "--seed", "1"]) == 0
+    assert load_report(workdir / "witness-report.json")["config"]["seed"] == 1
+
+
 def test_batch_only_options_refused_with_alpha(workdir, capsys):
     # one alpha is one moment: count and max-exp would be echoed and ignored
     for argv, given in ((["--count", "7", "--max-exp", "3"], "count, max_exp"),
@@ -189,7 +203,7 @@ def test_d2_only_options_default_on_dim_2(workdir):
     assert main(["henkin-check", "--dim", "2", "--maxdeg", "8"]) == 0
     config = load_report(workdir / "henkin-check-report.json")["config"]
     assert (config["eps"], config["level"], config["tol"]) == (1e-12, 14, 1e-10)
-    assert main(["witness", "--dim", "2", "--n", "8", "--trials", "5"]) == 0
+    assert main(["witness", "--dim", "2", "--n", "8"]) == 0
     config = load_report(workdir / "witness-report.json")["config"]
     assert (config["eps"], config["level"]) == (1e-12, 14)
 
@@ -221,6 +235,15 @@ def test_cantor_fourier_below_ifs_rounding_passes(workdir):
     row = [r for r in rep["results"] if r["check"] == "cantor/conjugate-symmetry"][0]
     assert row["pass"] is True and set(row) == {"check", "pass", "defect"}
     assert 2e-17 < row["defect"] < 1e-13
+
+
+def test_deep_ifs_levels_pass_at_small_max_n(workdir):
+    # there the IFS table's symmetry defect, about 5.5e-15, is float
+    # rounding, above twice the midpoint term alone (1.3e-15 at level 16);
+    # the table's tolerance counts that rounding
+    for max_n, level in [(1, level) for level in range(15, 21)] + [(120, 20)]:
+        assert main(["cantor-fourier", "--max-n", str(max_n), "--level", str(level),
+                     "--sweep-pow", "10"]) == 0
 
 
 def test_ifs_level_above_cap_exit_2(workdir):
@@ -261,7 +284,7 @@ def test_compression_d2(workdir):
 
 
 def test_witness_d4_includes_serialization(workdir):
-    assert main(["witness", "--dim", "4", "--n", "4", "--trials", "20"]) == 0
+    assert main(["witness", "--dim", "4", "--n", "4"]) == 0
     rep = load_report(workdir / "witness-report.json")
     ser = [r for r in rep["results"] if r["check"] == "witness/serialized"][0]
     assert ser["witness"]["diag_coeffs_exact"][1] == "3/2"

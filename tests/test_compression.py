@@ -14,7 +14,7 @@ from daverify.compression import (
     top_singular_value,
 )
 from daverify.exact import Polynomial, QComplex
-from daverify.norms import monomial_norm_sq
+from daverify.norms import monomial_norm_sq, r_power_norm_sq
 
 
 class TestMultMatrix:
@@ -154,11 +154,13 @@ class TestDiagonalWeights:
                 assert sigma == pytest.approx(max(diagonal_shift_weights(d, N)), abs=1e-9)
 
     def test_bilinear_bound(self):
-        rng = np.random.default_rng(43)
-        M = mult_matrix(r_polynomial(2), 3)
-        sigma = top_singular_value(M.entries)
-        for _ in range(25):
-            v = rng.standard_normal(M.entries.shape[1]) + 1j * rng.standard_normal(M.entries.shape[1])
-            w = rng.standard_normal(M.entries.shape[0]) + 1j * rng.standard_normal(M.entries.shape[0])
-            lhs = abs(np.vdot(w, M.entries @ v))
-            assert lhs <= sigma * np.linalg.norm(v) * np.linalg.norm(w) + 1e-9
+        # |<M v, w>| <= sigma ||v|| ||w|| is attained at v = e_0: M e_0 is r in
+        # the normalized basis, so ||M e_0|| = ||r||, and no other basis
+        # vector is stretched as far
+        for d in (2, 4):
+            M = mult_matrix(r_polynomial(d), 3).entries
+            sigma = top_singular_value(M)
+            stretch = np.linalg.norm(M, axis=0)
+            assert stretch[0] == pytest.approx(sigma, abs=1e-12)
+            assert stretch[0] == pytest.approx(math.sqrt(float(r_power_norm_sq(d, 1))), abs=1e-12)
+            assert np.all(stretch[1:] < stretch[0])

@@ -19,7 +19,7 @@ from daverify.henkin import (
     PeakReport,
     PushforwardMeasure,
     build_witness,
-    functional_bound_check,
+    extremal_bound_check,
     henkin_identity_check,
     mc_moment,
     mc_moment_batch,
@@ -611,29 +611,31 @@ class TestPeak:
 
 
 class TestFunctionalBound:
+    # the bound |integral(phi dmu)| <= ||phi|| ||g|| at phi = g, where it is
+    # an equality
     def test_d4_bound_holds(self):
-        w = build_witness("D4", 6)
-        rep = functional_bound_check(w, trials=60, seed=13)
-        assert rep.passed
-        assert rep.max_ratio <= 1.0
+        for n in (0, 1, 6, 12):
+            w = build_witness("D4", n)
+            # the moment route, term by term: g_k 16^(-k) = a_k
+            assert sum(g * Fraction(1, 16 ** k) for k, g in enumerate(w.diag)) == w.norm_sq
+            rep = extremal_bound_check(w)
+            assert rep.passed
+            assert (rep.ratio, rep.route_gap, rep.tolerance) == (1.0, 0.0, 0.0)
 
     def test_d2_bound_holds(self):
-        table = fourier_table_recursion(20, 1e-12)
-        w = build_witness("D2", 20, table)
-        rep = functional_bound_check(w, trials=60, seed=29)
-        assert rep.passed
-
-    def test_every_trial_has_a_nonzero_integral(self):
-        # Both measures' moments vanish off the diagonal, so polynomials drawn
-        # uniformly from [0, N]^d would leave almost nothing to bound: with
-        # N = 12 only one D4 multi-index in 2197 is diagonal.
-        d4 = functional_bound_check(build_witness("D4", 12), trials=100, seed=20240817)
-        table = fourier_table_recursion(100, 1e-12)
-        d2 = functional_bound_check(build_witness("D2", 100, table), trials=100,
-                                    seed=20240817)
-        for rep in (d4, d2):
+        for n in (0, 20, 100):
+            w = build_witness("D2", n, fourier_table_recursion(n, 1e-12))
+            rep = extremal_bound_check(w)
             assert rep.passed
-            assert rep.nonzero_trials == rep.trials
-            assert 0.5 < rep.max_ratio <= 1.0
-        # the value from the time the check took the table as a separate argument
-        assert d2.max_ratio.hex() == "0x1.c37a886d4565ep-1"
+            assert rep.tolerance == 2.0 * (n + 32) * 2.0 ** -53 * w.norm_sq
+            assert rep.route_gap <= rep.tolerance
+            assert rep.ratio == pytest.approx(1.0, abs=1e-15)
+
+    def test_a_wrong_norm_fails_either_way(self):
+        # random polynomials phi could not see a norm that was too large
+        for w in (build_witness("D4", 12),
+                  build_witness("D2", 100, fourier_table_recursion(100, 1e-12))):
+            for factor in (4, Fraction(1, 4), 1 + Fraction(1, 10 ** 12)):
+                wrong = dataclasses.replace(w, norm_sq=w.norm_sq * factor)
+                rep = extremal_bound_check(wrong)
+                assert not rep.passed and rep.route_gap > rep.tolerance

@@ -14,7 +14,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from daverify import cantor, checks, disc_kernel, henkin, norms
+from daverify import cantor, checks, compression, disc_kernel, henkin, norms
 from daverify.henkin import PushforwardMeasure
 
 _R_VALUES = henkin._r_values
@@ -31,6 +31,7 @@ _R_POWER_NORM_SQ = norms.r_power_norm_sq
 _MULTINOMIAL = norms._multinomial
 _KERNEL_WEIGHTS = disc_kernel._kernel_weights
 _FLOAT_COEFFS = disc_kernel.float_coeff_sequence
+_TOP_SINGULAR_VALUE = compression.top_singular_value
 
 
 def hardy_space_norms(mp):
@@ -177,6 +178,24 @@ def witness_norm_quartered(mp):
     mp.setattr(henkin, "build_witness", build)
 
 
+def witness_norm_times_4(mp):
+    def build(*args, **kwargs):
+        w = _BUILD_WITNESS(*args, **kwargs)
+        return dataclasses.replace(w, norm_sq=w.norm_sq * 4)
+    mp.setattr(henkin, "build_witness", build)
+
+
+def sigma_times_1_minus_1e_6(mp):
+    mp.setattr(compression, "top_singular_value",
+               lambda A: (1.0 - 1e-6) * _TOP_SINGULAR_VALUE(A))
+
+
+def power_iteration_one_step(mp):
+    # sigma from the Rayleigh quotient of the all-ones start: the root mean
+    # square of the column norms, which falls as the section grows
+    mp.setattr(compression, "_POWER_MAX_ITER", 1)
+
+
 # (stage as `daverify all` labels it, the entry's mutation, the rows it flips)
 ENTRIES = [
     ("verify-norms", hardy_space_norms,
@@ -218,19 +237,38 @@ ENTRIES = [
     ("henkin-check[d4]", norm_sq_at_3333_times_5_4, {"henkin/d4-exact-identity"}),
     ("henkin-check[d2]", ifs_sigma_hat_1_times_1_01, {"henkin/d2-two-route-identity"}),
     ("witness[d4]", conj_r_moment_doubled_at_1,
-     {"witness/d4-first-coefficients", "witness/d4-reproduces-moments"}),
+     {"witness/d4-first-coefficients", "witness/d4-reproduces-moments",
+      "witness/d4-functional-bound"}),
     ("witness[d4]", diagonal_moment_times_5_4,
-     {"witness/d4-integrals-stay-one", "witness/d4-reproduces-moments"}),
+     {"witness/d4-integrals-stay-one", "witness/d4-reproduces-moments",
+      "witness/d4-functional-bound"}),
     ("witness[d4]", r_values_times_5_4, {"witness/d4-interior-decay"}),
     ("witness[d4]", witness_norm_quartered, {"witness/d4-functional-bound"}),
+    ("witness[d4]", witness_norm_times_4, {"witness/d4-functional-bound"}),
     # both norm routes read conj_r_moment, so doubling it leaves their
     # difference alone; only the IFS table moves one route
     ("witness[d2]", ifs_sigma_hat_1_times_1_01, {"witness/d2-norm-two-routes"}),
-    ("witness[d2]", conj_r_moment_doubled_at_1, {"witness/d2-norm-below-weighted-sum"}),
+    ("witness[d2]", conj_r_moment_doubled_at_1,
+     {"witness/d2-norm-below-weighted-sum", "witness/d2-functional-bound"}),
     ("witness[d2]", witness_norm_quartered, {"witness/d2-functional-bound"}),
+    # 4 ||g||^2 = 5.14 is also above the weighted sum S(100) = 1.47
+    ("witness[d2]", witness_norm_times_4,
+     {"witness/d2-functional-bound", "witness/d2-norm-below-weighted-sum"}),
     ("peak-check", r_values_times_5_4,
      {"peak/equals-one-on-support", "peak/strictly-inside-off-support"}),
     ("peak-check", sample_off_sphere, {"peak/equals-one-on-support", "peak/support-on-sphere"}),
+    ("compression[d2]", sigma_times_1_minus_1e_6,
+     {"compression/matches-diagonal-weight", "compression/exceeds-multiplier-floor",
+      "compression/bilinear-bound"}),
+    ("compression[d2]", power_iteration_one_step,
+     {"compression/nondecreasing-in-section", "compression/matches-diagonal-weight",
+      "compression/exceeds-multiplier-floor", "compression/bilinear-bound"}),
+    ("compression[d4]", sigma_times_1_minus_1e_6,
+     {"compression/matches-diagonal-weight", "compression/exceeds-multiplier-floor",
+      "compression/bilinear-bound"}),
+    ("compression[d4]", power_iteration_one_step,
+     {"compression/nondecreasing-in-section", "compression/matches-diagonal-weight",
+      "compression/exceeds-multiplier-floor", "compression/bilinear-bound"}),
 ]
 
 # rows hard-wired to pass: data fields, not checks (ROADMAP item 1)
