@@ -4,6 +4,14 @@ A task is a callable with no arguments. Each task runs whole on one thread,
 so its result does not depend on how many threads there are; the callers
 keep it that way by giving tasks only numpy operations on arrays they
 allocated, and by never splitting one reduction over two tasks.
+
+Task 0 always runs on the calling thread. A caller puts there the work that
+must stay on it, such as a draw from a random generator, which allocates its
+result and owns the generator's state, so that the draw overlaps the other
+tasks. Every other task writes into arrays the caller allocated and
+allocates none of its own: glibc keeps the memory a thread frees in that
+thread's arena, so a thread that allocates raises the peak memory of the
+process for good.
 """
 
 from __future__ import annotations
@@ -20,18 +28,35 @@ WORKERS = min(len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
               else os.cpu_count() or 1, 2)
 
 
+def slices(n: int) -> list[slice]:
+    """range(n) cut into at most WORKERS contiguous slices of near-equal
+    length, in order, none of them one element long unless n is 1: numpy
+    takes a one-element view of a strided column for contiguous and then
+    rounds some complex products differently, as its contiguous loops do."""
+    parts = min(WORKERS, max(1, n // 2))
+    bounds = [n * i // parts for i in range(parts + 1)]
+    return [slice(a, b) for a, b in zip(bounds, bounds[1:])]
+
+
 def run(tasks: Sequence[Callable[[], T]]) -> list[T]:
-    """Each task's result, in task order. The calling thread and WORKERS - 1
-    threads started here take the tasks in order, and the threads are
-    joined before the call returns; with one worker the tasks run in a
-    loop. The first exception, in task order, is raised after the join."""
+    """Each task's result, in task order. The calling thread runs task 0 and
+    then takes the remaining tasks in order alongside WORKERS - 1 threads
+    started here, which are joined before the call returns; with one worker
+    the tasks run in a loop. The first exception, in task order, is raised
+    after the join."""
     workers = min(WORKERS, len(tasks))
     if workers <= 1:
         return [task() for task in tasks]
     results: list = [None] * len(tasks)
     errors: list = [None] * len(tasks)
-    pending = iter(range(len(tasks)))
+    pending = iter(range(1, len(tasks)))
     lock = threading.Lock()
+
+    def do(i: int) -> None:
+        try:
+            results[i] = tasks[i]()
+        except BaseException as exc:  # raised again by the caller
+            errors[i] = exc
 
     def work() -> None:
         while True:
@@ -39,10 +64,7 @@ def run(tasks: Sequence[Callable[[], T]]) -> list[T]:
                 i = next(pending, None)
             if i is None:
                 return
-            try:
-                results[i] = tasks[i]()
-            except BaseException as exc:  # raised again by the caller
-                errors[i] = exc
+            do(i)
 
     # threads of their own, not a concurrent.futures pool, whose first
     # import alone allocates about 0.6 MB
@@ -50,6 +72,7 @@ def run(tasks: Sequence[Callable[[], T]]) -> list[T]:
     for thread in threads:
         thread.start()
     try:
+        do(0)
         work()
     finally:
         for thread in threads:

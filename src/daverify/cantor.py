@@ -110,9 +110,8 @@ def _cos_product(n_max: int, eps: float) -> np.ndarray:
         j += 1
     v = np.resize(period, size)
     later = [3 ** level for level in range(j, depth + 1)]
-    step = -(-size // _workers.WORKERS)
-    _workers.run([partial(_later_levels, v[s:s + step], x[s:s + step], scratch[s:s + step], later)
-                  for s in range(0, size, step)])
+    _workers.run([partial(_later_levels, v[s], x[s], scratch[s], later)
+                  for s in _workers.slices(size)])
     return v
 
 
@@ -194,7 +193,9 @@ def fourier_table_ifs(max_n: int, level: int = 14) -> FourierTable:
     With n = n0 + m, n0 a multiple of 64 and 0 <= m < 64, each atom's phase
     factors as exp(-2 pi i n0 t) exp(-2 pi i m t), so every row of 64
     coefficients is one matrix product of the n0 phases with the 64 shared
-    m phases, and only 1/64 of the exponentials are evaluated.
+    m phases, and only 1/64 of the exponentials are evaluated. Only the m
+    phases that some n reads are built, so a small table at a deep level
+    holds a few of the 64 columns.
 
     The atoms sit at cell barycenters, so the a-priori accuracy estimate,
     pi^2 max_n^2 9^-level / 4, is second order in the cell width. The
@@ -208,11 +209,14 @@ def fourier_table_ifs(max_n: int, level: int = 14) -> FourierTable:
     t = atoms(level)
     first = -max_n // _IFS_BLOCK  # the block holding n = -max_n
     offsets = np.arange(first, max_n // _IFS_BLOCK + 1, dtype=np.float64) * _IFS_BLOCK
-    inner = _phases(np.arange(_IFS_BLOCK, dtype=np.float64), t).T
-    rows = []
+    # the m that some |n| <= max_n reads, as n or as 64 - |n|: all once max_n >= 32
+    ms = np.arange(_IFS_BLOCK)
+    ms = ms[(ms <= max_n) | (ms >= _IFS_BLOCK - max_n)]
+    inner = _phases(ms.astype(np.float64), t).T
+    block = np.zeros((len(offsets), _IFS_BLOCK), dtype=np.complex128)
     for start in range(0, len(offsets), _IFS_BLOCK):
-        rows.append(_phases(offsets[start:start + _IFS_BLOCK], t) @ inner)
-    vals = np.concatenate(rows).ravel() / len(t)
+        block[start:start + _IFS_BLOCK, ms] = _phases(offsets[start:start + _IFS_BLOCK], t) @ inner
+    vals = block.ravel() / len(t)
     lo = -max_n - first * _IFS_BLOCK  # position of n = -max_n in vals
     coeffs = vals[lo:lo + 2 * max_n + 1]
     midpoint = 0.5 * (2.0 * np.pi * max_n * 3.0 ** (-level)) ** 2 * _VARIANCE
@@ -239,7 +243,8 @@ def fourier_table_ifs(max_n: int, level: int = 14) -> FourierTable:
 def _phases(ks: np.ndarray, t: np.ndarray) -> np.ndarray:
     """exp(-2 pi i k t) for every k in ks (rows) and atom t (columns)."""
     out = np.multiply.outer(-2j * np.pi * ks, t)
-    return np.exp(out, out=out)
+    _workers.run([partial(np.exp, out[s], out=out[s]) for s in _workers.slices(len(out))])
+    return out
 
 
 def _weighted_terms(n_max: int, eps: float) -> np.ndarray:

@@ -325,7 +325,8 @@ def moments(dim: int = 4, alpha: Optional[tuple[int, ...]] = None,
     given) multi-indices with entries up to max_exp (6 unless given). count
     and max_exp apply to the batch only and are refused with alpha."""
     _require_dim(dim)
-    _require(samples >= 1000, "samples must be >= 1000")
+    _require(1000 <= samples <= henkin.MAX_MC_SAMPLES,
+             f"samples must be in [1000, {henkin.MAX_MC_SAMPLES}]")
     _require_seed(seed)
     variant = f"D{dim}"
     results = []
@@ -494,7 +495,8 @@ def witness(dim: int = 4, n: Optional[int] = None, eps: Optional[float] = None,
 def peak_check(samples: int = 10_000, seed: int = DEFAULT_SEED, delta: float = 1e-2):
     """f = (1 + r)/2 equals 1 on the D4 support and |f| < 1 on sampled
     closed-ball points farther than delta from it."""
-    _require(samples >= 1, "samples must be >= 1")
+    _require(1 <= samples <= henkin.MAX_PEAK_SAMPLES,
+             f"samples must be in [1, {henkin.MAX_PEAK_SAMPLES}]")
     _require_positive("delta", delta)
     _require_seed(seed)
     rep = henkin.peak_check(samples, seed, delta)

@@ -73,17 +73,29 @@ def top_singular_value(A: np.ndarray) -> float:
     or after _POWER_MAX_ITER steps. The Rayleigh quotient is then accurate
     to about the residual squared over the spectral gap, so the returned
     sigma is converged well past _POWER_TOL.
+
+    The products with A and A* run on A's nonzero entries alone, summed in
+    row-major order. Where each row and each column holds at most one
+    nonzero, as for a monomial phi, every entry of a product is one rounded
+    product, as in a dense product, which only adds zeros to it.
     """
     if A.ndim != 2:
         raise ValueError("need a matrix")
     if A.shape[0] == 0 or A.shape[1] == 0:
         return 0.0
-    ncols = A.shape[1]
-    v = np.ones(ncols, dtype=np.result_type(A.dtype, np.float64)) / math.sqrt(ncols)
+    nrows, ncols = A.shape
+    # as np.nonzero(A), row-major, but in a quarter of its time
+    rows, cols = np.divmod(np.flatnonzero(A != 0), ncols)
+    entries = A[rows, cols]
+    adjoint = entries.conj()
+    dtype = np.result_type(A.dtype, np.float64)
+    v = np.ones(ncols, dtype=dtype) / math.sqrt(ncols)
     lam = 0.0
     for _ in range(_POWER_MAX_ITER):
-        # A* w as conj(A^T conj(w)): A.T is a view, so no conjugate copy of A
-        u = (A.T @ (A @ v).conj()).conj()
+        w = np.zeros(nrows, dtype=dtype)
+        np.add.at(w, rows, entries * v[cols])  # A v
+        u = np.zeros(ncols, dtype=dtype)
+        np.add.at(u, cols, adjoint * w[rows])  # A* A v
         lam = float(np.real(np.vdot(v, u)))
         residual = float(np.linalg.norm(u - lam * v))
         if residual <= _POWER_TOL * max(lam, 1e-300):

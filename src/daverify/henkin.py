@@ -56,11 +56,22 @@ _CANTOR_SAMPLE_DEPTH = 64  # base-3 digits drawn per Cantor sample; 3^-64 << 1 u
 
 def sample_torus(count: int, rng: np.random.Generator, k: int) -> np.ndarray:
     """count independent Haar samples on the k-torus, as unit complex entries."""
-    z = 2j * np.pi * rng.random((count, k))
-    return np.exp(z, out=z)
+    x = rng.random((count, k))
+    z = np.empty((count, k), dtype=np.complex128)
+    _workers.run([partial(_unit_phases, x[s], z[s]) for s in _workers.slices(count)])
+    return z
 
 
-_CANTOR_SAMPLE_CHUNK = 2 ** 14  # digit rows drawn at a time, 8 MiB at depth 64
+def _unit_phases(x: np.ndarray, out: np.ndarray) -> None:
+    """exp(2 pi i x) into out for x >= 0, rounded as np.exp(2j * np.pi * x)
+    rounds it: the product 2j * np.pi * x is exactly +0 + i round(2 pi x)
+    there, and formed from its parts it needs no cast of x to complex."""
+    out.real = 0.0
+    np.multiply(x, 2.0 * np.pi, out=out.imag)
+    np.exp(out, out=out)
+
+
+_CANTOR_SAMPLE_CHUNK = 2 ** 14  # digit rows drawn at a time, 4 MiB of draws at depth 64
 
 # Column 0 reads digits 1..32 as the integer sum_j 2 d_j 3^(32-j), column 1
 # digits 33..64 likewise. The product is int64 arithmetic, exact and free of
@@ -74,24 +85,67 @@ def sample_cantor_points(count: int, rng: np.random.Generator) -> np.ndarray:
     """count independent samples t ~ sigma, via random base-3 digit strings
     with digits in {0, 2} truncated at 64 digits.
 
-    The 64 digits are summed as two 32-digit integers, hi and lo, in exact
+    Each digit is the top bit of one 32-bit draw. These are the draws
+    rng.integers(0, 2) makes, one per digit, since its bounded method never
+    rejects a draw for a range of 2 and keeps the top bit, so the digits and
+    the generator's state afterwards are those of one (count, 64) draw. The
+    64 digits are summed as two 32-digit integers, hi and lo, in exact
     integer arithmetic, and t = hi 3^-32 + lo 3^-64, so the samples do not
-    depend on the BLAS thread count. The digit rows are drawn in chunks, which take the same stream
-    from the generator as one (count, 64) draw.
+    depend on the BLAS thread count. The calling thread draws the digits of
+    the next chunk of rows while a worker sums the chunk before it into
+    buffers allocated here.
     """
     out = np.empty(count, dtype=np.float64)
+    if count == 0:
+        return out
+    rows = min(_CANTOR_SAMPLE_CHUNK, count)
+    digits = np.empty((rows, _CANTOR_SAMPLE_DEPTH), dtype=np.int64)
+    sums = np.empty((rows, 2), dtype=np.int64)
+    scratch = np.empty((rows, 2), dtype=np.float64)
+
+    def draw(start: int) -> np.ndarray:
+        size = (min(_CANTOR_SAMPLE_CHUNK, count - start), _CANTOR_SAMPLE_DEPTH)
+        return rng.integers(0, 2 ** 32, size=size, dtype=np.uint32)
+
+    bits = draw(0)
     for start in range(0, count, _CANTOR_SAMPLE_CHUNK):
-        rows = min(_CANTOR_SAMPLE_CHUNK, count - start)
-        hi, lo = (rng.integers(0, 2, size=(rows, _CANTOR_SAMPLE_DEPTH)) @ _DIGIT_WEIGHTS).T
-        out[start:start + rows] = hi * 3.0 ** -32 + lo * 3.0 ** -64
+        n = len(bits)
+        combine = partial(_cantor_chunk, bits, digits[:n], sums[:n], scratch[:n],
+                          out[start:start + n])
+        nxt = start + _CANTOR_SAMPLE_CHUNK
+        if nxt < count:
+            bits = _workers.run([partial(draw, nxt), combine])[0]
+        else:
+            combine()
     return out
 
 
-def _unit_rows(re: np.ndarray, im: np.ndarray) -> np.ndarray:
-    """The rows of re + i im scaled to unit length. Row by row, so a block of
-    rows gives the same values as the full arrays."""
-    g = re + 1j * im
-    return g / np.linalg.norm(g, axis=1, keepdims=True)
+def _cantor_chunk(bits: np.ndarray, digits: np.ndarray, sums: np.ndarray,
+                  scratch: np.ndarray, out: np.ndarray) -> None:
+    """hi 3^-32 + lo 3^-64 into out, for the digits in the top bits of one
+    chunk of draws; every other argument is a buffer written here."""
+    np.right_shift(bits, 31, out=bits)
+    np.copyto(digits, bits)
+    np.matmul(digits, _DIGIT_WEIGHTS, out=sums)
+    np.copyto(scratch, sums)  # exact: both sums are below 2^53
+    np.multiply(scratch[:, 0], 3.0 ** -32, out=out)
+    np.multiply(scratch[:, 1], 3.0 ** -64, out=scratch[:, 1])
+    out += scratch[:, 1]
+
+
+def _unit_rows(re: np.ndarray, im: np.ndarray, out: np.ndarray, scratch: np.ndarray,
+               norms: np.ndarray) -> None:
+    """The rows of re + i im scaled to unit length, written into out, and
+    rounded as g / np.linalg.norm(g, axis=1, keepdims=True) rounds them.
+    scratch, of out's shape, and norms, one value per row, are written too.
+    Row by row, so a block of rows gives the same values as the full arrays."""
+    np.multiply(im, 1j, out=out)
+    np.add(re, out, out=out)
+    np.conjugate(out, out=scratch)
+    np.multiply(scratch, out, out=scratch)
+    np.add.reduce(scratch.real, axis=1, keepdims=True, out=norms)
+    np.sqrt(norms, out=norms)
+    np.divide(out, norms, out=out)
 
 
 def _r_values(points: np.ndarray, c: int) -> np.ndarray:
@@ -164,27 +218,44 @@ class PushforwardMeasure:
     def sample(self, count: int, rng: np.random.Generator) -> np.ndarray:
         """count points on the sphere distributed according to the measure:
         the torus draws first, then (t ~ sigma only) the Cantor digits."""
-        dim = self.dim
-        zeta = sample_torus(count, rng, dim - 1)
-        out = np.empty((count, dim), dtype=np.complex128)
-        out[:, :-1] = zeta
-        # from zeta's columns: an operand sharing memory with `last` rounds differently
-        last = out[:, -1]
-        if dim == 2:
-            last[:] = zeta[:, 0]
-        else:
-            np.multiply(zeta[:, 0], zeta[:, 1], out=last)
-            for j in range(2, dim - 1):
-                last *= zeta[:, j]
-        np.conjugate(last, out=last)
-        if self.table is not None:
-            last *= np.exp(2j * np.pi * sample_cantor_points(count, rng))
-        out /= math.sqrt(dim)
+        zeta = sample_torus(count, rng, self.dim - 1)
+        t = None if self.table is None else sample_cantor_points(count, rng)
+        out = np.empty((count, self.dim), dtype=np.complex128)
+        phases = None if t is None else np.empty(count, dtype=np.complex128)
+        _workers.run([partial(_orbit_points, zeta[s], None if t is None else t[s],
+                              None if t is None else phases[s], out[s])
+                      for s in _workers.slices(count)])
         return out
+
+
+def _orbit_points(zeta: np.ndarray, t: Optional[np.ndarray], phases: Optional[np.ndarray],
+                  out: np.ndarray) -> None:
+    """The rows (zeta, conj(zeta_1...zeta_(d-1)) e^(2 pi i t)) / sqrt(d) into
+    out, with t = 0 where t is None; phases is a buffer written here."""
+    dim = out.shape[1]
+    out[:, :-1] = zeta
+    # from zeta's columns: an operand sharing memory with `last` rounds differently
+    last = out[:, -1]
+    if dim == 2:
+        last[:] = zeta[:, 0]
+    else:
+        np.multiply(zeta[:, 0], zeta[:, 1], out=last)
+        for j in range(2, dim - 1):
+            last *= zeta[:, j]
+    np.conjugate(last, out=last)
+    if t is not None:
+        _unit_phases(t, phases)
+        last *= phases
+    out /= math.sqrt(dim)
 
 
 # ---------------------------------------------------------------------------
 # Monte Carlo cross-checks
+
+# The most points a Monte Carlo check draws: a D4 batch of the default
+# max_exp holds up to about 350 bytes a point (the columns, the cached column
+# powers and a product buffer per worker), 0.7 GB at this limit.
+MAX_MC_SAMPLES = 2 * 10 ** 6
 
 # A moment whose sampled integrand is constant has zero empirical variance,
 # so the 4-sigma window degenerates; the absolute floor keeps the comparison
@@ -280,6 +351,11 @@ def _mc_report(measure: PushforwardMeasure, alphas: Sequence[MultiIndex], sample
     return reports
 
 
+def _check_mc_samples(samples: int) -> None:
+    if not 1000 <= samples <= MAX_MC_SAMPLES:
+        raise ValueError(f"samples must be in [1000, {MAX_MC_SAMPLES}]")
+
+
 def _mc_measure(variant: Variant, max_n: int) -> PushforwardMeasure:
     """The measure a Monte Carlo check samples; a D2 measure reads the
     recursion table up to max_n."""
@@ -291,11 +367,11 @@ def mc_moment(variant: Variant, alpha: Sequence[int], samples: int,
               seed: int) -> MomentReport:
     """Monte Carlo estimate of one moment against its closed form.
 
-    Requires samples >= 1000 so the standard error is meaningful. The check
-    passes when |estimate - closed| <= max(4 stderr, 1e-13).
+    Requires 1000 <= samples <= MAX_MC_SAMPLES, so that the standard error
+    is meaningful and the sample fits in memory. The check passes when
+    |estimate - closed| <= max(4 stderr, 1e-13).
     """
-    if samples < 1000:
-        raise ValueError("samples must be >= 1000")
+    _check_mc_samples(samples)
     a = validate_multi_index(alpha)
     measure = _mc_measure(variant, max(a))
     return _mc_report(measure, [a], samples, np.random.default_rng(seed))[a]
@@ -309,10 +385,9 @@ def mc_moment_batch(variant: Variant, count: int, samples: int, seed: int,
     tenth multi-index is forced onto the diagonal so nonzero closed forms
     are always represented. Sharing one batch keeps 100 checks at 1e5
     samples fast without changing any single check's semantics. A repeated
-    multi-index shares one report.
+    multi-index shares one report. samples is bounded as in `mc_moment`.
     """
-    if samples < 1000:
-        raise ValueError("samples must be >= 1000")
+    _check_mc_samples(samples)
     if count < 1:
         raise ValueError("count must be >= 1")
     measure = _mc_measure(variant, max_exp)
@@ -483,6 +558,8 @@ class NonHenkinReport:
 # Rows evaluated at a time where a check reduces sampled points to a few
 # numbers; a complex (rows, 4) block takes 4 MiB.
 _ROW_BLOCK = 2 ** 16
+# Rows a worker normalizes at a time, in a scratch block of its own.
+_UNIT_ROWS_CHUNK = 2 ** 12
 
 
 def _closed_ball_r_blocks(measure: PushforwardMeasure, n_ball: int, n_sphere: int,
@@ -494,21 +571,42 @@ def _closed_ball_r_blocks(measure: PushforwardMeasure, n_ball: int, n_sphere: in
     Each half draws its complex normals (real parts, then imaginary parts),
     then (the ball only) its radii, so the blocks concatenate to r of the two
     samples drawn one after the other in full. Only one half's draws are held
-    in full, never the points. A half of size zero takes nothing from rng.
+    in full, never the points: the workers write one block of points at a
+    time, a slice of rows each, into buffers allocated here, and r is formed
+    from them on the calling thread. A half of size zero takes nothing from
+    rng.
     """
     d, c = measure.dim, measure.scale
-    re = rng.standard_normal((n_ball, d))
-    im = rng.standard_normal((n_ball, d))
-    radii = radius * rng.random((n_ball, 1)) ** (1.0 / (2 * d))
-    for start in range(0, n_ball, _ROW_BLOCK):
-        rows = slice(start, start + _ROW_BLOCK)
-        yield _r_values(_unit_rows(re[rows], im[rows]) * radii[rows], c)
-    del re, im, radii
-    re = rng.standard_normal((n_sphere, d))
-    im = rng.standard_normal((n_sphere, d))
-    for start in range(0, n_sphere, _ROW_BLOCK):
-        rows = slice(start, start + _ROW_BLOCK)
-        yield _r_values(_unit_rows(re[rows], im[rows]), c)
+    rows = min(_ROW_BLOCK, max(n_ball, n_sphere))
+    points = np.empty((rows, d), dtype=np.complex128)
+    chunk = min(_UNIT_ROWS_CHUNK, rows)
+    scratch = np.empty((_workers.WORKERS, chunk, d), dtype=np.complex128)
+    norms = np.empty((_workers.WORKERS, chunk, 1))
+    for n, ball in ((n_ball, True), (n_sphere, False)):
+        re = rng.standard_normal((n, d))
+        im = rng.standard_normal((n, d))
+        radii = radius * rng.random((n, 1)) ** (1.0 / (2 * d)) if ball else None
+        for start in range(0, n, _ROW_BLOCK):
+            block = slice(start, start + _ROW_BLOCK)
+            k = min(_ROW_BLOCK, n - start)
+            _workers.run([partial(_ball_points, re[block][s], im[block][s],
+                                  None if radii is None else radii[block][s],
+                                  points[:k][s], scratch[i], norms[i])
+                          for i, s in enumerate(_workers.slices(k))])
+            yield _r_values(points[:k], c)
+        del re, im, radii
+
+
+def _ball_points(re: np.ndarray, im: np.ndarray, radii: Optional[np.ndarray],
+                 out: np.ndarray, scratch: np.ndarray, norms: np.ndarray) -> None:
+    """Points of the unit sphere from normals, times radii unless None,
+    written into out, len(scratch) rows at a time."""
+    for start in range(0, len(out), len(scratch)):
+        rows = slice(start, start + len(scratch))
+        n = len(out[rows])
+        _unit_rows(re[rows], im[rows], out[rows], scratch[:n], norms[:n])
+    if radii is not None:
+        np.multiply(out, radii, out=out)
 
 
 # sup |f_n| on the interior sample must fall below _DECAY_THRESHOLD by n = _DECAY_N
@@ -602,6 +700,12 @@ class PeakReport:
 # How far from 1 |f| and the squared radius may be on the D4 support.
 PEAK_TOL = 1e-12
 
+# The most points peak_check draws on each of its two samples. It streams
+# them, so its memory is the normals of one closed-ball half, about 36 bytes a
+# point (360 MB at this limit), and its time about 0.5 s per 10^6 points on
+# two CPUs.
+MAX_PEAK_SAMPLES = 10 ** 7
+
 
 def peak_check(samples: int = 10_000, seed: int = 0, delta: float = 1e-2) -> PeakReport:
     """f = (1 + r)/2 equals 1 on the D4 support and is strictly smaller
@@ -610,45 +714,97 @@ def peak_check(samples: int = 10_000, seed: int = 0, delta: float = 1e-2) -> Pea
     On `samples` pushforward points: |f - 1| <= PEAK_TOL and the points sit
     on the sphere to the same tolerance. On `samples` closed-ball points with
     |r(z) - 1| > delta: |f| < 1 strictly; the minimum margin 1 - |f| is
-    reported.
+    reported. samples must be in [1, MAX_PEAK_SAMPLES].
     """
-    if samples < 1:
-        raise ValueError("samples must be >= 1")
+    if not 1 <= samples <= MAX_PEAK_SAMPLES:
+        raise ValueError(f"samples must be in [1, {MAX_PEAK_SAMPLES}]")
     if delta <= 0:
         raise ValueError("delta must be positive")
     rng = np.random.default_rng(seed)
 
-    # Points are drawn and reduced one block of rows at a time. The random
-    # generator fills its arrays row by row, so the blocks take the stream of
-    # one full draw. Blocks are folded with np.maximum/np.minimum, which keep
-    # a NaN where Python's max/min could drop it.
+    # The calling thread draws one block of rows at a time and forms r on
+    # it; the workers reduce a slice of the block each, into buffers
+    # allocated here. The random generator fills its arrays row by row, so
+    # the blocks take the stream of one full draw. Every reduction is a max,
+    # a min, a count or an `all`, whose value does not depend on the blocks
+    # or slices; partial results are folded with np.maximum/np.minimum,
+    # which keep a NaN where Python's max/min could drop it.
     measure = PushforwardMeasure("D4")
+    rows = min(_ROW_BLOCK, samples)
+    squares = np.empty((rows, measure.dim))
+    values = np.empty(rows, dtype=np.complex128)
+    moduli = np.empty(rows)
     support_dev = max_peak_dev = -math.inf
     for start in range(0, samples, _ROW_BLOCK):
-        support = measure.sample(min(_ROW_BLOCK, samples - start), rng)
-        support_dev = np.maximum(support_dev, np.max(
-            np.abs(np.sum(np.abs(support) ** 2, axis=1) - 1.0)))
-        f_support = 0.5 * (1.0 + _r_values(support, measure.scale))
-        max_peak_dev = np.maximum(max_peak_dev, np.max(np.abs(f_support - 1.0)))
+        k = min(_ROW_BLOCK, samples - start)
+        support = measure.sample(k, rng)
+        r_vals = _r_values(support, measure.scale)
+        for dev, peak_dev in _workers.run([
+                partial(_support_devs, support[s], r_vals[s], squares[:k][s], values[:k][s],
+                        moduli[:k][s])
+                for s in _workers.slices(k)]):
+            support_dev = np.maximum(support_dev, dev)
+            max_peak_dev = np.maximum(max_peak_dev, peak_dev)
     support_dev, max_peak_dev = float(support_dev), float(max_peak_dev)
+    del squares, support, r_vals
 
     half = samples // 2
-    kept = rejected = 0
+    kept = 0
     min_margin = math.inf
     all_inside = True
+    far = np.empty(rows, dtype=bool)
+    inside = np.empty(rows, dtype=bool)
     for r_vals in _closed_ball_r_blocks(measure, samples - half, half, rng, 1.0):
-        mask = np.abs(r_vals - 1.0) > delta
-        margins = 1.0 - np.abs(0.5 * (1.0 + r_vals[mask]))
-        kept += len(margins)
-        rejected += len(mask) - len(margins)
-        min_margin = np.minimum(min_margin, np.min(margins, initial=math.inf))
-        all_inside = all_inside and bool(np.all(margins > 0.0))
+        k = len(r_vals)
+        for count, margin, ok in _workers.run([
+                partial(_margins, r_vals[s], delta, values[:k][s], moduli[:k][s], far[:k][s],
+                        inside[:k][s])
+                for s in _workers.slices(k)]):
+            kept += count
+            min_margin = np.minimum(min_margin, margin)
+            all_inside = all_inside and ok
+    rejected = samples - kept
     min_margin = float(min_margin)
 
     passed = max_peak_dev <= PEAK_TOL and support_dev <= PEAK_TOL and all_inside
     return PeakReport(max_peak_dev=max_peak_dev, support_dev=support_dev, kept=kept,
                       rejected=rejected, min_margin=min_margin,
                       all_strictly_inside=all_inside, passed=passed)
+
+
+def _support_devs(points: np.ndarray, r_vals: np.ndarray, squares: np.ndarray,
+                  values: np.ndarray, moduli: np.ndarray) -> tuple:
+    """max ||z|^2 - 1| and max |f - 1|, f = (1 + r)/2, over the rows of
+    points and r_vals; the other arguments are buffers written here."""
+    np.abs(points, out=squares)
+    np.square(squares, out=squares)
+    np.add.reduce(squares, axis=1, out=moduli)
+    np.subtract(moduli, 1.0, out=moduli)
+    np.abs(moduli, out=moduli)
+    dev = np.max(moduli)
+    # f in place: halving is exact, so no loop can round it differently
+    np.add(r_vals, 1.0, out=values)
+    np.multiply(values, 0.5, out=values)
+    np.subtract(values, 1.0, out=values)
+    np.abs(values, out=moduli)
+    return dev, np.max(moduli)
+
+
+def _margins(r_vals: np.ndarray, delta: float, values: np.ndarray, moduli: np.ndarray,
+             far: np.ndarray, inside: np.ndarray) -> tuple:
+    """Over the rows with |r - 1| > delta: their count, the least margin
+    1 - |f| (inf if none) and whether every margin is positive; the other
+    arguments are buffers written here."""
+    np.subtract(r_vals, 1.0, out=values)
+    np.abs(values, out=moduli)
+    np.greater(moduli, delta, out=far)
+    np.add(r_vals, 1.0, out=values)
+    np.multiply(values, 0.5, out=values)
+    np.abs(values, out=moduli)
+    np.subtract(1.0, moduli, out=moduli)
+    np.greater(moduli, 0.0, out=inside)
+    return (int(np.count_nonzero(far)), np.min(moduli, where=far, initial=math.inf),
+            bool(np.all(inside, where=far)))
 
 
 # ---------------------------------------------------------------------------

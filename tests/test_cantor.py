@@ -210,6 +210,36 @@ class TestFourierTables:
             assert np.abs(table.coeffs - rec.coeffs).max() <= table.tolerance
             assert table.symmetry_defect() <= 2 * table.tolerance
 
+    @pytest.mark.parametrize("max_n, level", [(1, 6), (2, 11), (31, 8), (32, 8), (63, 9), (300, 12)])
+    def test_ifs_builds_only_the_columns_it_reads(self, max_n, level, monkeypatch):
+        # the table from all 64 inner columns, one exp per phase block
+        t = atoms(level)
+        first = -max_n // 64
+        offsets = np.arange(first, max_n // 64 + 1, dtype=np.float64) * 64
+
+        def phases(ks):
+            return np.exp(np.multiply.outer(-2j * np.pi * ks, t))
+
+        inner = phases(np.arange(64, dtype=np.float64)).T
+        vals = np.concatenate([phases(offsets[s:s + 64]) @ inner
+                               for s in range(0, len(offsets), 64)]).ravel() / len(t)
+        lo = -max_n - first * 64
+        full = vals[lo:lo + 2 * max_n + 1]
+        tables = []
+        for workers in (1, 2, 3):
+            monkeypatch.setattr(_workers, "WORKERS", workers)
+            threads = threading.active_count()
+            tables.append(fourier_table_ifs(max_n, level).coeffs.tobytes())
+            assert threading.active_count() == threads
+        assert tables[1] == tables[0] and tables[2] == tables[0]
+        table = fourier_table_ifs(max_n, level)
+        if max_n >= 32:  # every column is read
+            assert table.coeffs.tobytes() == full.tobytes()
+        else:
+            assert np.abs(table.coeffs - full).max() <= table.tolerance
+            rec = fourier_table_recursion(max_n, 1e-13)
+            assert np.abs(table.coeffs - rec.coeffs).max() <= table.tolerance
+
     def test_ifs_matches_per_frequency_atom_sums(self):
         # the block product against exp(-2 pi i n t) averaged over the atoms
         t = atoms(6)

@@ -183,6 +183,28 @@ def test_options_that_nothing_reads_exit_2(workdir, capsys):
     assert load_report(workdir / "witness-report.json")["config"]["seed"] == 1
 
 
+def test_moments_sample_limit_exits_2(workdir, capsys):
+    # one sample column of 10^12 points would take 16 TB
+    limit = daverify.henkin.MAX_MC_SAMPLES
+    for argv in (["moments", "--samples", "1000000000000"],
+                 ["moments", "--dim", "2", "--samples", str(limit + 1)],
+                 ["moments", "--alpha", "1,1,1,1", "--samples", str(limit + 1)]):
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert f"samples must be in [1000, {limit}]" in err and "Traceback" not in err
+    assert not list(workdir.iterdir())
+
+
+def test_peak_check_sample_limit_exits_2(workdir, capsys):
+    # peak-check streams its points, so a huge count would run for hours
+    limit = daverify.henkin.MAX_PEAK_SAMPLES
+    for samples in (limit + 1, 10 ** 12):
+        assert main(["peak-check", "--samples", str(samples)]) == 2
+        err = capsys.readouterr().err
+        assert f"samples must be in [1, {limit}]" in err and "Traceback" not in err
+    assert not list(workdir.iterdir())
+
+
 def test_batch_only_options_refused_with_alpha(workdir, capsys):
     # one alpha is one moment: count and max-exp would be echoed and ignored
     for argv, given in ((["--count", "7", "--max-exp", "3"], "count, max_exp"),

@@ -99,6 +99,34 @@ class TestTopSingularValue:
     def test_zero_matrix(self):
         assert top_singular_value(np.zeros((4, 3))) == 0.0
 
+    @staticmethod
+    def dense(A):
+        """The power iteration written out with dense BLAS products, the same
+        start, stopping rule and updates as top_singular_value."""
+        v = np.ones(A.shape[1], dtype=np.result_type(A.dtype, np.float64)) / math.sqrt(A.shape[1])
+        for _ in range(20_000):
+            u = (A.T @ (A @ v).conj()).conj()
+            lam = float(np.real(np.vdot(v, u)))
+            if float(np.linalg.norm(u - lam * v)) <= 1e-12 * max(lam, 1e-300):
+                break
+            v = u / float(np.linalg.norm(u))
+        return math.sqrt(max(lam, 0.0))
+
+    @pytest.mark.parametrize("d, N", [(2, 0), (2, 1), (2, 8), (2, 40), (4, 0), (4, 4), (4, 12)])
+    def test_r_sections_equal_the_dense_iteration_bit_for_bit(self, d, N):
+        # one nonzero per row and column: each dense sum adds zeros to one product
+        A = mult_matrix(r_polynomial(d), N).entries
+        assert top_singular_value(A).hex() == self.dense(A).hex()
+
+    def test_complex_multi_term_within_1e_12_of_the_dense_iteration(self):
+        phi = Polynomial(2, {(1, 0): QComplex(Fraction(1, 2), Fraction(1, 3)),
+                             (0, 1): QComplex(Fraction(-1), Fraction(2, 5)),
+                             (1, 1): QComplex(Fraction(0), Fraction(3))})
+        for N in (1, 4, 10):
+            A = mult_matrix(phi, N).entries
+            assert A.dtype == np.complex128
+            assert abs(top_singular_value(A) - self.dense(A)) <= 1e-12
+
     def test_deterministic(self):
         rng = np.random.default_rng(5)
         A = rng.standard_normal((7, 7))

@@ -200,6 +200,43 @@ class TestSamplers:
             got = d2.sample(count, np.random.default_rng(13))
             assert got.tobytes() == expected.tobytes()
 
+    @pytest.mark.parametrize("count", [0, 1, 2, 3, 5, 1001, 16385, 40000])
+    def test_samplers_do_not_depend_on_worker_count(self, count, monkeypatch):
+        d2 = PushforwardMeasure("D2", fourier_table_recursion(4, 1e-12))
+        draws = {"torus": lambda rng: sample_torus(count, rng, 3),
+                 "cantor": lambda rng: sample_cantor_points(count, rng),
+                 "d4": lambda rng: D4.sample(count, rng),
+                 "d2": lambda rng: d2.sample(count, rng)}
+        got = []
+        for workers in (1, 2, 3):
+            monkeypatch.setattr(_workers, "WORKERS", workers)
+            threads = threading.active_count()
+            out = {}
+            for name, draw in draws.items():
+                rng = np.random.default_rng(count)
+                out[name] = (draw(rng).tobytes(), rng.bit_generator.state)
+            got.append(out)
+            assert threading.active_count() == threads
+        assert got[1] == got[0] and got[2] == got[0]
+
+    @pytest.mark.parametrize("buffered", [False, True], ids=["fresh", "half-used-32-bit-buffer"])
+    def test_top_bits_of_32_bit_draws_are_the_binary_digits(self, buffered):
+        # integers(0, 2) keeps the top bit of one 32-bit draw and never rejects
+        # one; drawn in the sampler's chunks of rows, which take the stream of
+        # one (count, 64) draw
+        chunk = henkin._CANTOR_SAMPLE_CHUNK
+        for count in (1, 16383, 16384, 16385, 300000):
+            a, b = np.random.default_rng(count), np.random.default_rng(count)
+            if buffered:
+                for rng in (a, b):
+                    rng.integers(0, 2 ** 32, dtype=np.uint32)
+                assert a.bit_generator.state["has_uint32"] == 1
+            for start in range(0, count, chunk):
+                size = (min(chunk, count - start), 64)
+                bits = a.integers(0, 2 ** 32, size=size, dtype=np.uint32) >> 31
+                assert np.array_equal(bits, b.integers(0, 2, size=size))
+            assert a.bit_generator.state == b.bit_generator.state
+
     def test_r_values_equal_the_written_out_product(self):
         rng = np.random.default_rng(7)
         for rows in range(1, 21):
@@ -339,6 +376,14 @@ class TestMonteCarlo:
             reports.append(repr(call()))
             assert threading.active_count() == threads
         assert reports[1] == reports[0] and reports[2] == reports[0]
+
+    def test_sample_counts_outside_the_limits_refused(self):
+        message = f"samples must be in \\[1000, {henkin.MAX_MC_SAMPLES}\\]"
+        for samples in (999, henkin.MAX_MC_SAMPLES + 1, 10 ** 12):
+            with pytest.raises(ValueError, match=message):
+                mc_moment("D4", (1, 1, 1, 1), samples, 0)
+            with pytest.raises(ValueError, match=message):
+                mc_moment_batch("D2", 5, samples, 0)
 
     def test_batch_drops_each_column_power_after_its_last_reader(self):
         # in units of one complex column of the batch; keeping every cached
@@ -509,11 +554,10 @@ class TestNonHenkin:
     def test_nan_in_a_later_closed_ball_block_fails_the_sup(self, monkeypatch):
         unit_rows = henkin._unit_rows
 
-        def nan_in_last_blocks(re, im):
-            out = unit_rows(re, im)
-            if len(out) == 10:  # the last block of the ball and of the sphere
+        def nan_in_last_blocks(re, im, out, *scratch):
+            unit_rows(re, im, out, *scratch)
+            if len(out) <= 10:  # a slice of the last block of the ball and of the sphere
                 out[0, 0] = np.nan
-            return out
 
         monkeypatch.setattr(henkin, "_unit_rows", nan_in_last_blocks)
         rep = non_henkin_witness(n_max=2, grid_points=B + 10, seed=5)
@@ -608,6 +652,30 @@ class TestPeak:
             peak_check(samples=0)
         with pytest.raises(ValueError):
             peak_check(delta=0.0)
+        with pytest.raises(ValueError, match=f"samples must be in \\[1, {henkin.MAX_PEAK_SAMPLES}\\]"):
+            peak_check(samples=henkin.MAX_PEAK_SAMPLES + 1)
+
+    @pytest.mark.parametrize("samples", [1, 2, 3, 5, B + 1, 3 * B + 7])
+    def test_report_does_not_depend_on_worker_count(self, samples, monkeypatch):
+        reports = []
+        for workers in (1, 2, 3):
+            monkeypatch.setattr(_workers, "WORKERS", workers)
+            threads = threading.active_count()
+            reports.append(repr(peak_check(samples, samples % 11, 0.05)))
+            assert threading.active_count() == threads
+        assert reports[1] == reports[0] and reports[2] == reports[0]
+
+    def test_traced_memory_at_a_million_samples(self):
+        # one closed-ball half's normals and radii, 34.3 MiB, plus one block
+        # of points and the buffers of its reductions
+        np.random.default_rng(0).random()  # numpy.random imports lazily
+        tracemalloc.start()
+        try:
+            peak_check(10 ** 6, 3)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 46 * 2 ** 20
 
 
 class TestFunctionalBound:

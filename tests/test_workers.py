@@ -1,5 +1,6 @@
 """The task runner behind the threaded float layers."""
 
+import sys
 import threading
 import time
 
@@ -35,3 +36,48 @@ def test_first_error_in_task_order_after_every_task_ran(workers, monkeypatch):
     assert threading.active_count() == threads
     # with one worker the loop stops at the first error
     assert sorted(ran) == ([0, 1] if workers == 1 else [0, 1, 2])
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3])
+def test_task_0_runs_on_the_calling_thread(workers, monkeypatch):
+    monkeypatch.setattr(_workers, "WORKERS", workers)
+    caller = threading.get_ident()
+    idents = _workers.run([threading.get_ident] * 4)
+    assert idents[0] == caller
+    assert (set(idents) == {caller}) == (workers == 1)
+
+
+def test_task_0_overlaps_the_other_tasks(monkeypatch):
+    # task 0 waits for task 1, which only another thread can run meanwhile
+    monkeypatch.setattr(_workers, "WORKERS", 2)
+    started = threading.Event()
+    assert _workers.run([lambda: started.wait(5.0), started.set]) == [True, None]
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3])
+def test_slices_cover_the_range_in_order(workers, monkeypatch):
+    monkeypatch.setattr(_workers, "WORKERS", workers)
+    for n in (*range(40), 1001, 2 ** 15 + 1):
+        cuts = _workers.slices(n)
+        assert 1 <= len(cuts) <= workers
+        assert [i for s in cuts for i in range(n)[s]] == list(range(n))
+        lengths = [len(range(n)[s]) for s in cuts]
+        assert max(lengths) - min(lengths) <= 1
+        # a one-element slice of a strided column rounds as a contiguous one
+        assert n == 1 or min(lengths) >= 2 or len(cuts) == 1
+
+
+def test_every_task_runs_once_under_frequent_thread_switches(monkeypatch):
+    # more threads than CPUs, switching every microsecond: a task taken twice
+    # or lost by the shared task iterator shows as a wrong count
+    monkeypatch.setattr(_workers, "WORKERS", 8)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(20):
+            ran = []  # list.append is atomic under the interpreter lock
+            tasks = [lambda i=i: ran.append(i) or i for i in range(200)]
+            assert _workers.run(tasks) == list(range(200))
+            assert sorted(ran) == list(range(200))
+    finally:
+        sys.setswitchinterval(interval)
