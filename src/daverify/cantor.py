@@ -21,6 +21,7 @@ from functools import partial
 import numpy as np
 
 from . import _workers
+from .exact import ConfigError
 
 # The variance of sigma about its barycenter 1/2 drives the IFS oracle's
 # a-priori tolerance below.
@@ -35,7 +36,7 @@ _UNIT_ROUNDOFF = 2.0 ** -53
 
 def _check_ifs_level(level: int) -> None:
     if not 0 <= level <= MAX_IFS_LEVEL:
-        raise ValueError(f"level must be in [0, {MAX_IFS_LEVEL}], got {level}")
+        raise ConfigError(f"level must be in [0, {MAX_IFS_LEVEL}], got {level}")
 
 
 def atoms(level: int) -> np.ndarray:
@@ -43,14 +44,13 @@ def atoms(level: int) -> np.ndarray:
     discretization, as float64 in [0, 1).
 
     Each atom sits at its cell's barycenter, which cancels the first-order
-    term of the discretization error. Levels above MAX_IFS_LEVEL are refused.
+    term of the discretization error. Digit j doubles the list: the atoms so
+    far, then the same plus 2 3^-j. Levels above MAX_IFS_LEVEL are refused.
     """
     _check_ifs_level(level)
-    idx = np.arange(2 ** level, dtype=np.int64)
-    t = np.zeros(len(idx), dtype=np.float64)
+    t = np.zeros(1)
     for j in range(level):
-        digit = (idx >> j) & 1          # 0 or 1; 1 selects the offset 2/3 branch
-        t += (2.0 * digit) * 3.0 ** (-(j + 1))
+        t = np.concatenate([t, t + 2.0 * 3.0 ** -(j + 1)])
     t += 0.5 * 3.0 ** (-level)
     return t
 
@@ -60,16 +60,22 @@ def support_measure_zero(level: int) -> float:
 
     Tends to 0, witnessing that sigma is singular."""
     if level < 0:
-        raise ValueError("level must be >= 0")
+        raise ConfigError("level must be >= 0")
     return (2.0 / 3.0) ** level
+
+
+# _cos_product forms float(3 ** j) for j <= recursion_depth(n, eps), and 3^646
+# is the largest power of 3 below the float64 maximum. With |n| <= 2^22 (the
+# longest weighted sum `cantor-fourier` takes) and eps >= _MIN_EPS, j <= 644.
+_MIN_EPS = 1e-300
 
 
 def recursion_depth(n: int, eps: float) -> int:
     """Depth k such that truncating the product at scale |n|/3^k changes the
     value by at most eps; uses the first-moment bound |sigma_hat(x) - 1|
-    <= 2 pi |x| * 1/2."""
-    if eps <= 0:
-        raise ValueError("eps must be positive")
+    <= 2 pi |x| * 1/2. eps must be finite and at least _MIN_EPS."""
+    if not _MIN_EPS <= eps < math.inf:
+        raise ConfigError(f"eps must be finite and >= {_MIN_EPS}, got {eps!r}")
     k = 0
     x = abs(float(n))
     while math.pi * x > eps:
@@ -168,7 +174,7 @@ def _modulus(z: np.ndarray) -> np.ndarray:
 
 def _check_table_size(max_n: int) -> None:
     if not 0 <= max_n <= MAX_TABLE_N:
-        raise ValueError(f"max_n must be in [0, {MAX_TABLE_N}], got {max_n}")
+        raise ConfigError(f"max_n must be in [0, {MAX_TABLE_N}], got {max_n}")
 
 
 def fourier_table_recursion(max_n: int, eps: float = 1e-10) -> FourierTable:
@@ -262,7 +268,7 @@ def weighted_fourier_sum(N: int, eps: float = 1e-9) -> float:
     1/2; the partial sums are the computable witness of that.
     """
     if N < 0:
-        raise ValueError("N must be >= 0")
+        raise ConfigError("N must be >= 0")
     return float(np.sum(_weighted_terms(N, eps)))
 
 
@@ -271,7 +277,7 @@ def weighted_fourier_partials(Ns: list[int], eps: float = 1e-9) -> dict[int, flo
     if not Ns:
         return {}
     if any(N < 0 for N in Ns):
-        raise ValueError("all N must be >= 0")
+        raise ConfigError("all N must be >= 0")
     csum = np.cumsum(_weighted_terms(max(Ns), eps))
     return {N: float(csum[N]) for N in Ns}
 
@@ -355,7 +361,7 @@ def riesz_energy(level: int) -> EnergyEstimate:
     MAX_ENERGY_LEVEL are refused.
     """
     if not 1 <= level <= MAX_ENERGY_LEVEL:
-        raise ValueError(f"level must be in [1, {MAX_ENERGY_LEVEL}], got {level}")
+        raise ConfigError(f"level must be in [1, {MAX_ENERGY_LEVEL}], got {level}")
     n = 3 ** level  # every distance below is j * h for an integer j
     M = (n - 1) // 2
     w = _difference_weights(level)

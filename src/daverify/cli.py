@@ -20,7 +20,7 @@ from pathlib import Path
 from typing import Callable, Mapping, Optional
 
 from . import checks, reports
-from .checks import ConfigError
+from .exact import ConfigError
 
 OUTPUT_DIR_ENV = "DAVERIFY_OUT"
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .exact import MultiIndex, Polynomial, multi_indices
+from .exact import ConfigError, MultiIndex, Polynomial, multi_indices
 from .norms import disc_map_scale, monomial_norm_sq, r_power_norm_sq
 
 
@@ -35,11 +35,31 @@ class MultMatrix:
     columns: tuple[MultiIndex, ...]
     rows: tuple[MultiIndex, ...]
 
+    def section(self, n: int) -> np.ndarray:
+        """The entries of the degree-n section, 0 <= n <= N: the leading
+        block, since both bases list the multi-indices in grlex order."""
+        if not 0 <= n <= self.N:
+            raise ConfigError(f"section N must be in [0, {self.N}], got {n}")
+        rows, cols = _section_shape(self.phi, n)
+        return self.entries[:rows, :cols]
+
+
+def _section_shape(phi: Polynomial, N: int) -> tuple[int, int]:
+    """The numbers of multi-indices of degree <= N + deg(phi) and <= N."""
+    d = phi.dimension
+    return math.comb(N + phi.degree() + d, d), math.comb(N + d, d)
+
+
+# The most entries a section may hold: r's at d = 4 and N = 12, 70 MB of float64.
+MAX_SECTION_ENTRIES = 4845 * 1820
+
 
 def mult_matrix(phi: Polynomial, N: int) -> MultMatrix:
-    """Assemble the finite section of M_phi in the normalized monomial basis."""
-    if N < 0:
-        raise ValueError("N must be >= 0")
+    """Assemble the finite section of M_phi in the normalized monomial
+    basis; one of more than MAX_SECTION_ENTRIES entries is refused."""
+    if N < 0 or math.prod(_section_shape(phi, N)) > MAX_SECTION_ENTRIES:
+        raise ConfigError(f"section N = {N} must be >= 0, with at most "
+                          f"{MAX_SECTION_ENTRIES} entries")
     d = phi.dimension
     cols = multi_indices(d, N)
     rows = multi_indices(d, N + phi.degree())
@@ -80,7 +100,7 @@ def top_singular_value(A: np.ndarray) -> float:
     product, as in a dense product, which only adds zeros to it.
     """
     if A.ndim != 2:
-        raise ValueError("need a matrix")
+        raise ConfigError("need a matrix")
     if A.shape[0] == 0 or A.shape[1] == 0:
         return 0.0
     nrows, ncols = A.shape
@@ -121,7 +141,7 @@ def diagonal_shift_weights(d: int, N: int) -> list[float]:
     over any section is attained at n = 0.
     """
     if N < 0:
-        raise ValueError("N must be >= 0")
+        raise ConfigError("N must be >= 0")
     return [
         math.sqrt(float(r_power_norm_sq(d, n + 1) / r_power_norm_sq(d, n)))
         for n in range(N + 1)

@@ -15,7 +15,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .exact import format_rational
+from .exact import ConfigError, format_rational
 from .norms import _kernel_weights, disc_map_scale, r_power_norm_sq
 
 
@@ -26,11 +26,6 @@ class KernelSequence:
     d: int
     N: int
     a_exact: tuple[Fraction, ...]
-
-    def __post_init__(self):
-        disc_map_scale(self.d)  # ValueError unless d is supported
-        if self.N < 0 or len(self.a_exact) != self.N + 1:
-            raise ValueError("inconsistent sequence lengths")
 
     def csv_rows(self) -> list[list]:
         """Rows (n, a_exact, a_float, a_times_power) where a_float is a_n in
@@ -44,15 +39,19 @@ class KernelSequence:
         return rows
 
 
+# The longest exact sequence built (a ratio of 40,000-bit integers at d = 4).
+MAX_KERNEL_N = 5000
+
+
 def build_kernel_sequence(d: int, N: int) -> KernelSequence:
-    """Exact a_n = 1/r_power_norm_sq(d, n) for n <= N.
+    """Exact a_n = 1/r_power_norm_sq(d, n) for n <= N, N <= MAX_KERNEL_N.
 
     The exact values come from the one-step recurrence of
     norms._kernel_weights; a spot check against the closed form guards it.
     """
-    disc_map_scale(d)  # ValueError unless d is supported
-    if N < 0:
-        raise ValueError("N must be >= 0")
+    disc_map_scale(d)  # ConfigError unless d is supported
+    if not 0 <= N <= MAX_KERNEL_N:
+        raise ConfigError(f"N must be in [0, {MAX_KERNEL_N}], got {N}")
     a = _kernel_weights(d, N + 1)
     if a[min(N, 3)] * r_power_norm_sq(d, min(N, 3)) != 1:
         raise AssertionError("kernel sequence recurrence drifted from the closed form")
@@ -61,9 +60,9 @@ def build_kernel_sequence(d: int, N: int) -> KernelSequence:
 
 def float_coeff_sequence(d: int, n_max: int) -> np.ndarray:
     """a_n for n = 0..n_max in float64 via the same recurrence, O(n_max)."""
-    disc_map_scale(d)  # ValueError unless d is supported
+    disc_map_scale(d)  # ConfigError unless d is supported
     if n_max < 0:
-        raise ValueError("n_max must be >= 0")
+        raise ConfigError("n_max must be >= 0")
     out = np.empty(n_max + 1, dtype=np.float64)
     a = 1.0
     dd = float(d ** d)
@@ -82,7 +81,7 @@ def dirichlet_coeff_check(norm_sq: Sequence[Fraction]) -> bool:
     norm_sq[k] is the closed form r_power_norm_sq(2, k). The binomial side is
     one running product binom(-1/2, k + 1) = binom(-1/2, k) * (-1/2 - k) / (k + 1)."""
     if not norm_sq:
-        raise ValueError("norm_sq must hold at least ||r^0||^2")
+        raise ConfigError("norm_sq must hold at least ||r^0||^2")
     binom = Fraction(1)
     for k, q in enumerate(norm_sq):
         if (-binom if k % 2 else binom) * q != 1:

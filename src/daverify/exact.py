@@ -18,6 +18,10 @@ RationalLike = Union[int, Fraction]
 ScalarLike = Union[int, Fraction, "QComplex"]
 
 
+class ConfigError(ValueError):
+    """An input or budget an entry point refuses; the CLI exits 2 on it."""
+
+
 def validate_multi_index(alpha: Sequence[int]) -> MultiIndex:
     """Return alpha as a tuple, rejecting negative or non-integer entries."""
     out = tuple(alpha)
@@ -26,7 +30,7 @@ def validate_multi_index(alpha: Sequence[int]) -> MultiIndex:
         if type(a) is int or (isinstance(a, int) and not isinstance(a, bool)):
             if a >= 0:
                 continue
-        raise ValueError(f"multi-index entries must be nonnegative integers, got {alpha!r}")
+        raise ConfigError(f"multi-index entries must be nonnegative integers, got {alpha!r}")
     return out
 
 
@@ -39,9 +43,9 @@ def multi_indices(dimension: int, max_degree: int) -> list[MultiIndex]:
     """All multi-indices in `dimension` variables with total degree <= max_degree,
     in graded-lexicographic order."""
     if dimension < 1:
-        raise ValueError("dimension must be >= 1")
+        raise ConfigError("dimension must be >= 1")
     if max_degree < 0:
-        raise ValueError("max_degree must be >= 0")
+        raise ConfigError("max_degree must be >= 0")
 
     # by_degree[m]: the multi-indices with k entries and total degree m, in
     # lexicographic order; prepending a first entry a to each of those of
@@ -180,13 +184,13 @@ class Polynomial:
 
     def __init__(self, dimension: int, terms: Mapping[MultiIndex, ScalarLike] | None = None):
         if dimension < 1:
-            raise ValueError("dimension must be >= 1")
+            raise ConfigError("dimension must be >= 1")
         self.dimension = dimension
         clean: dict[MultiIndex, QComplex] = {}
         for alpha, c in (terms or {}).items():
             a = validate_multi_index(alpha)
             if len(a) != dimension:
-                raise ValueError(f"multi-index {a} does not match dimension {dimension}")
+                raise ConfigError(f"multi-index {a} does not match dimension {dimension}")
             qc = QComplex.from_value(c)
             if not qc.is_zero():
                 clean[a] = qc

@@ -29,9 +29,10 @@ from typing import Iterator, Literal, Optional, Sequence
 import numpy as np
 
 from . import _workers
-from .cantor import _UNIT_ROUNDOFF, FourierTable, fourier_table_recursion
+from .cantor import _UNIT_ROUNDOFF, MAX_TABLE_N, FourierTable, fourier_table_recursion
 from .disc_kernel import build_kernel_sequence
 from .exact import (
+    ConfigError,
     MultiIndex,
     Polynomial,
     QComplex,
@@ -179,11 +180,11 @@ class PushforwardMeasure:
     def __post_init__(self):
         dim = _VARIANTS.get(self.variant)
         if dim is None:
-            raise ValueError(f"variant must be one of {tuple(_VARIANTS)}, got {self.variant!r}")
+            raise ConfigError(f"variant must be one of {tuple(_VARIANTS)}, got {self.variant!r}")
         if dim == 2 and self.table is None:
-            raise ValueError("the D2 measure needs a FourierTable for its moments")
+            raise ConfigError("the D2 measure needs a FourierTable for its moments")
         if dim == 4 and self.table is not None:
-            raise ValueError("the D4 measure takes no FourierTable: t = 0 on its support")
+            raise ConfigError("the D4 measure takes no FourierTable: t = 0 on its support")
         object.__setattr__(self, "dim", dim)
         object.__setattr__(self, "scale", disc_map_scale(dim))
 
@@ -195,7 +196,7 @@ class PushforwardMeasure:
         (a complex, 0j off the diagonal; ValueError past the table)."""
         a = validate_multi_index(alpha)
         if len(a) != self.dim:
-            raise ValueError(f"{self.variant} moments take multi-indices of length {self.dim}")
+            raise ConfigError(f"{self.variant} moments take multi-indices of length {self.dim}")
         return self._moment(a)
 
     def _moment(self, a: MultiIndex):
@@ -351,14 +352,13 @@ def _mc_report(measure: PushforwardMeasure, alphas: Sequence[MultiIndex], sample
     return reports
 
 
-def _check_mc_samples(samples: int) -> None:
+def _mc_measure(variant: Variant, samples: int, max_n: int, name: str) -> PushforwardMeasure:
+    """The measure a Monte Carlo check samples, for samples and a largest
+    exponent max_n (`name` to the caller) in range; D2 reads a table to max_n."""
     if not 1000 <= samples <= MAX_MC_SAMPLES:
-        raise ValueError(f"samples must be in [1000, {MAX_MC_SAMPLES}]")
-
-
-def _mc_measure(variant: Variant, max_n: int) -> PushforwardMeasure:
-    """The measure a Monte Carlo check samples; a D2 measure reads the
-    recursion table up to max_n."""
+        raise ConfigError(f"samples must be in [1000, {MAX_MC_SAMPLES}]")
+    if not 0 <= max_n <= MAX_TABLE_N:
+        raise ConfigError(f"{name} must be in [0, {MAX_TABLE_N}]")
     table = fourier_table_recursion(max_n, 1e-12) if variant == "D2" else None
     return PushforwardMeasure(variant, table)
 
@@ -368,12 +368,12 @@ def mc_moment(variant: Variant, alpha: Sequence[int], samples: int,
     """Monte Carlo estimate of one moment against its closed form.
 
     Requires 1000 <= samples <= MAX_MC_SAMPLES, so that the standard error
-    is meaningful and the sample fits in memory. The check passes when
+    is meaningful and the sample fits in memory, and alpha's entries at most
+    MAX_TABLE_N, the longest Fourier table. The check passes when
     |estimate - closed| <= max(4 stderr, 1e-13).
     """
-    _check_mc_samples(samples)
     a = validate_multi_index(alpha)
-    measure = _mc_measure(variant, max(a))
+    measure = _mc_measure(variant, samples, max(a, default=0), "alpha entries")
     return _mc_report(measure, [a], samples, np.random.default_rng(seed))[a]
 
 
@@ -385,12 +385,11 @@ def mc_moment_batch(variant: Variant, count: int, samples: int, seed: int,
     tenth multi-index is forced onto the diagonal so nonzero closed forms
     are always represented. Sharing one batch keeps 100 checks at 1e5
     samples fast without changing any single check's semantics. A repeated
-    multi-index shares one report. samples is bounded as in `mc_moment`.
+    multi-index shares one report. max_exp is bounded as alpha's entries.
     """
-    _check_mc_samples(samples)
     if count < 1:
-        raise ValueError("count must be >= 1")
-    measure = _mc_measure(variant, max_exp)
+        raise ConfigError("count must be >= 1")
+    measure = _mc_measure(variant, samples, max_exp, "max_exp")
     dim = measure.dim
     rng = np.random.default_rng(seed)
     alphas: list[MultiIndex] = []
@@ -442,15 +441,21 @@ class HenkinWitness:
         return out
 
 
+# Budgets of the exact D4 and the float D2 routes: the identity check takes
+# C(maxdeg + 4, 4) exact monomials (135,751 at 40) or (maxdeg + 1)^2 pairs.
+_MAX_WITNESS_N = {"D4": 200, "D2": 400}
+_MAX_IDENTITY_DEG = {"D4": 40, "D2": 400}
+
+
 def build_witness(variant: Variant, N: int,
                   table: Optional[FourierTable] = None) -> HenkinWitness:
-    """Witness truncated at diagonal index N. D2 reads conj(sigma_hat(-k))
-    from `table` (ValueError past it), and the report records the table's
-    source so independent-route checks stay auditable.
+    """Witness truncated at diagonal index N <= _MAX_WITNESS_N. D2 reads
+    conj(sigma_hat(-k)) from `table` (ValueError past it), and the report
+    records the table's source so independent-route checks stay auditable.
     """
     measure = PushforwardMeasure(variant, table)
-    if N < 0:
-        raise ValueError("N must be >= 0")
+    if not 0 <= N <= _MAX_WITNESS_N[variant]:
+        raise ConfigError(f"N must be in [0, {_MAX_WITNESS_N[variant]}] for {variant}, got {N}")
     seq = build_kernel_sequence(measure.dim, N)
     diag = []
     norm_sq = 0
@@ -475,33 +480,33 @@ def henkin_identity_check(variant: Variant, maxdeg: int, witness: HenkinWitness,
                           tol: Optional[float] = None) -> HenkinCheckResult:
     """Verify integral(z^alpha dmu) = <z^alpha, g> on every monomial.
 
-    D4 (t = 0): all alpha with |alpha| <= maxdeg, compared as exact
+    D4 (t = 0): all alpha with |alpha| <= maxdeg <= 40, compared as exact
     rationals, so it takes no tol; max_dev is 0 on success. Requires
     witness.N >= maxdeg // 4.
 
-    D2: all pairs (m, n) with m, n <= maxdeg. Off-diagonal entries are exact
-    zeros on both sides; diagonal entries compare the moment route (through
-    `table`, which should come from a builder independent of the witness's)
-    against the inner-product route, to tolerance tol (1e-10 unless given;
-    positive and finite). Requires witness.N >= maxdeg.
+    D2: all pairs (m, n) with m, n <= maxdeg <= 400. Off-diagonal entries
+    are exact zeros on both sides; diagonal entries compare the moment route
+    (through `table`, which should be built independently of the
+    witness's) against the inner-product route, to tolerance tol (1e-10
+    unless given; positive and finite). Requires witness.N >= maxdeg.
     """
     measure = PushforwardMeasure(variant, table)
     if variant != witness.measure.variant:
-        raise ValueError("witness variant does not match")
-    if maxdeg < 0:
-        raise ValueError("maxdeg must be >= 0")
+        raise ConfigError("witness variant does not match")
+    if not 0 <= maxdeg <= _MAX_IDENTITY_DEG[variant]:
+        raise ConfigError(f"maxdeg must be in [0, {_MAX_IDENTITY_DEG[variant]}] for {variant}")
+    if witness.N < (maxdeg // 4 if measure.table is None else maxdeg):
+        raise ConfigError("witness truncation too small for maxdeg")
     if measure.table is None:
         if tol is not None:
-            raise ValueError("the D4 identity is exact and takes no tol")
+            raise ConfigError("the D4 identity is exact and takes no tol")
     elif tol is None:
         tol = 1e-10
     elif not 0.0 < tol < math.inf:
-        raise ValueError(f"tol must be positive and finite, got {tol!r}")
+        raise ConfigError(f"tol must be positive and finite, got {tol!r}")
 
     failures: list[tuple] = []
     if measure.table is None:
-        if witness.N < maxdeg // 4:
-            raise ValueError("witness truncation too small for maxdeg")
         g = witness.as_polynomial()
         checked = 0
         # multi_indices makes valid tuples of length dim, so neither the
@@ -514,8 +519,6 @@ def henkin_identity_check(variant: Variant, maxdeg: int, witness: HenkinWitness,
                                  max_dev=0.0 if not failures else math.inf,
                                  failures=tuple(failures), passed=not failures)
 
-    if witness.N < maxdeg:
-        raise ValueError("witness truncation too small for maxdeg")
     checked = 0
     max_dev = 0.0
     for m in range(maxdeg + 1):
@@ -629,9 +632,9 @@ def non_henkin_witness(n_max: int = 50, grid_points: int = 1000,
     while f_n -> 0 pointwise inside the ball with sup norms at most 1.
     """
     if n_max < 0 or grid_points < 1:
-        raise ValueError("bad sizes")
+        raise ConfigError("bad sizes")
     if not 0.0 < grid_radius < 1.0:
-        raise ValueError("grid_radius must lie strictly inside (0, 1)")
+        raise ConfigError("grid_radius must lie strictly inside (0, 1)")
 
     # (i) exact integrals: 2^n integral(f_n dmu) = sum_j C(n, j) q_j, where
     # q_j = integral(r^j dmu) = c^j times the diagonal moment of order j.
@@ -714,12 +717,13 @@ def peak_check(samples: int = 10_000, seed: int = 0, delta: float = 1e-2) -> Pea
     On `samples` pushforward points: |f - 1| <= PEAK_TOL and the points sit
     on the sphere to the same tolerance. On `samples` closed-ball points with
     |r(z) - 1| > delta: |f| < 1 strictly; the minimum margin 1 - |f| is
-    reported. samples must be in [1, MAX_PEAK_SAMPLES].
+    reported. samples must be in [1, MAX_PEAK_SAMPLES], and delta positive
+    and finite: a nan or infinite delta would keep no point.
     """
     if not 1 <= samples <= MAX_PEAK_SAMPLES:
-        raise ValueError(f"samples must be in [1, {MAX_PEAK_SAMPLES}]")
-    if delta <= 0:
-        raise ValueError("delta must be positive")
+        raise ConfigError(f"samples must be in [1, {MAX_PEAK_SAMPLES}]")
+    if not 0.0 < delta < math.inf:
+        raise ConfigError(f"delta must be positive and finite, got {delta!r}")
     rng = np.random.default_rng(seed)
 
     # The calling thread draws one block of rows at a time and forms r on

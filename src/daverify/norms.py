@@ -27,6 +27,7 @@ from functools import lru_cache
 from typing import Sequence
 
 from .exact import (
+    ConfigError,
     MultiIndex,
     Polynomial,
     QComplex,
@@ -44,11 +45,11 @@ _QC_ZERO = QComplex()
 
 
 def disc_map_scale(d: int) -> int:
-    """Integer c with c^2 = d^d; ValueError unless d is in SUPPORTED_DIMS."""
+    """Integer c with c^2 = d^d; ConfigError unless d is in SUPPORTED_DIMS."""
     try:
         return _DISC_SCALE[d]
     except KeyError:
-        raise ValueError(f"d must be one of {SUPPORTED_DIMS}, got {d}")
+        raise ConfigError(f"d must be one of {SUPPORTED_DIMS}, got {d}")
 
 
 @lru_cache(maxsize=None)
@@ -71,7 +72,7 @@ def _fraction_sum(nums: Sequence[int], dens: Sequence[int]) -> Fraction:
 def da_inner(p: Polynomial, q: Polynomial) -> QComplex:
     """Exact H^2_d inner product <p, q> = sum_alpha p_a conj(q_a) ||z^a||^2."""
     if p.dimension != q.dimension:
-        raise ValueError(f"dimension mismatch: {p.dimension} vs {q.dimension}")
+        raise ConfigError(f"dimension mismatch: {p.dimension} vs {q.dimension}")
     pt, qt = p.terms, q.terms
     # a one-term p absent from q, as for most monomials against a sparse q
     if len(pt) == 1 and next(iter(pt)) not in qt:
@@ -130,9 +131,9 @@ def _r_power_norm_terms(d: int, n: int) -> tuple[int, int]:
     """(numerator, denominator) of ||r(z)^n||^2 = d^(d n) / M with the
     multinomial M = (d n)!/(n!)^d, not reduced: the two can share factors."""
     if d < 1:
-        raise ValueError("d must be >= 1")
+        raise ConfigError("d must be >= 1")
     if n < 0:
-        raise ValueError("n must be >= 0")
+        raise ConfigError("n must be >= 0")
     return d ** (d * n), _multinomial(d, n)
 
 
@@ -149,7 +150,7 @@ def _kernel_weights(d: int, count: int) -> list[Fraction]:
     one-step recurrence a_{n+1} = a_n prod_{j=1..d}(d n + j) / (d^d (n+1)^d),
     which keeps the intermediate integers small."""
     if d < 1:
-        raise ValueError("d must be >= 1")
+        raise ConfigError("d must be >= 1")
     out = [Fraction(1)] if count > 0 else []
     for n in range(count - 1):
         out.append(out[n] * Fraction(math.prod(range(d * n + 1, d * n + d + 1)),
@@ -228,6 +229,6 @@ def extension_norm_check(alpha: Sequence[int], d_prime: int) -> bool:
     """
     a = validate_multi_index(alpha)
     if d_prime < len(a):
-        raise ValueError("d_prime must be at least the length of alpha")
+        raise ConfigError("d_prime must be at least the length of alpha")
     padded = a + (0,) * (d_prime - len(a))
     return monomial_norm_sq(a) == monomial_norm_sq(padded)

@@ -11,7 +11,7 @@ import pytest
 
 import daverify
 
-from daverify import checks
+from daverify import checks, norms
 from daverify.cli import ConfigError, RunConfig, build_parser, main, run
 from daverify.reports import load_report
 
@@ -79,6 +79,27 @@ def test_invalid_config_exit_2(workdir):
     assert main(["peak-check", "--delta", "inf"]) == 2
     # no dimension at all would leave the report without an oracle row
     assert main(["verify-norms", "--dims", ""]) == 2
+
+
+def _bad_values(param):
+    # nan and inf have no JSON form, and -1 lies below every range
+    return ("nan", "inf", "-1") if "float" in str(param.annotation) else ("-1",)
+
+
+def test_every_option_refuses_bad_values(workdir, capsys):
+    # each option alone, and with each dim where the command takes one, so
+    # that the D2-only options reach the library calls that refuse them
+    for name, check in checks.COMMANDS.items():
+        params = inspect.signature(check).parameters
+        prefixes = [[]] + [["--dim", str(d)] for d in norms.SUPPORTED_DIMS if "dim" in params]
+        for param in params.values():
+            for value in _bad_values(param):
+                for prefix in prefixes if param.name != "dim" else [[]]:
+                    argv = [name, *prefix, "--" + param.name.replace("_", "-"), value]
+                    assert main(argv) == 2, argv
+                    out, err = capsys.readouterr()
+                    assert "error" in err and "Traceback" not in err, argv
+                    assert out == "" and not list(workdir.iterdir()), argv
 
 
 def test_negative_seed_and_tiny_eps_exit_2(workdir, capsys):
@@ -354,7 +375,7 @@ def test_output_below_a_regular_file_exit_2(workdir, capsys):
 
 def test_oversized_fourier_table_exit_2(workdir, capsys):
     assert main(["cantor-fourier", "--max-n", "1000000000"]) == 2
-    assert "max-n must be in" in capsys.readouterr().err
+    assert "max_n must be in" in capsys.readouterr().err
     assert not (workdir / "cantor-fourier-report.json").exists()
 
 

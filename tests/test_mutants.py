@@ -2,9 +2,9 @@
 names the rows of one stage of `daverify all` that must then fail.
 
 Every stage runs with the parameters `daverify all` pins, through its own
-`checks` function only. Every row of a stage listed here is flipped by some
-entry, apart from DATA_ROWS, which record data and cannot fail. A row that
-no entry flips would pass whatever the library computed.
+`checks` function only. Every stage is listed here, and every row of it is
+flipped by some entry, apart from DATA_ROWS, which record data and cannot
+fail. A row that no entry flips would pass whatever the library computed.
 """
 
 import dataclasses
@@ -25,10 +25,14 @@ _IFS = cantor.fourier_table_ifs
 _COS_PRODUCT = cantor._cos_product
 _LEVEL_FACTOR = cantor._level_factor
 _PHASES = cantor._phases
+_RIESZ_ENERGY = cantor.riesz_energy
+_SUPPORT_MEASURE_ZERO = cantor.support_measure_zero
 _BUILD_WITNESS = henkin.build_witness
 _MONOMIAL_NORM_SQ = norms.monomial_norm_sq
 _R_POWER_NORM_SQ = norms.r_power_norm_sq
 _MULTINOMIAL = norms._multinomial
+_DISC_MAP_SCALE = norms.disc_map_scale
+_NORMS_KERNEL_WEIGHTS = norms._kernel_weights
 _KERNEL_WEIGHTS = disc_kernel._kernel_weights
 _FLOAT_COEFFS = disc_kernel.float_coeff_sequence
 _TOP_SINGULAR_VALUE = compression.top_singular_value
@@ -62,6 +66,21 @@ def norm_sq_at_3333_times_5_4(mp):
         else _MONOMIAL_NORM_SQ(alpha)))
 
 
+def r_scale_plus_one(mp):
+    # r = (c + 1) z_1...z_d: the composed polynomials leave the isometry
+    mp.setattr(norms, "disc_map_scale", lambda d: _DISC_MAP_SCALE(d) + 1)
+
+
+def disc_weight_a2_doubled(mp):
+    # the disc side of the isometry; the examples have degree 1 or less
+    def weights(d, count):
+        a = _NORMS_KERNEL_WEIGHTS(d, count)
+        if count > 2:
+            a[2] *= 2
+        return a
+    mp.setattr(norms, "_kernel_weights", weights)
+
+
 def multinomial_doubled_at_5(mp):
     # the closed form ||r^5||^2; the recurrence for a_n stays right
     mp.setattr(norms, "_multinomial",
@@ -89,9 +108,16 @@ def float_weights_times_1_1_past_5000(mp):
                * np.where(np.arange(n_max + 1) > 5000, 1.1, 1.0))
 
 
+def float_weight_a500_times_1_001(mp):
+    # a_n (n+1)^(3/2) steps up at n = 500, which the tail estimate assumes
+    # it never does; the envelope's 5% window still holds it
+    mp.setattr(disc_kernel, "float_coeff_sequence", lambda d, n_max: _FLOAT_COEFFS(d, n_max)
+               * np.where(np.arange(n_max + 1) == 500, 1.001, 1.0))
+
+
 def float_weights_of_d2(mp):
-    # a_n ~ (n+1)^(-1/2) in place of (n+1)^(-3/2): the d = 4 tail estimate
-    # reads a_1000 only, and fails from about 12 times its value
+    # a_n ~ (n+1)^(-1/2) in place of (n+1)^(-3/2): a_n (n+1)^(3/2) grows,
+    # and the tail estimate from a_1000 reads 36 against its bound of 0.1
     mp.setattr(disc_kernel, "float_coeff_sequence", lambda d, n_max: _FLOAT_COEFFS(2, n_max))
 
 
@@ -171,6 +197,22 @@ def weighted_terms_unsquared(mp):
     mp.setattr(cantor, "_weighted_terms", weighted_terms)
 
 
+def energy_bracket_swapped(mp):
+    def riesz_energy(level):
+        est = _RIESZ_ENERGY(level)
+        return dataclasses.replace(est, lower=est.upper, upper=est.lower)
+    mp.setattr(cantor, "riesz_energy", riesz_energy)
+
+
+def unbounded_rounding_slack(mp):
+    # widening by an infinite roundoff leaves the bracket ordered but infinite
+    mp.setattr(cantor, "_UNIT_ROUNDOFF", math.inf)
+
+
+def support_cover_of_level_0(mp):
+    mp.setattr(cantor, "support_measure_zero", lambda level: _SUPPORT_MEASURE_ZERO(0))
+
+
 def witness_norm_quartered(mp):
     def build(*args, **kwargs):
         w = _BUILD_WITNESS(*args, **kwargs)
@@ -205,6 +247,12 @@ ENTRIES = [
     ("verify-norms", one_variable_norms_doubled,
      {"norms/kernel-expansion-oracle-d1", "norms/extension-isometric"}),
     ("verify-norms", r_power_norm_doubled_at_d4_n1, {"norms/frozen-examples"}),
+    ("verify-isometry", r_scale_plus_one,
+     {"isometry/random-exact-d2", "isometry/examples-d2", "isometry/random-exact-d4",
+      "isometry/examples-d4"}),
+    ("verify-isometry", disc_weight_a2_doubled,
+     {"isometry/random-exact-d2", "isometry/random-exact-d4"}),
+    ("verify-isometry", r_power_norm_doubled_at_d4_n1, {"isometry/examples-d4"}),
     ("kernel-table[d2]", multinomial_doubled_at_5,
      {"kernel/a-times-norm-is-one", "kernel/dirichlet-binomial-identity"}),
     ("kernel-table[d2]", kernel_weight_a0_doubled,
@@ -220,6 +268,7 @@ ENTRIES = [
      {"kernel/a-times-norm-is-one", "kernel/positive-strictly-decreasing"}),
     ("kernel-table[d4]", float_weights_of_d2,
      {"kernel/normalized-ratio-envelope", "kernel/partial-sum-converging"}),
+    ("kernel-table[d4]", float_weight_a500_times_1_001, {"kernel/partial-sum-converging"}),
     ("cantor-fourier", cos_product_without_sign, {"cantor/recursion-vs-ifs-oracle"}),
     ("cantor-fourier", tiled_level_9_times_1_plus_1e_7,
      {"cantor/coeff-at-zero-is-one", "cantor/modulus-at-most-one"}),
@@ -231,6 +280,11 @@ ENTRIES = [
      {"cantor/coeff-at-zero-is-one", "cantor/conjugate-symmetry",
       "cantor/recursion-vs-ifs-oracle"}),
     ("cantor-fourier", weighted_terms_unsquared, {"cantor/weighted-sum-nondecreasing"}),
+    ("cantor-energy", energy_bracket_swapped,
+     {"energy/lower-below-upper-L10", "energy/lower-below-upper-L12",
+      "energy/lower-nondecreasing", "energy/upper-nonincreasing"}),
+    ("cantor-energy", unbounded_rounding_slack, {"energy/upper-finite"}),
+    ("cantor-energy", support_cover_of_level_0, {"energy/support-cover-shrinks"}),
     ("moments[d4]", sample_unconjugated, {"moments/batch-4-sigma-agreement"}),
     ("moments[d2]", sample_unconjugated, {"moments/batch-4-sigma-agreement"}),
     ("henkin-check[d4]", conj_r_moment_doubled_at_1, {"henkin/d4-exact-identity"}),
@@ -272,7 +326,7 @@ ENTRIES = [
 ]
 
 # rows hard-wired to pass: data fields, not checks (ROADMAP item 1)
-DATA_ROWS = {"witness/serialized"}
+DATA_ROWS = {"witness/serialized", "energy/consecutive-gaps-recorded"}
 
 STAGES = {}
 for command, pins in checks.PLAN:
@@ -301,6 +355,7 @@ def test_mutant_flips_exactly_its_rows(stage, mutate, flipped, unmutated, monkey
 
 
 def test_every_row_is_flipped_or_data(unmutated):
+    assert set(unmutated) == set(STAGES)
     for stage, rows in unmutated.items():
         named = set().union(*(flipped for s, _, flipped in ENTRIES if s == stage))
         assert set(rows) - DATA_ROWS == named, stage
