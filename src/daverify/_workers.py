@@ -5,10 +5,10 @@ so its result does not depend on how many threads there are; the callers
 keep it that way by giving tasks only numpy operations on arrays they
 allocated, and by never splitting one reduction over two tasks.
 
-Task 0 always runs on the calling thread. A caller puts there the work that
-must stay on it, such as a draw from a random generator, which allocates its
-result and owns the generator's state, so that the draw overlaps the other
-tasks. Every other task writes into arrays the caller allocated and
+Task 0 always runs on the calling thread, after the other threads have
+started, and the calling thread then takes further tasks instead of waiting
+for them: it is one of the WORKERS, so a call starts at most WORKERS - 1
+threads. Every other task writes into arrays the caller allocated and
 allocates none of its own: glibc keeps the memory a thread frees in that
 thread's arena, so a thread that allocates raises the peak memory of the
 process for good.

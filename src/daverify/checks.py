@@ -246,14 +246,14 @@ def cantor_fourier(max_n: int = 256, eps: float = 1e-10, level: int = 14,
     partials = cantor.weighted_fourier_partials([2 ** p for p in powers], eps=1e-9)
     values = [partials[2 ** p] for p in powers]
     increases = [(b - a) / a for a, b in zip(values, values[1:])]
-    first_below = next((p for p, inc in zip(powers[1:], increases)
-                        if inc < DOUBLING_RATE_TOL), None)
+    last_noisy = max((p for p, inc in zip(powers[1:], increases)
+                      if inc >= DOUBLING_RATE_TOL), default=None)
     results.append({
         "check": "cantor/weighted-sum-nondecreasing",
         "pass": all(b >= a for a, b in zip(values, values[1:])),
         "partial_sums": {f"2^{p}": v for p, v in zip(powers, values)},
         "per_doubling_increase": {f"2^{p}": inc for p, inc in zip(powers[1:], increases)},
-        "first_power_below_one_percent": first_below,
+        "last_power_at_or_above_one_percent": last_noisy,
     })
 
     config = {"max_n": max_n, "eps": eps, "level": level, "sweep_pow": sweep_pow}
@@ -368,6 +368,7 @@ def henkin_check(dim: int = 4, maxdeg: Optional[int] = None, eps: Optional[float
     if dim == 4:
         _require_unset("dim 2", eps=eps, level=level, tol=tol)
         maxdeg = 24 if maxdeg is None else maxdeg
+        henkin._identity_tol("D4", maxdeg, None)  # before the witness reads maxdeg
         g = henkin.build_witness("D4", max(1, maxdeg // 4))
         res = henkin.henkin_identity_check("D4", maxdeg, g)
         results.append({"check": "henkin/d4-exact-identity", "pass": res.passed,
@@ -378,8 +379,8 @@ def henkin_check(dim: int = 4, maxdeg: Optional[int] = None, eps: Optional[float
     maxdeg = 100 if maxdeg is None else maxdeg
     eps = 1e-12 if eps is None else eps
     level = 14 if level is None else level
-    tol = 1e-10 if tol is None else tol
     _require_ifs_level(level)
+    tol = henkin._identity_tol("D2", maxdeg, tol)
     rec_table = cantor.fourier_table_recursion(maxdeg, eps)
     g = henkin.build_witness("D2", maxdeg, rec_table)
     oracle_table = cantor.fourier_table_ifs(maxdeg, level)

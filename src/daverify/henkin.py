@@ -48,8 +48,6 @@ Variant = Literal["D4", "D2"]
 # variant name -> d of the sphere of C^d that carries the measure
 _VARIANTS = {f"D{d}": d for d in SUPPORTED_DIMS}
 
-_CANTOR_SAMPLE_DEPTH = 64  # base-3 digits drawn per Cantor sample; 3^-64 << 1 ulp
-
 
 # ---------------------------------------------------------------------------
 # samplers and the measure
@@ -72,66 +70,31 @@ def _unit_phases(x: np.ndarray, out: np.ndarray) -> None:
     np.exp(out, out=out)
 
 
-_CANTOR_SAMPLE_CHUNK = 2 ** 14  # digit rows drawn at a time, 4 MiB of draws at depth 64
-
-# Column 0 reads digits 1..32 as the integer sum_j 2 d_j 3^(32-j), column 1
-# digits 33..64 likewise. The product is int64 arithmetic, exact and free of
-# any BLAS library, and each sum is below 3^32 < 2^53, so it converts to
-# float64 exactly.
-_DIGIT_WEIGHTS = np.zeros((_CANTOR_SAMPLE_DEPTH, 2), dtype=np.int64)
-_DIGIT_WEIGHTS[:32, 0] = _DIGIT_WEIGHTS[32:, 1] = 2 * 3 ** np.arange(31, -1, -1)
+# _BYTE_DIGITS[b] = sum_p 2 bit_p(b) 3^p: the eight base-3 digits in {0, 2}
+# that the bits of b spell, the top bit the most significant digit. Built
+# from Python ints: numpy temporaries at import would stay in peak memory.
+_BYTE_DIGITS = np.array([sum(2 * 3 ** p for p in range(8) if b >> p & 1)
+                         for b in range(256)], dtype=np.int64)
 
 
 def sample_cantor_points(count: int, rng: np.random.Generator) -> np.ndarray:
     """count independent samples t ~ sigma, via random base-3 digit strings
     with digits in {0, 2} truncated at 64 digits.
 
-    Each digit is the top bit of one 32-bit draw. These are the draws
-    rng.integers(0, 2) makes, one per digit, since its bounded method never
-    rejects a draw for a range of 2 and keeps the top bit, so the digits and
-    the generator's state afterwards are those of one (count, 64) draw. The
-    64 digits are summed as two 32-digit integers, hi and lo, in exact
-    integer arithmetic, and t = hi 3^-32 + lo 3^-64, so the samples do not
-    depend on the BLAS thread count. The calling thread draws the digits of
-    the next chunk of rows while a worker sums the chunk before it into
-    buffers allocated here.
+    Digit j of a sample is bit 64 - j of one 64-bit draw, which numpy takes
+    as the generator's raw output for the full range. Digits 1..32 and
+    33..64 are summed, a byte at a time, into the exact integers hi and lo,
+    each below 3^32 < 2^53, so t = hi 3^-32 + lo 3^-64 converts them to
+    float64 exactly.
     """
-    out = np.empty(count, dtype=np.float64)
-    if count == 0:
-        return out
-    rows = min(_CANTOR_SAMPLE_CHUNK, count)
-    digits = np.empty((rows, _CANTOR_SAMPLE_DEPTH), dtype=np.int64)
-    sums = np.empty((rows, 2), dtype=np.int64)
-    scratch = np.empty((rows, 2), dtype=np.float64)
-
-    def draw(start: int) -> np.ndarray:
-        size = (min(_CANTOR_SAMPLE_CHUNK, count - start), _CANTOR_SAMPLE_DEPTH)
-        return rng.integers(0, 2 ** 32, size=size, dtype=np.uint32)
-
-    bits = draw(0)
-    for start in range(0, count, _CANTOR_SAMPLE_CHUNK):
-        n = len(bits)
-        combine = partial(_cantor_chunk, bits, digits[:n], sums[:n], scratch[:n],
-                          out[start:start + n])
-        nxt = start + _CANTOR_SAMPLE_CHUNK
-        if nxt < count:
-            bits = _workers.run([partial(draw, nxt), combine])[0]
-        else:
-            combine()
-    return out
-
-
-def _cantor_chunk(bits: np.ndarray, digits: np.ndarray, sums: np.ndarray,
-                  scratch: np.ndarray, out: np.ndarray) -> None:
-    """hi 3^-32 + lo 3^-64 into out, for the digits in the top bits of one
-    chunk of draws; every other argument is a buffer written here."""
-    np.right_shift(bits, 31, out=bits)
-    np.copyto(digits, bits)
-    np.matmul(digits, _DIGIT_WEIGHTS, out=sums)
-    np.copyto(scratch, sums)  # exact: both sums are below 2^53
-    np.multiply(scratch[:, 0], 3.0 ** -32, out=out)
-    np.multiply(scratch[:, 1], 3.0 ** -64, out=scratch[:, 1])
-    out += scratch[:, 1]
+    words = rng.integers(0, 2 ** 64, size=count, dtype=np.uint64)
+    hi = np.zeros(count, dtype=np.int64)
+    lo = np.zeros(count, dtype=np.int64)
+    for shift in (56, 48, 40, 32):
+        hi = hi * 3 ** 8 + _BYTE_DIGITS[(words >> shift) & 0xFF]
+    for shift in (24, 16, 8, 0):
+        lo = lo * 3 ** 8 + _BYTE_DIGITS[(words >> shift) & 0xFF]
+    return hi * 3.0 ** -32 + lo * 3.0 ** -64
 
 
 def _unit_rows(re: np.ndarray, im: np.ndarray, out: np.ndarray, scratch: np.ndarray,
@@ -374,6 +337,7 @@ def mc_moment(variant: Variant, alpha: Sequence[int], samples: int,
     """
     a = validate_multi_index(alpha)
     measure = _mc_measure(variant, samples, max(a, default=0), "alpha entries")
+    measure.moment(a)  # refuses an alpha of the wrong length before the draw
     return _mc_report(measure, [a], samples, np.random.default_rng(seed))[a]
 
 
@@ -475,6 +439,23 @@ class HenkinCheckResult:
     passed: bool
 
 
+def _identity_tol(variant: Variant, maxdeg: int, tol: Optional[float]) -> Optional[float]:
+    """The tol `henkin_identity_check` compares to, None for the exact D4
+    identity, after refusing a maxdeg out of range and a tol the variant
+    does not take; callable before the witness and the tables are built."""
+    if not 0 <= maxdeg <= _MAX_IDENTITY_DEG[variant]:
+        raise ConfigError(f"maxdeg must be in [0, {_MAX_IDENTITY_DEG[variant]}] for {variant}")
+    if variant == "D4":
+        if tol is not None:
+            raise ConfigError("the D4 identity is exact and takes no tol")
+        return None
+    if tol is None:
+        return 1e-10
+    if not 0.0 < tol < math.inf:
+        raise ConfigError(f"tol must be positive and finite, got {tol!r}")
+    return tol
+
+
 def henkin_identity_check(variant: Variant, maxdeg: int, witness: HenkinWitness,
                           table: Optional[FourierTable] = None,
                           tol: Optional[float] = None) -> HenkinCheckResult:
@@ -491,19 +472,11 @@ def henkin_identity_check(variant: Variant, maxdeg: int, witness: HenkinWitness,
     unless given; positive and finite). Requires witness.N >= maxdeg.
     """
     measure = PushforwardMeasure(variant, table)
+    tol = _identity_tol(variant, maxdeg, tol)
     if variant != witness.measure.variant:
         raise ConfigError("witness variant does not match")
-    if not 0 <= maxdeg <= _MAX_IDENTITY_DEG[variant]:
-        raise ConfigError(f"maxdeg must be in [0, {_MAX_IDENTITY_DEG[variant]}] for {variant}")
     if witness.N < (maxdeg // 4 if measure.table is None else maxdeg):
         raise ConfigError("witness truncation too small for maxdeg")
-    if measure.table is None:
-        if tol is not None:
-            raise ConfigError("the D4 identity is exact and takes no tol")
-    elif tol is None:
-        tol = 1e-10
-    elif not 0.0 < tol < math.inf:
-        raise ConfigError(f"tol must be positive and finite, got {tol!r}")
 
     failures: list[tuple] = []
     if measure.table is None:

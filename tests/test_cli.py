@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -268,6 +269,12 @@ def test_cantor_fourier_records_sweep(workdir):
     assert sweep_row["pass"] is True
     assert "2^10" in sweep_row["partial_sums"]
     assert "per_doubling_increase" in sweep_row
+    # 2^10 -> 2^11 grows 1.837%; a sweep of one partial sum has no doubling
+    assert sweep_row["last_power_at_or_above_one_percent"] == 11
+    assert main(["cantor-fourier", "--max-n", "32", "--sweep-pow", "10",
+                 "--level", "12"]) == 0
+    rep = load_report(workdir / "cantor-fourier-report.json")
+    assert rep["results"][-1]["last_power_at_or_above_one_percent"] is None
 
 
 def test_cantor_fourier_below_ifs_rounding_passes(workdir):
@@ -377,6 +384,24 @@ def test_oversized_fourier_table_exit_2(workdir, capsys):
     assert main(["cantor-fourier", "--max-n", "1000000000"]) == 2
     assert "max_n must be in" in capsys.readouterr().err
     assert not (workdir / "cantor-fourier-report.json").exists()
+
+
+def test_henkin_check_refuses_maxdeg_and_tol_before_building(workdir, capsys):
+    # the rules of the identity check run before any table or witness exists,
+    # so they name the caller's option, not a table's max_n or a witness's N
+    for argv, name in ((["--dim", "2", "--level", "17", "--tol", "nan"], "tol"),
+                       (["--dim", "4", "--maxdeg", "1000"], "maxdeg"),
+                       (["--dim", "2", "--maxdeg", "2000000"], "maxdeg")):
+        tracemalloc.start()
+        try:
+            assert main(["henkin-check", *argv]) == 2, argv
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        err = capsys.readouterr().err
+        assert f"{name} must be" in err and "Traceback" not in err, argv
+        assert peak < 2 ** 20, argv
+        assert not list(workdir.iterdir()), argv
 
 
 def test_all_passes_with_pinned_stages(workdir):

@@ -45,6 +45,8 @@ CASES = [
     (lambda: cantor.riesz_energy(cantor.MAX_ENERGY_LEVEL + 1), "level"),
     (lambda: cantor.fourier_table_ifs(8, cantor.MAX_IFS_LEVEL + 1), "level"),
     (lambda: cantor.fourier_table_ifs(cantor.MAX_TABLE_N + 1, 4), "max_n"),
+    # an alpha of the wrong length was refused only after the sample was drawn
+    (lambda: henkin.mc_moment("D4", (1, 1), 10 ** 6, 0), "length 4"),
 ]
 
 

@@ -166,17 +166,21 @@ class TestSamplers:
         assert np.abs(henkin._r_values(pts, m2.scale) - omega).max() < 1e-12
 
     def test_chunked_samplers_equal_one_shot_draws(self):
-        # integer arithmetic, no BLAS: t = hi 3^-32 + lo 3^-64 with the two
-        # 32-digit halves read as exact integers
-        place = 2 * 3 ** np.arange(31, -1, -1, dtype=np.int64)
+        # digit j is bit 64 - j of one 64-bit draw, 1 -> 2 read in base 3: the
+        # two 32-digit halves hi and lo as Python ints, t = hi 3^-32 + lo 3^-64
         counts = (*range(1, 21), 16383, 16384, 16385, 32769, 50000)
         for seed, count in itertools.product((1, 13), counts):
-            digits = np.random.default_rng(seed).integers(0, 2, size=(count, 64))
-            hi = (digits[:, :32] * place).sum(axis=1)
-            lo = (digits[:, 32:] * place).sum(axis=1)
-            expected = hi.astype(np.float64) * 3.0 ** -32 + lo.astype(np.float64) * 3.0 ** -64
-            got = sample_cantor_points(count, np.random.default_rng(seed))
-            assert got.tobytes() == expected.tobytes()
+            rng = np.random.default_rng(seed)
+            words = rng.integers(0, 2 ** 64, size=count, dtype=np.uint64)
+            expected = []
+            for w in words.tolist():
+                digits = format(w, "064b").replace("1", "2")
+                expected.append(int(digits[:32], 3) * 3.0 ** -32
+                                + int(digits[32:], 3) * 3.0 ** -64)
+            sampler = np.random.default_rng(seed)
+            got = sample_cantor_points(count, sampler)
+            assert got.tobytes() == np.array(expected, dtype=np.float64).tobytes()
+            assert sampler.bit_generator.state == rng.bit_generator.state
 
             # (zeta, conj(zeta_1 zeta_2 zeta_3)) / 2, with the later product in
             # place as the sampler forms it: out of place, numpy rounds it
@@ -218,24 +222,6 @@ class TestSamplers:
             got.append(out)
             assert threading.active_count() == threads
         assert got[1] == got[0] and got[2] == got[0]
-
-    @pytest.mark.parametrize("buffered", [False, True], ids=["fresh", "half-used-32-bit-buffer"])
-    def test_top_bits_of_32_bit_draws_are_the_binary_digits(self, buffered):
-        # integers(0, 2) keeps the top bit of one 32-bit draw and never rejects
-        # one; drawn in the sampler's chunks of rows, which take the stream of
-        # one (count, 64) draw
-        chunk = henkin._CANTOR_SAMPLE_CHUNK
-        for count in (1, 16383, 16384, 16385, 300000):
-            a, b = np.random.default_rng(count), np.random.default_rng(count)
-            if buffered:
-                for rng in (a, b):
-                    rng.integers(0, 2 ** 32, dtype=np.uint32)
-                assert a.bit_generator.state["has_uint32"] == 1
-            for start in range(0, count, chunk):
-                size = (min(chunk, count - start), 64)
-                bits = a.integers(0, 2 ** 32, size=size, dtype=np.uint32) >> 31
-                assert np.array_equal(bits, b.integers(0, 2, size=size))
-            assert a.bit_generator.state == b.bit_generator.state
 
     def test_r_values_equal_the_written_out_product(self):
         rng = np.random.default_rng(7)
