@@ -5,13 +5,12 @@ so its result does not depend on how many threads there are; the callers
 keep it that way by giving tasks only numpy operations on arrays they
 allocated, and by never splitting one reduction over two tasks.
 
-Task 0 always runs on the calling thread, after the other threads have
-started, and the calling thread then takes further tasks instead of waiting
-for them: it is one of the WORKERS, so a call starts at most WORKERS - 1
-threads. Every other task writes into arrays the caller allocated and
-allocates none of its own: glibc keeps the memory a thread frees in that
-thread's arena, so a thread that allocates raises the peak memory of the
-process for good.
+Task i runs on worker i mod W, W the number of workers, and worker 0 is
+the calling thread, which runs its tasks after the other threads have
+started: a call starts at most WORKERS - 1 threads. A task on another
+thread writes into arrays the caller allocated and allocates none of its
+own: glibc keeps the memory a thread frees in that thread's arena, so a
+thread that allocates raises the peak memory of the process for good.
 """
 
 from __future__ import annotations
@@ -39,41 +38,31 @@ def slices(n: int) -> list[slice]:
 
 
 def run(tasks: Sequence[Callable[[], T]]) -> list[T]:
-    """Each task's result, in task order. The calling thread runs task 0 and
-    then takes the remaining tasks in order alongside WORKERS - 1 threads
-    started here, which are joined before the call returns; with one worker
-    the tasks run in a loop. The first exception, in task order, is raised
-    after the join."""
+    """Each task's result, in task order. Task i runs on worker i mod W, where
+    W = min(WORKERS, len(tasks)); worker 0 is the calling thread, and the
+    W - 1 threads started here are joined before the call returns. With one
+    worker the tasks run in a loop. Otherwise every task runs, and the first
+    exception, in task order, is raised after the join."""
     workers = min(WORKERS, len(tasks))
     if workers <= 1:
         return [task() for task in tasks]
     results: list = [None] * len(tasks)
     errors: list = [None] * len(tasks)
-    pending = iter(range(1, len(tasks)))
-    lock = threading.Lock()
 
-    def do(i: int) -> None:
-        try:
-            results[i] = tasks[i]()
-        except BaseException as exc:  # raised again by the caller
-            errors[i] = exc
-
-    def work() -> None:
-        while True:
-            with lock:
-                i = next(pending, None)
-            if i is None:
-                return
-            do(i)
+    def work(w: int) -> None:
+        for i in range(w, len(tasks), workers):
+            try:
+                results[i] = tasks[i]()
+            except BaseException as exc:  # raised again by the caller
+                errors[i] = exc
 
     # threads of their own, not a concurrent.futures pool, whose first
     # import alone allocates about 0.6 MB
-    threads = [threading.Thread(target=work) for _ in range(workers - 1)]
+    threads = [threading.Thread(target=work, args=(w,)) for w in range(1, workers)]
     for thread in threads:
         thread.start()
     try:
-        do(0)
-        work()
+        work(0)
     finally:
         for thread in threads:
             thread.join()

@@ -120,6 +120,17 @@ def _r_values(points: np.ndarray, c: int) -> np.ndarray:
     return r
 
 
+def _moment_index(variant: Variant, alpha: Sequence[int]) -> MultiIndex:
+    """alpha as a valid multi-index, refused unless it has the length the
+    moments of `variant` take; callable before the measure and its table
+    exist, and an unknown variant is left to PushforwardMeasure."""
+    a = validate_multi_index(alpha)
+    dim = _VARIANTS.get(variant, len(a))
+    if len(a) != dim:
+        raise ConfigError(f"{variant} moments take multi-indices of length {dim}")
+    return a
+
+
 _ZERO = Fraction(0)
 
 
@@ -157,10 +168,7 @@ class PushforwardMeasure:
         diagonal (k, ..., k) and c^(-k) integral(r^k dmu) on it: the exact
         Fraction c^(-k) where t = 0, and c^(-k) sigma_hat(-k) where t ~ sigma
         (a complex, 0j off the diagonal; ValueError past the table)."""
-        a = validate_multi_index(alpha)
-        if len(a) != self.dim:
-            raise ConfigError(f"{self.variant} moments take multi-indices of length {self.dim}")
-        return self._moment(a)
+        return self._moment(_moment_index(self.variant, alpha))
 
     def _moment(self, a: MultiIndex):
         """`moment`'s formula, for an a already checked: a tuple of dim
@@ -220,6 +228,9 @@ def _orbit_points(zeta: np.ndarray, t: Optional[np.ndarray], phases: Optional[np
 # max_exp holds up to about 350 bytes a point (the columns, the cached column
 # powers and a product buffer per worker), 0.7 GB at this limit.
 MAX_MC_SAMPLES = 2 * 10 ** 6
+# The most moments a batch checks: each distinct one is a pass over the
+# sample, about 8 ms per 10^6 points on two CPUs, so up to about 16 s here.
+MAX_MC_COUNT = 1000
 
 # A moment whose sampled integrand is constant has zero empirical variance,
 # so the 4-sigma window degenerates; the absolute floor keeps the comparison
@@ -263,42 +274,37 @@ def _mc_report(measure: PushforwardMeasure, alphas: Sequence[MultiIndex], sample
 
     The points are copied into one contiguous column per coordinate and
     dropped. The multi-indices are taken in sorted order, a group of
-    `_workers.WORKERS` at a time, each on its own thread with its own
-    product buffer; the column powers the next group needs are computed
-    alongside. A power is kept in `powers`, keyed by (j, alpha_j), until the
-    last multi-index that reads it; an exponent-1 factor is the column
-    itself. Each estimate depends only on alpha and the points, so neither
-    the order nor the number of workers changes a report.
+    `_workers.WORKERS` at a time: first the column powers the group needs,
+    a slice of rows per thread, then its products, each on its own thread
+    with its own buffer. A power is kept in `powers`, keyed by (j, alpha_j),
+    until the last multi-index that reads it; an exponent-1 factor is the
+    column itself. Each estimate depends only on alpha and the points, so
+    neither the order nor the number of workers changes a report.
     """
     columns = measure.sample(samples, rng).T.copy()
     distinct = sorted(set(alphas))
     last_reader = {(j, aj): i for i, a in enumerate(distinct)
                    for j, aj in enumerate(a) if aj > 1}
     powers: dict[tuple[int, int], np.ndarray] = {}
-
-    def power_tasks(group: list[MultiIndex]) -> list:
+    buffers = [np.empty(samples, dtype=np.complex128)
+               for _ in range(min(_workers.WORKERS, len(distinct)))]
+    sums = []
+    for start in range(0, len(distinct), len(buffers)):
+        group = distinct[start:start + len(buffers)]
         tasks = []
         for a in group:
             for j, aj in enumerate(a):
                 if aj > 1 and (j, aj) not in powers:
                     out = powers[j, aj] = np.empty(samples, dtype=np.complex128)
                     # as `column ** aj` rounds: numpy squares an exponent of 2
-                    tasks.append(partial(np.square, columns[j], out=out) if aj == 2
-                                 else partial(np.power, columns[j], aj, out=out))
-        return tasks
-
-    buffers = [np.empty(samples, dtype=np.complex128)
-               for _ in range(min(_workers.WORKERS, len(distinct)))]
-    groups = [distinct[i:i + len(buffers)] for i in range(0, len(distinct), len(buffers))]
-    _workers.run(power_tasks(groups[0]))
-    sums = []
-    for g, group in enumerate(groups):
-        ahead = power_tasks(groups[g + 1]) if g + 1 < len(groups) else []
-        products = [partial(_moment_sums, [columns[j] if aj == 1 else powers[j, aj]
-                                           for j, aj in enumerate(a) if aj], out)
-                    for a, out in zip(group, buffers)]
-        sums += _workers.run(products + ahead)[:len(group)]
-        for i, a in enumerate(group, g * len(buffers)):
+                    tasks += [partial(np.square, columns[j][s], out=out[s]) if aj == 2
+                              else partial(np.power, columns[j][s], aj, out=out[s])
+                              for s in _workers.slices(samples)]
+        _workers.run(tasks)
+        sums += _workers.run([partial(_moment_sums, [columns[j] if aj == 1 else powers[j, aj]
+                                                     for j, aj in enumerate(a) if aj], out)
+                              for a, out in zip(group, buffers)])
+        for i, a in enumerate(group, start):
             for j, aj in enumerate(a):
                 if last_reader.get((j, aj)) == i:
                     del powers[j, aj]
@@ -335,9 +341,8 @@ def mc_moment(variant: Variant, alpha: Sequence[int], samples: int,
     MAX_TABLE_N, the longest Fourier table. The check passes when
     |estimate - closed| <= max(4 stderr, 1e-13).
     """
-    a = validate_multi_index(alpha)
+    a = _moment_index(variant, alpha)
     measure = _mc_measure(variant, samples, max(a, default=0), "alpha entries")
-    measure.moment(a)  # refuses an alpha of the wrong length before the draw
     return _mc_report(measure, [a], samples, np.random.default_rng(seed))[a]
 
 
@@ -349,10 +354,11 @@ def mc_moment_batch(variant: Variant, count: int, samples: int, seed: int,
     tenth multi-index is forced onto the diagonal so nonzero closed forms
     are always represented. Sharing one batch keeps 100 checks at 1e5
     samples fast without changing any single check's semantics. A repeated
-    multi-index shares one report. max_exp is bounded as alpha's entries.
+    multi-index shares one report. count is at most MAX_MC_COUNT, and
+    max_exp is bounded as alpha's entries.
     """
-    if count < 1:
-        raise ConfigError("count must be >= 1")
+    if not 1 <= count <= MAX_MC_COUNT:
+        raise ConfigError(f"count must be in [1, {MAX_MC_COUNT}]")
     measure = _mc_measure(variant, samples, max_exp, "max_exp")
     dim = measure.dim
     rng = np.random.default_rng(seed)
@@ -589,6 +595,12 @@ def _ball_points(re: np.ndarray, im: np.ndarray, radii: Optional[np.ndarray],
 _DECAY_N = 1000
 _DECAY_THRESHOLD = 1e-6
 
+# Budgets of non_henkin_witness: the exact integrals sum Pascal rows of big
+# ints, O(n_max^3) bit operations (0.1 s at this n_max), and each half of a
+# sample holds its normals, about 72 bytes a point (72 MB at this limit).
+MAX_NON_HENKIN_N = 1000
+MAX_GRID_POINTS = 10 ** 6
+
 
 def non_henkin_witness(n_max: int = 50, grid_points: int = 1000,
                        grid_radius: float = 0.9, seed: int = 0) -> NonHenkinReport:
@@ -603,9 +615,12 @@ def non_henkin_witness(n_max: int = 50, grid_points: int = 1000,
 
     Together these witness that integral(f_n dmu) fails to converge to 0
     while f_n -> 0 pointwise inside the ball with sup norms at most 1.
+    n_max is at most MAX_NON_HENKIN_N and grid_points MAX_GRID_POINTS.
     """
-    if n_max < 0 or grid_points < 1:
-        raise ConfigError("bad sizes")
+    if not 0 <= n_max <= MAX_NON_HENKIN_N:
+        raise ConfigError(f"n_max must be in [0, {MAX_NON_HENKIN_N}]")
+    if not 1 <= grid_points <= MAX_GRID_POINTS:
+        raise ConfigError(f"grid_points must be in [1, {MAX_GRID_POINTS}]")
     if not 0.0 < grid_radius < 1.0:
         raise ConfigError("grid_radius must lie strictly inside (0, 1)")
 
@@ -700,12 +715,13 @@ def peak_check(samples: int = 10_000, seed: int = 0, delta: float = 1e-2) -> Pea
     rng = np.random.default_rng(seed)
 
     # The calling thread draws one block of rows at a time and forms r on
-    # it; the workers reduce a slice of the block each, into buffers
-    # allocated here. The random generator fills its arrays row by row, so
-    # the blocks take the stream of one full draw. Every reduction is a max,
-    # a min, a count or an `all`, whose value does not depend on the blocks
-    # or slices; partial results are folded with np.maximum/np.minimum,
-    # which keep a NaN where Python's max/min could drop it.
+    # it; on the support, the workers reduce a slice of the block each, into
+    # buffers allocated here. The random generator fills its arrays row by
+    # row, so the blocks take the stream of one full draw. Every reduction
+    # is a max, a min, a count or an `all`, whose value does not depend on
+    # the blocks or slices; partial results are folded with
+    # np.maximum/np.minimum, which keep a NaN where Python's max/min could
+    # drop it. Off the support, the calling thread reduces each block whole.
     measure = PushforwardMeasure("D4")
     rows = min(_ROW_BLOCK, samples)
     squares = np.empty((rows, measure.dim))
@@ -723,23 +739,18 @@ def peak_check(samples: int = 10_000, seed: int = 0, delta: float = 1e-2) -> Pea
             support_dev = np.maximum(support_dev, dev)
             max_peak_dev = np.maximum(max_peak_dev, peak_dev)
     support_dev, max_peak_dev = float(support_dev), float(max_peak_dev)
-    del squares, support, r_vals
+    del squares, values, moduli, support, r_vals
 
     half = samples // 2
     kept = 0
     min_margin = math.inf
     all_inside = True
-    far = np.empty(rows, dtype=bool)
-    inside = np.empty(rows, dtype=bool)
     for r_vals in _closed_ball_r_blocks(measure, samples - half, half, rng, 1.0):
-        k = len(r_vals)
-        for count, margin, ok in _workers.run([
-                partial(_margins, r_vals[s], delta, values[:k][s], moduli[:k][s], far[:k][s],
-                        inside[:k][s])
-                for s in _workers.slices(k)]):
-            kept += count
-            min_margin = np.minimum(min_margin, margin)
-            all_inside = all_inside and ok
+        far = np.abs(r_vals - 1.0) > delta
+        margins = 1.0 - np.abs((r_vals + 1.0) * 0.5)
+        kept += int(np.count_nonzero(far))
+        min_margin = np.minimum(min_margin, np.min(margins, where=far, initial=math.inf))
+        all_inside = all_inside and bool(np.all(margins > 0.0, where=far))
     rejected = samples - kept
     min_margin = float(min_margin)
 
@@ -765,23 +776,6 @@ def _support_devs(points: np.ndarray, r_vals: np.ndarray, squares: np.ndarray,
     np.subtract(values, 1.0, out=values)
     np.abs(values, out=moduli)
     return dev, np.max(moduli)
-
-
-def _margins(r_vals: np.ndarray, delta: float, values: np.ndarray, moduli: np.ndarray,
-             far: np.ndarray, inside: np.ndarray) -> tuple:
-    """Over the rows with |r - 1| > delta: their count, the least margin
-    1 - |f| (inf if none) and whether every margin is positive; the other
-    arguments are buffers written here."""
-    np.subtract(r_vals, 1.0, out=values)
-    np.abs(values, out=moduli)
-    np.greater(moduli, delta, out=far)
-    np.add(r_vals, 1.0, out=values)
-    np.multiply(values, 0.5, out=values)
-    np.abs(values, out=moduli)
-    np.subtract(1.0, moduli, out=moduli)
-    np.greater(moduli, 0.0, out=inside)
-    return (int(np.count_nonzero(far)), np.min(moduli, where=far, initial=math.inf),
-            bool(np.all(inside, where=far)))
 
 
 # ---------------------------------------------------------------------------

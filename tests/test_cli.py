@@ -217,6 +217,16 @@ def test_moments_sample_limit_exits_2(workdir, capsys):
     assert not list(workdir.iterdir())
 
 
+def test_moments_count_limit_exits_2(workdir, capsys):
+    # a batch loops over its count in Python, so a huge count never ended
+    limit = daverify.henkin.MAX_MC_COUNT
+    for count in (limit + 1, 10 ** 12):
+        assert main(["moments", "--count", str(count), "--samples", "1000"]) == 2
+        err = capsys.readouterr().err
+        assert f"count must be in [1, {limit}]" in err and "Traceback" not in err
+    assert not list(workdir.iterdir())
+
+
 def test_peak_check_sample_limit_exits_2(workdir, capsys):
     # peak-check streams its points, so a huge count would run for hours
     limit = daverify.henkin.MAX_PEAK_SAMPLES

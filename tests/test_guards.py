@@ -47,6 +47,13 @@ CASES = [
     (lambda: cantor.fourier_table_ifs(cantor.MAX_TABLE_N + 1, 4), "max_n"),
     # an alpha of the wrong length was refused only after the sample was drawn
     (lambda: henkin.mc_moment("D4", (1, 1), 10 ** 6, 0), "length 4"),
+    # D2 built its recursion table to max(alpha) before refusing the length
+    (lambda: henkin.mc_moment("D2", (2 ** 20, 0, 0, 0), 1000, 0), "length 2"),
+    # a huge count looped over its multi-indices in Python without end
+    (lambda: henkin.mc_moment_batch("D4", henkin.MAX_MC_COUNT + 1, 1000, 0),
+     r"count must be in \[1, 1000\]"),
+    (lambda: henkin.non_henkin_witness(n_max=henkin.MAX_NON_HENKIN_N + 1), "n_max"),
+    (lambda: henkin.non_henkin_witness(grid_points=henkin.MAX_GRID_POINTS + 1), "grid_points"),
 ]
 
 
@@ -72,3 +79,5 @@ def test_budgets_at_their_limits_are_accepted():
     assert henkin.henkin_identity_check("D2", 400, henkin.build_witness("D2", 400, TABLE),
                                         table=TABLE).checked == 401 ** 2
     assert R4.section(2).shape == R4.entries.shape
+    assert len(henkin.mc_moment_batch("D4", henkin.MAX_MC_COUNT, 1000, 0)) == 1000
+    assert henkin.non_henkin_witness(n_max=henkin.MAX_NON_HENKIN_N, grid_points=10).passed

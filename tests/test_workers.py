@@ -47,6 +47,16 @@ def test_task_0_runs_on_the_calling_thread(workers, monkeypatch):
     assert (set(idents) == {caller}) == (workers == 1)
 
 
+@pytest.mark.parametrize("workers", [2, 3])
+def test_task_i_runs_on_the_thread_of_task_i_mod_workers(workers, monkeypatch):
+    monkeypatch.setattr(_workers, "WORKERS", workers)
+    # thread objects, not idents, which a later thread may reuse
+    threads = _workers.run([threading.current_thread] * 7)
+    assert threads[0] is threading.current_thread()
+    assert len(set(threads)) == workers
+    assert all(threads[i] is threads[i % workers] for i in range(7))
+
+
 def test_task_0_overlaps_the_other_tasks(monkeypatch):
     # task 0 waits for task 1, which only another thread can run meanwhile
     monkeypatch.setattr(_workers, "WORKERS", 2)
@@ -68,8 +78,8 @@ def test_slices_cover_the_range_in_order(workers, monkeypatch):
 
 
 def test_every_task_runs_once_under_frequent_thread_switches(monkeypatch):
-    # more threads than CPUs, switching every microsecond: a task taken twice
-    # or lost by the shared task iterator shows as a wrong count
+    # more threads than CPUs, switching every microsecond: a task run twice
+    # or skipped by the round-robin assignment shows as a wrong count
     monkeypatch.setattr(_workers, "WORKERS", 8)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
