@@ -97,21 +97,6 @@ def sample_cantor_points(count: int, rng: np.random.Generator) -> np.ndarray:
     return hi * 3.0 ** -32 + lo * 3.0 ** -64
 
 
-def _unit_rows(re: np.ndarray, im: np.ndarray, out: np.ndarray, scratch: np.ndarray,
-               norms: np.ndarray) -> None:
-    """The rows of re + i im scaled to unit length, written into out, and
-    rounded as g / np.linalg.norm(g, axis=1, keepdims=True) rounds them.
-    scratch, of out's shape, and norms, one value per row, are written too.
-    Row by row, so a block of rows gives the same values as the full arrays."""
-    np.multiply(im, 1j, out=out)
-    np.add(re, out, out=out)
-    np.conjugate(out, out=scratch)
-    np.multiply(scratch, out, out=scratch)
-    np.add.reduce(scratch.real, axis=1, keepdims=True, out=norms)
-    np.sqrt(norms, out=norms)
-    np.divide(out, norms, out=out)
-
-
 def _r_values(points: np.ndarray, c: int) -> np.ndarray:
     """r(z) = c z_1...z_d on the rows of points, multiplied left to right."""
     r = c * points[:, 0]
@@ -224,10 +209,11 @@ def _orbit_points(zeta: np.ndarray, t: Optional[np.ndarray], phases: Optional[np
 # ---------------------------------------------------------------------------
 # Monte Carlo cross-checks
 
-# The most points a Monte Carlo check draws: a D4 batch of the default
-# max_exp holds up to about 350 bytes a point (the columns, the cached column
-# powers and a product buffer per worker), 0.7 GB at this limit.
+# The most points a Monte Carlo check draws, and the most bytes its arrays
+# may hold at once: a D4 batch of the default max_exp holds 368 bytes a
+# point, 0.74 GB at MAX_MC_SAMPLES.
 MAX_MC_SAMPLES = 2 * 10 ** 6
+MAX_MC_BYTES = 750 * 10 ** 6
 # The most moments a batch checks: each distinct one is a pass over the
 # sample, about 8 ms per 10^6 points on two CPUs, so up to about 16 s here.
 MAX_MC_COUNT = 1000
@@ -321,13 +307,19 @@ def _mc_report(measure: PushforwardMeasure, alphas: Sequence[MultiIndex], sample
     return reports
 
 
-def _mc_measure(variant: Variant, samples: int, max_n: int, name: str) -> PushforwardMeasure:
+def _mc_measure(variant: Variant, samples: int, max_n: int, name: str,
+                arrays: int) -> PushforwardMeasure:
     """The measure a Monte Carlo check samples, for samples and a largest
-    exponent max_n (`name` to the caller) in range; D2 reads a table to max_n."""
+    exponent max_n (`name` to the caller) in range, and `arrays` complex
+    arrays of `samples` within MAX_MC_BYTES; D2 reads a table to max_n."""
     if not 1000 <= samples <= MAX_MC_SAMPLES:
         raise ConfigError(f"samples must be in [1000, {MAX_MC_SAMPLES}]")
     if not 0 <= max_n <= MAX_TABLE_N:
         raise ConfigError(f"{name} must be in [0, {MAX_TABLE_N}]")
+    if 16 * arrays * samples > MAX_MC_BYTES:
+        raise ConfigError(f"{samples} samples with {name} {max_n} would hold "
+                          f"{16 * arrays * samples // 10 ** 6} MB, over the "
+                          f"{MAX_MC_BYTES // 10 ** 6} MB budget")
     table = fourier_table_recursion(max_n, 1e-12) if variant == "D2" else None
     return PushforwardMeasure(variant, table)
 
@@ -342,8 +334,17 @@ def mc_moment(variant: Variant, alpha: Sequence[int], samples: int,
     |estimate - closed| <= max(4 stderr, 1e-13).
     """
     a = _moment_index(variant, alpha)
-    measure = _mc_measure(variant, samples, max(a, default=0), "alpha entries")
+    # the columns, a power of each and a product buffer
+    measure = _mc_measure(variant, samples, max(a, default=0), "alpha entries", 2 * len(a) + 1)
     return _mc_report(measure, [a], samples, np.random.default_rng(seed))[a]
+
+
+def _batch_arrays(dim: int, max_exp: int) -> int:
+    """The most arrays of one complex a point `_mc_report` holds at once for
+    exponents up to max_exp: dim columns, two product buffers, the powers of
+    columns 1..dim-1, and those of column 0 that a group of two sorted
+    multi-indices reads; the others of column 0 are dropped."""
+    return dim + 2 + ((dim - 1) * (max_exp - 1) + 2 if max_exp > 1 else 0)
 
 
 def mc_moment_batch(variant: Variant, count: int, samples: int, seed: int,
@@ -354,12 +355,13 @@ def mc_moment_batch(variant: Variant, count: int, samples: int, seed: int,
     tenth multi-index is forced onto the diagonal so nonzero closed forms
     are always represented. Sharing one batch keeps 100 checks at 1e5
     samples fast without changing any single check's semantics. A repeated
-    multi-index shares one report. count is at most MAX_MC_COUNT, and
-    max_exp is bounded as alpha's entries.
+    multi-index shares one report. count is at most MAX_MC_COUNT, max_exp
+    is bounded as alpha's entries, and the batch's arrays by MAX_MC_BYTES.
     """
     if not 1 <= count <= MAX_MC_COUNT:
         raise ConfigError(f"count must be in [1, {MAX_MC_COUNT}]")
-    measure = _mc_measure(variant, samples, max_exp, "max_exp")
+    measure = _mc_measure(variant, samples, max_exp, "max_exp",
+                          _batch_arrays(_VARIANTS.get(variant, 0), max_exp))
     dim = measure.dim
     rng = np.random.default_rng(seed)
     alphas: list[MultiIndex] = []
@@ -540,8 +542,8 @@ class NonHenkinReport:
 # Rows evaluated at a time where a check reduces sampled points to a few
 # numbers; a complex (rows, 4) block takes 4 MiB.
 _ROW_BLOCK = 2 ** 16
-# Rows a worker normalizes at a time, in a scratch block of its own.
-_UNIT_ROWS_CHUNK = 2 ** 12
+# Rows of closed-ball points formed at a time: 256 KiB an array at d = 4.
+_BALL_BLOCK = 2 ** 12
 
 
 def _closed_ball_r_blocks(measure: PushforwardMeasure, n_ball: int, n_sphere: int,
@@ -553,42 +555,23 @@ def _closed_ball_r_blocks(measure: PushforwardMeasure, n_ball: int, n_sphere: in
     Each half draws its complex normals (real parts, then imaginary parts),
     then (the ball only) its radii, so the blocks concatenate to r of the two
     samples drawn one after the other in full. Only one half's draws are held
-    in full, never the points: the workers write one block of points at a
-    time, a slice of rows each, into buffers allocated here, and r is formed
-    from them on the calling thread. A half of size zero takes nothing from
-    rng.
+    in full, never the points: a block of _BALL_BLOCK points is formed and
+    reduced to r at a time, row by row, so the blocks give the values of the
+    full arrays. A half of size zero takes nothing from rng.
     """
     d, c = measure.dim, measure.scale
-    rows = min(_ROW_BLOCK, max(n_ball, n_sphere))
-    points = np.empty((rows, d), dtype=np.complex128)
-    chunk = min(_UNIT_ROWS_CHUNK, rows)
-    scratch = np.empty((_workers.WORKERS, chunk, d), dtype=np.complex128)
-    norms = np.empty((_workers.WORKERS, chunk, 1))
     for n, ball in ((n_ball, True), (n_sphere, False)):
         re = rng.standard_normal((n, d))
         im = rng.standard_normal((n, d))
         radii = radius * rng.random((n, 1)) ** (1.0 / (2 * d)) if ball else None
-        for start in range(0, n, _ROW_BLOCK):
-            block = slice(start, start + _ROW_BLOCK)
-            k = min(_ROW_BLOCK, n - start)
-            _workers.run([partial(_ball_points, re[block][s], im[block][s],
-                                  None if radii is None else radii[block][s],
-                                  points[:k][s], scratch[i], norms[i])
-                          for i, s in enumerate(_workers.slices(k))])
-            yield _r_values(points[:k], c)
+        for start in range(0, n, _BALL_BLOCK):
+            b = slice(start, start + _BALL_BLOCK)
+            g = re[b] + 1j * im[b]
+            g /= np.linalg.norm(g, axis=1, keepdims=True)
+            if ball:
+                g *= radii[b]
+            yield _r_values(g, c)
         del re, im, radii
-
-
-def _ball_points(re: np.ndarray, im: np.ndarray, radii: Optional[np.ndarray],
-                 out: np.ndarray, scratch: np.ndarray, norms: np.ndarray) -> None:
-    """Points of the unit sphere from normals, times radii unless None,
-    written into out, len(scratch) rows at a time."""
-    for start in range(0, len(out), len(scratch)):
-        rows = slice(start, start + len(scratch))
-        n = len(out[rows])
-        _unit_rows(re[rows], im[rows], out[rows], scratch[:n], norms[:n])
-    if radii is not None:
-        np.multiply(out, radii, out=out)
 
 
 # sup |f_n| on the interior sample must fall below _DECAY_THRESHOLD by n = _DECAY_N

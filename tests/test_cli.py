@@ -227,6 +227,27 @@ def test_moments_count_limit_exits_2(workdir, capsys):
     assert not list(workdir.iterdir())
 
 
+def test_moments_memory_budget_exits_2(workdir, capsys):
+    # the cached powers of a wide max_exp held about 2 KB a point
+    assert main(["moments", "--max-exp", "40", "--samples", "1000000"]) == 2
+    err = capsys.readouterr().err
+    assert "750 MB budget" in err and "Traceback" not in err
+    assert not list(workdir.iterdir())
+
+
+def test_verify_isometry_limits_exit_2(workdir, capsys):
+    # a huge count or maxdeg ran without end
+    for argv, message in (
+            (["--count", "1001"], "count must be in [1, 1000]"),
+            (["--count", "100000000"], "count must be in [1, 1000]"),
+            (["--maxdeg", "401"], "maxdeg must be in [0, 400]"),
+            (["--maxdeg", str(10 ** 12)], "maxdeg must be in [0, 400]")):
+        assert main(["verify-isometry", *argv]) == 2
+        err = capsys.readouterr().err
+        assert message in err and "Traceback" not in err
+    assert not list(workdir.iterdir())
+
+
 def test_peak_check_sample_limit_exits_2(workdir, capsys):
     # peak-check streams its points, so a huge count would run for hours
     limit = daverify.henkin.MAX_PEAK_SAMPLES

@@ -7,7 +7,7 @@ import tracemalloc
 
 import pytest
 
-from daverify import cantor, cli, compression, disc_kernel, henkin
+from daverify import cantor, checks, cli, compression, disc_kernel, henkin, norms
 from daverify.exact import ConfigError
 
 TABLE = cantor.fourier_table_recursion(401, 1e-12)
@@ -54,6 +54,17 @@ CASES = [
      r"count must be in \[1, 1000\]"),
     (lambda: henkin.non_henkin_witness(n_max=henkin.MAX_NON_HENKIN_N + 1), "n_max"),
     (lambda: henkin.non_henkin_witness(grid_points=henkin.MAX_GRID_POINTS + 1), "grid_points"),
+    # a wide max_exp held about 2 KB a point of cached powers, 4 GB at the sample limit
+    (lambda: henkin.mc_moment_batch("D4", 1000, 10 ** 6, 0, max_exp=40), "750 MB budget"),
+    (lambda: henkin.mc_moment_batch("D2", 10, henkin.MAX_MC_SAMPLES, 0, max_exp=60),
+     "max_exp 60"),
+    # a huge count or degree ran without end
+    (lambda: norms.isometry_check([0] * (norms.MAX_ISOMETRY_DEGREE + 2), 4),
+     r"degree of f must be at most 400"),
+    (lambda: checks.verify_isometry(count=checks.MAX_ISOMETRY_COUNT + 1),
+     r"count must be in \[1, 1000\]"),
+    (lambda: checks.verify_isometry(maxdeg=norms.MAX_ISOMETRY_DEGREE + 1),
+     r"maxdeg must be in \[0, 400\]"),
 ]
 
 
@@ -81,3 +92,8 @@ def test_budgets_at_their_limits_are_accepted():
     assert R4.section(2).shape == R4.entries.shape
     assert len(henkin.mc_moment_batch("D4", henkin.MAX_MC_COUNT, 1000, 0)) == 1000
     assert henkin.non_henkin_witness(n_max=henkin.MAX_NON_HENKIN_N, grid_points=10).passed
+    # a D4 batch of the default max_exp on the most samples fits the budget
+    assert 16 * henkin._batch_arrays(4, 6) * henkin.MAX_MC_SAMPLES <= henkin.MAX_MC_BYTES
+    assert norms.isometry_check([1] * (norms.MAX_ISOMETRY_DEGREE + 1), 4).equal
+    _, rows, _ = checks.verify_isometry(count=checks.MAX_ISOMETRY_COUNT, maxdeg=2)
+    assert all(row["pass"] for row in rows)
