@@ -318,7 +318,6 @@ def moments(dim: int = 4, alpha: Optional[tuple[int, ...]] = None,
 
     if alpha is not None:
         _require_unset("a batch without alpha", count=count, max_exp=max_exp)
-        _require(len(alpha) == dim, f"alpha must have {dim} entries for dim {dim}")
         rep = henkin.mc_moment(variant, alpha, samples, seed)
         results.append({
             "check": "moments/single-alpha-within-4-sigma",

@@ -47,7 +47,9 @@ _CSV_COMMANDS = {"kernel-table", "cantor-fourier", "moments"}
 
 def _resolve_output(cfg: RunConfig) -> Path:
     """The report path, refused with ConfigError where no file can be
-    written: an existing directory, or a path below a file that is not one."""
+    written: an existing directory, a path below a file that is not one or
+    below a directory this process may not write, or a file it may not
+    write."""
     name = cfg.output or f"{cfg.command}-report.json"
     path = Path(name)
     base = os.environ.get(OUTPUT_DIR_ENV)
@@ -59,7 +61,11 @@ def _resolve_output(cfg: RunConfig) -> Path:
         if parent.exists():
             if not parent.is_dir():
                 raise ConfigError(f"output {path} lies below {parent}, which is not a directory")
+            if not os.access(parent, os.W_OK | os.X_OK):
+                raise ConfigError(f"output {path} lies below {parent}, which is not writable")
             break
+    if path.exists() and not os.access(path, os.W_OK):
+        raise ConfigError(f"output {path} is not writable")
     return path
 
 

@@ -676,8 +676,9 @@ PEAK_TOL = 1e-12
 
 # The most points peak_check draws on each of its two samples. It streams
 # them, so its memory is the normals of one closed-ball half, about 36 bytes a
-# point (360 MB at this limit), and its time about 0.5 s per 10^6 points on
-# two CPUs.
+# point (360 MB at this limit), and its time about 0.5 s per 10^6 points,
+# almost all of it on the calling thread: only the support sample's torus
+# phases and orbit map take a second CPU.
 MAX_PEAK_SAMPLES = 10 ** 7
 
 
@@ -697,32 +698,24 @@ def peak_check(samples: int = 10_000, seed: int = 0, delta: float = 1e-2) -> Pea
         raise ConfigError(f"delta must be positive and finite, got {delta!r}")
     rng = np.random.default_rng(seed)
 
-    # The calling thread draws one block of rows at a time and forms r on
-    # it; on the support, the workers reduce a slice of the block each, into
-    # buffers allocated here. The random generator fills its arrays row by
-    # row, so the blocks take the stream of one full draw. Every reduction
-    # is a max, a min, a count or an `all`, whose value does not depend on
-    # the blocks or slices; partial results are folded with
-    # np.maximum/np.minimum, which keep a NaN where Python's max/min could
-    # drop it. Off the support, the calling thread reduces each block whole.
+    # Each half is one streamed fold on the calling thread: a block of rows
+    # is drawn, reduced, and folded into the running values (only
+    # `PushforwardMeasure.sample` splits its torus phases and orbit map over
+    # threads). The random generator fills its arrays row by row, so the
+    # blocks take the stream of one full draw. Every reduction is a max, a
+    # min, a count or an `all`, whose value does not depend on the blocks;
+    # the folds use np.maximum/np.minimum, which keep a NaN where Python's
+    # max/min could drop it.
     measure = PushforwardMeasure("D4")
-    rows = min(_ROW_BLOCK, samples)
-    squares = np.empty((rows, measure.dim))
-    values = np.empty(rows, dtype=np.complex128)
-    moduli = np.empty(rows)
     support_dev = max_peak_dev = -math.inf
     for start in range(0, samples, _ROW_BLOCK):
-        k = min(_ROW_BLOCK, samples - start)
-        support = measure.sample(k, rng)
+        support = measure.sample(min(_ROW_BLOCK, samples - start), rng)
         r_vals = _r_values(support, measure.scale)
-        for dev, peak_dev in _workers.run([
-                partial(_support_devs, support[s], r_vals[s], squares[:k][s], values[:k][s],
-                        moduli[:k][s])
-                for s in _workers.slices(k)]):
-            support_dev = np.maximum(support_dev, dev)
-            max_peak_dev = np.maximum(max_peak_dev, peak_dev)
+        moduli = np.add.reduce(np.square(np.abs(support)), axis=1)
+        support_dev = np.maximum(support_dev, np.max(np.abs(moduli - 1.0)))
+        max_peak_dev = np.maximum(max_peak_dev, np.max(np.abs((r_vals + 1.0) * 0.5 - 1.0)))
     support_dev, max_peak_dev = float(support_dev), float(max_peak_dev)
-    del squares, values, moduli, support, r_vals
+    del support, r_vals, moduli
 
     half = samples // 2
     kept = 0
@@ -741,24 +734,6 @@ def peak_check(samples: int = 10_000, seed: int = 0, delta: float = 1e-2) -> Pea
     return PeakReport(max_peak_dev=max_peak_dev, support_dev=support_dev, kept=kept,
                       rejected=rejected, min_margin=min_margin,
                       all_strictly_inside=all_inside, passed=passed)
-
-
-def _support_devs(points: np.ndarray, r_vals: np.ndarray, squares: np.ndarray,
-                  values: np.ndarray, moduli: np.ndarray) -> tuple:
-    """max ||z|^2 - 1| and max |f - 1|, f = (1 + r)/2, over the rows of
-    points and r_vals; the other arguments are buffers written here."""
-    np.abs(points, out=squares)
-    np.square(squares, out=squares)
-    np.add.reduce(squares, axis=1, out=moduli)
-    np.subtract(moduli, 1.0, out=moduli)
-    np.abs(moduli, out=moduli)
-    dev = np.max(moduli)
-    # f in place: halving is exact, so no loop can round it differently
-    np.add(r_vals, 1.0, out=values)
-    np.multiply(values, 0.5, out=values)
-    np.subtract(values, 1.0, out=values)
-    np.abs(values, out=moduli)
-    return dev, np.max(moduli)
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,7 @@ import pytest
 
 import daverify
 
-from daverify import checks, norms
+from daverify import checks, cli, norms
 from daverify.cli import ConfigError, RunConfig, build_parser, main, run
 from daverify.reports import load_report
 
@@ -409,6 +409,53 @@ def test_output_below_a_regular_file_exit_2(workdir, capsys):
         for argv in (["kernel-table", "--dim", "2", "--n", "5"], ["all"]):
             _refused_before_any_stage(argv + ["--output", output], "not a directory", capsys)
     assert (workdir / "plain").read_text() == ""
+
+
+def _deny_writes(monkeypatch, denied):
+    """os.access as cli sees it, answering False to a write test on the path
+    denied. Mode bits cannot stand in: root writes whatever they say."""
+    real = os.access
+
+    def access(path, mode, **kwargs):
+        if mode & os.W_OK and Path(path).resolve() == denied.resolve():
+            return False
+        return real(path, mode, **kwargs)
+
+    monkeypatch.setattr(cli.os, "access", access)
+
+
+def test_unwritable_output_directory_exit_2(workdir, monkeypatch, capsys):
+    # the report write failed with a PermissionError after every stage ran
+    (workdir / "locked").mkdir()
+    for denied, output in ((workdir, "report.json"), (workdir, "sub/report.json"),
+                           (workdir / "locked", "locked/report.json")):
+        with monkeypatch.context() as m:
+            _deny_writes(m, denied)
+            for argv in (["kernel-table", "--dim", "2", "--n", "5"], ["all"]):
+                _refused_before_any_stage(argv + ["--output", output], "which is not writable",
+                                          capsys)
+    assert [p.name for p in workdir.iterdir()] == ["locked"]
+    assert not any((workdir / "locked").iterdir())
+
+
+def test_unwritable_output_file_exit_2(workdir, monkeypatch, capsys):
+    kept = workdir / "kept.json"
+    kept.write_text("old\n")
+    _deny_writes(monkeypatch, kept)
+    for argv in (["kernel-table", "--dim", "2", "--n", "5"], ["all"]):
+        _refused_before_any_stage(argv + ["--output", "kept.json"], "is not writable", capsys)
+    assert kept.read_text() == "old\n"
+    assert [p.name for p in workdir.iterdir()] == ["kept.json"]
+
+
+def test_moments_alpha_of_the_wrong_length_exit_2(workdir, capsys):
+    # the library's own rule, refused before any draw or table
+    for argv, message in ((["--dim", "2", "--alpha", "1,1,1"],
+                           "D2 moments take multi-indices of length 2"),
+                          (["--dim", "4", "--alpha", "1,1"],
+                           "D4 moments take multi-indices of length 4")):
+        _refused_before_any_stage(["moments", *argv], message, capsys)
+    assert not list(workdir.iterdir())
 
 
 def test_oversized_fourier_table_exit_2(workdir, capsys):
