@@ -12,10 +12,9 @@ thread writes into arrays the caller allocated and allocates none of its
 own: glibc keeps the memory a thread frees in that thread's arena, so a
 thread that allocates raises the peak memory of the process for good.
 
-The callers are the torus phases and orbit map of the samplers, the Monte
-Carlo powers and products, the Cantor cosine product and the IFS phases;
-README.md gives what each saves. Every reduction over a sample runs on the
-calling thread, except a Monte Carlo task's own sums.
+The callers are the torus phases and orbit map of `PushforwardMeasure.sample`,
+the Cantor cosine product and the IFS phases; README.md gives what each
+saves. Every reduction over a sample runs on the calling thread.
 """
 
 from __future__ import annotations

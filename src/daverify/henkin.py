@@ -87,9 +87,18 @@ def sample_cantor_points(count: int, rng: np.random.Generator) -> np.ndarray:
     each below 3^32 < 2^53, so t = hi 3^-32 + lo 3^-64 converts them to
     float64 exactly.
     """
-    words = rng.integers(0, 2 ** 64, size=count, dtype=np.uint64)
-    hi = np.zeros(count, dtype=np.int64)
-    lo = np.zeros(count, dtype=np.int64)
+    return _cantor_t(_cantor_words(count, rng))
+
+
+def _cantor_words(count: int, rng: np.random.Generator) -> np.ndarray:
+    """The count 64-bit draws of `sample_cantor_points`."""
+    return rng.integers(0, 2 ** 64, size=count, dtype=np.uint64)
+
+
+def _cantor_t(words: np.ndarray) -> np.ndarray:
+    """The Cantor samples t that `sample_cantor_points` reads from its words."""
+    hi = np.zeros(len(words), dtype=np.int64)
+    lo = np.zeros(len(words), dtype=np.int64)
     for shift in (56, 48, 40, 32):
         hi = hi * 3 ** 8 + _BYTE_DIGITS[(words >> shift) & 0xFF]
     for shift in (24, 16, 8, 0):
@@ -172,56 +181,73 @@ class PushforwardMeasure:
         identity's moment route and inner-product route stay separate code."""
         return Fraction(1) if self.table is None else self.table[k]
 
+    def points(self, zeta: np.ndarray, t: Optional[np.ndarray], out: Optional[np.ndarray] = None,
+               phases: Optional[np.ndarray] = None) -> np.ndarray:
+        """The map of the measure, row by row: the points
+        (zeta, conj(zeta_1...zeta_(d-1)) e^(2 pi i t)) / sqrt(d) of the rows of
+        zeta, unit entries of shape (n, d - 1), and of t, n values in [0, 1);
+        t = 0 where t is None. out, complex of shape (n, d), and phases,
+        complex of length n and used only with t, are written when given, so
+        that the call can allocate nothing; new arrays are made otherwise."""
+        if out is None:
+            out = np.empty((len(zeta), self.dim), dtype=np.complex128)
+        out[:, :-1] = zeta
+        # from zeta's columns: an operand sharing memory with `last` rounds differently
+        last = out[:, -1]
+        if self.dim == 2:
+            last[:] = zeta[:, 0]
+        else:
+            np.multiply(zeta[:, 0], zeta[:, 1], out=last)
+            for j in range(2, self.dim - 1):
+                last *= zeta[:, j]
+        np.conjugate(last, out=last)
+        if t is not None:
+            # contiguous: numpy rounds a product of two strided columns differently
+            if phases is None:
+                phases = np.empty(len(t), dtype=np.complex128)
+            _unit_phases(t, phases)
+            last *= phases
+        out /= math.sqrt(self.dim)
+        return out
+
     def sample(self, count: int, rng: np.random.Generator) -> np.ndarray:
         """count points on the sphere distributed according to the measure:
-        the torus draws first, then (t ~ sigma only) the Cantor digits."""
+        the torus draws first, then (t ~ sigma only) the Cantor digits, mapped
+        by `points`."""
         zeta = sample_torus(count, rng, self.dim - 1)
         t = None if self.table is None else sample_cantor_points(count, rng)
         out = np.empty((count, self.dim), dtype=np.complex128)
         phases = None if t is None else np.empty(count, dtype=np.complex128)
-        _workers.run([partial(_orbit_points, zeta[s], None if t is None else t[s],
-                              None if t is None else phases[s], out[s])
+        _workers.run([partial(self.points, zeta[s], None if t is None else t[s], out[s],
+                              None if t is None else phases[s])
                       for s in _workers.slices(count)])
         return out
-
-
-def _orbit_points(zeta: np.ndarray, t: Optional[np.ndarray], phases: Optional[np.ndarray],
-                  out: np.ndarray) -> None:
-    """The rows (zeta, conj(zeta_1...zeta_(d-1)) e^(2 pi i t)) / sqrt(d) into
-    out, with t = 0 where t is None; phases is a buffer written here."""
-    dim = out.shape[1]
-    out[:, :-1] = zeta
-    # from zeta's columns: an operand sharing memory with `last` rounds differently
-    last = out[:, -1]
-    if dim == 2:
-        last[:] = zeta[:, 0]
-    else:
-        np.multiply(zeta[:, 0], zeta[:, 1], out=last)
-        for j in range(2, dim - 1):
-            last *= zeta[:, j]
-    np.conjugate(last, out=last)
-    if t is not None:
-        _unit_phases(t, phases)
-        last *= phases
-    out /= math.sqrt(dim)
 
 
 # ---------------------------------------------------------------------------
 # Monte Carlo cross-checks
 
-# The most points a Monte Carlo check draws, and the most bytes its arrays
-# may hold at once: a D4 batch of the default max_exp holds 368 bytes a
-# point, 0.74 GB at MAX_MC_SAMPLES.
+# The most points a Monte Carlo check draws, and the budget `_mc_measure`
+# charges a check against: complex arrays of the whole sample, 16 bytes a
+# point each, as many as the design that held its arrays whole kept at
+# once (`_batch_arrays`; 368 bytes a point for a D4 batch of the default
+# max_exp, 0.74 GB at MAX_MC_SAMPLES). A check now holds one block of rows
+# at a time (`_mc_report`), so the charge is more than it holds wherever
+# the charge passes the budget; it refuses what it refused before.
 MAX_MC_SAMPLES = 2 * 10 ** 6
 MAX_MC_BYTES = 750 * 10 ** 6
 # The most moments a batch checks: each distinct one is a pass over the
-# sample, about 8 ms per 10^6 points on two CPUs, so up to about 16 s here.
+# sample, 5 to 8 ms per 10^6 points on one CPU, so up to about 16 s here.
 MAX_MC_COUNT = 1000
 
 # A moment whose sampled integrand is constant has zero empirical variance,
 # so the 4-sigma window degenerates; the absolute floor keeps the comparison
 # meaningful there.
 _MC_ABS_FLOOR = 1e-13
+
+# Rows of a Monte Carlo sample formed and reduced at a time: 128 KiB a
+# complex column.
+_MC_BLOCK = 2 ** 13
 
 
 @dataclass(frozen=True)
@@ -234,11 +260,38 @@ class MomentReport:
     within_4_sigma: bool
 
 
+def _mc_point_blocks(measure: PushforwardMeasure, samples: int,
+                     rng: np.random.Generator) -> Iterator[np.ndarray]:
+    """measure.sample(samples, rng), byte for byte and with the same draws
+    from rng, as blocks of at most _MC_BLOCK rows, mapped by `points` on the
+    calling thread.
+
+    The generator fills its arrays row by row. Where the torus is the only
+    draw (t = 0), each block draws its own rows of it, which replays one
+    full draw; otherwise the torus angles and then the Cantor words are
+    drawn in full, 16 bytes a point, and mapped a block at a time. A lone
+    last row joins the block before it, as in `_workers.slices`: a
+    one-row block would round some complex products differently.
+    """
+    k = measure.dim - 1
+    x = words = None
+    if measure.table is not None:
+        x = rng.random((samples, k))
+        words = _cantor_words(samples, rng)
+    bounds = [*range(0, samples - 1, _MC_BLOCK), samples]
+    for b in map(slice, bounds, bounds[1:]):
+        xb = rng.random((b.stop - b.start, k)) if x is None else x[b]
+        zeta = np.empty(xb.shape, dtype=np.complex128)
+        _unit_phases(xb, zeta)
+        yield measure.points(zeta, None if words is None else _cantor_t(words[b]))
+
+
 def _moment_sums(factors: list[np.ndarray], out: np.ndarray) -> tuple[complex, float]:
-    """The mean of v = the product of `factors`, and the deviation sum
-    sum |v - mean|^2. v is formed in `out`: the first product out of place,
-    the rest in place, left to right. Both sums are einsum's, whose order is
-    fixed and which calls no BLAS library."""
+    """The sum S of v = the product of `factors` over the rows of `out`, and
+    the deviation sum sum |v - S/n|^2, n = len(out). v is formed in `out`:
+    the first product out of place, the rest in place, left to right. Both
+    sums are einsum's, whose order is fixed and which calls no BLAS
+    library."""
     if not factors:
         out.fill(1.0)
     elif len(factors) == 1:
@@ -247,10 +300,28 @@ def _moment_sums(factors: list[np.ndarray], out: np.ndarray) -> tuple[complex, f
         np.multiply(factors[0], factors[1], out=out)
         for f in factors[2:]:
             out *= f
-    est = complex(np.einsum("i->", out)) / len(out)
-    out -= est
+    total = complex(np.einsum("i->", out))
+    out -= total / len(out)
     flat = out.view(np.float64)
-    return est, float(np.einsum("i,i->", flat, flat))
+    return total, float(np.einsum("i,i->", flat, flat))
+
+
+def _pooled(sizes: list[int], totals: list[complex], devs: list[float],
+            samples: int) -> tuple[complex, float]:
+    """The mean and the deviation sum of a whole sample from its blocks' n_b,
+    and S_b and dev_b of `_moment_sums`, combined in block order:
+    mean = sum_b S_b / samples and dev = sum_b (dev_b + n_b |S_b/n_b - mean|^2)
+    (Chan, Golub and LeVeque, "Algorithms for computing the sample
+    variance", Amer. Statist. 37(3), 1983). One block gives its own sums."""
+    total = totals[0]
+    for block_total in totals[1:]:
+        total += block_total
+    est = total / samples
+    dev_sum = 0.0
+    for n, block_total, block_dev in zip(sizes, totals, devs):
+        gap = block_total / n - est
+        dev_sum += block_dev + n * (gap.real * gap.real + gap.imag * gap.imag)
+    return est, dev_sum
 
 
 def _mc_report(measure: PushforwardMeasure, alphas: Sequence[MultiIndex], samples: int,
@@ -258,45 +329,35 @@ def _mc_report(measure: PushforwardMeasure, alphas: Sequence[MultiIndex], sample
     """The report of each distinct multi-index of `alphas`, all on one sample
     of `samples` points drawn from the measure with rng.
 
-    The points are copied into one contiguous column per coordinate and
-    dropped. The multi-indices are taken in sorted order, a group of
-    `_workers.WORKERS` at a time: first the column powers the group needs,
-    a slice of rows per thread, then its products, each on its own thread
-    with its own buffer. A power is kept in `powers`, keyed by (j, alpha_j),
-    until the last multi-index that reads it; an exponent-1 factor is the
-    column itself. Each estimate depends only on alpha and the points, so
-    neither the order nor the number of workers changes a report.
+    The sample is formed and reduced a block of rows at a time
+    (`_mc_point_blocks`), on the calling thread. A block's points are copied
+    into one contiguous column per coordinate; each column power a
+    multi-index reads is formed once for the block, and an exponent-1
+    factor is the column itself. Each distinct multi-index reduces its
+    product over the block to `_moment_sums`, kept as one row of numbers a
+    block, and `_pooled` combines the blocks. Each estimate depends only on
+    alpha and the points.
     """
-    columns = measure.sample(samples, rng).T.copy()
     distinct = sorted(set(alphas))
-    last_reader = {(j, aj): i for i, a in enumerate(distinct)
-                   for j, aj in enumerate(a) if aj > 1}
-    powers: dict[tuple[int, int], np.ndarray] = {}
-    buffers = [np.empty(samples, dtype=np.complex128)
-               for _ in range(min(_workers.WORKERS, len(distinct)))]
-    sums = []
-    for start in range(0, len(distinct), len(buffers)):
-        group = distinct[start:start + len(buffers)]
-        tasks = []
-        for a in group:
+    sizes, totals, devs = [], [], []
+    for points in _mc_point_blocks(measure, samples, rng):
+        columns = points.T.copy()
+        out = np.empty(len(points), dtype=np.complex128)
+        powers: dict[tuple[int, int], np.ndarray] = {}
+        sizes.append(len(out))
+        totals.append(np.empty(len(distinct), dtype=np.complex128))
+        devs.append(np.empty(len(distinct)))
+        for i, a in enumerate(distinct):
             for j, aj in enumerate(a):
                 if aj > 1 and (j, aj) not in powers:
-                    out = powers[j, aj] = np.empty(samples, dtype=np.complex128)
-                    # as `column ** aj` rounds: numpy squares an exponent of 2
-                    tasks += [partial(np.square, columns[j][s], out=out[s]) if aj == 2
-                              else partial(np.power, columns[j][s], aj, out=out[s])
-                              for s in _workers.slices(samples)]
-        _workers.run(tasks)
-        sums += _workers.run([partial(_moment_sums, [columns[j] if aj == 1 else powers[j, aj]
-                                                     for j, aj in enumerate(a) if aj], out)
-                              for a, out in zip(group, buffers)])
-        for i, a in enumerate(group, start):
-            for j, aj in enumerate(a):
-                if last_reader.get((j, aj)) == i:
-                    del powers[j, aj]
+                    powers[j, aj] = columns[j] ** aj
+            factors = [columns[j] if aj == 1 else powers[j, aj] for j, aj in enumerate(a) if aj]
+            totals[-1][i], devs[-1][i] = _moment_sums(factors, out)
 
     reports = {}
-    for a, (est, dev_sum) in zip(distinct, sums):
+    for a, block_totals, block_devs in zip(distinct, np.array(totals).T.tolist(),
+                                           np.array(devs).T.tolist()):
+        est, dev_sum = _pooled(sizes, block_totals, block_devs, samples)
         moment = measure.moment(a)
         closed = complex(moment)
         exact_str = format_rational(moment) if isinstance(moment, Fraction) else None
@@ -310,14 +371,15 @@ def _mc_report(measure: PushforwardMeasure, alphas: Sequence[MultiIndex], sample
 def _mc_measure(variant: Variant, samples: int, max_n: int, name: str,
                 arrays: int) -> PushforwardMeasure:
     """The measure a Monte Carlo check samples, for samples and a largest
-    exponent max_n (`name` to the caller) in range, and `arrays` complex
-    arrays of `samples` within MAX_MC_BYTES; D2 reads a table to max_n."""
+    exponent max_n (`name` to the caller) in range, and a charge of `arrays`
+    complex arrays of `samples` within MAX_MC_BYTES; D2 reads a table to
+    max_n."""
     if not 1000 <= samples <= MAX_MC_SAMPLES:
         raise ConfigError(f"samples must be in [1000, {MAX_MC_SAMPLES}]")
     if not 0 <= max_n <= MAX_TABLE_N:
         raise ConfigError(f"{name} must be in [0, {MAX_TABLE_N}]")
     if 16 * arrays * samples > MAX_MC_BYTES:
-        raise ConfigError(f"{samples} samples with {name} {max_n} would hold "
+        raise ConfigError(f"{samples} samples with {name} {max_n} are charged "
                           f"{16 * arrays * samples // 10 ** 6} MB, over the "
                           f"{MAX_MC_BYTES // 10 ** 6} MB budget")
     table = fourier_table_recursion(max_n, 1e-12) if variant == "D2" else None
@@ -334,16 +396,20 @@ def mc_moment(variant: Variant, alpha: Sequence[int], samples: int,
     |estimate - closed| <= max(4 stderr, 1e-13).
     """
     a = _moment_index(variant, alpha)
-    # the columns, a power of each and a product buffer
+    # charged as the whole sample's columns, a power of each and a product buffer
     measure = _mc_measure(variant, samples, max(a, default=0), "alpha entries", 2 * len(a) + 1)
     return _mc_report(measure, [a], samples, np.random.default_rng(seed))[a]
 
 
 def _batch_arrays(dim: int, max_exp: int) -> int:
-    """The most arrays of one complex a point `_mc_report` holds at once for
-    exponents up to max_exp: dim columns, two product buffers, the powers of
-    columns 1..dim-1, and those of column 0 that a group of two sorted
-    multi-indices reads; the others of column 0 are dropped."""
+    """The whole-sample complex arrays that MAX_MC_BYTES charges a batch of
+    exponents up to max_exp: dim columns, two product buffers, the powers
+    of columns 1..dim-1 and two of column 0, which the threaded design
+    before row blocks held at once. A batch now holds one block of at most
+    _MC_BLOCK + 1 rows at a time: its points, its dim columns, the column
+    powers its multi-indices read (at most dim (max_exp - 1)) and one
+    product buffer, plus, for D2 only, the torus angles and Cantor words of
+    the whole sample, 16 bytes a point."""
     return dim + 2 + ((dim - 1) * (max_exp - 1) + 2 if max_exp > 1 else 0)
 
 
@@ -550,28 +616,28 @@ def _closed_ball_r_blocks(measure: PushforwardMeasure, n_ball: int, n_sphere: in
                           rng: np.random.Generator, radius: float) -> Iterator[np.ndarray]:
     """r(z), with the measure's d and c, on n_ball uniform points of the ball
     of C^d of the given radius, then on n_sphere uniform points of the unit
-    sphere, one block of rows at a time.
+    sphere, one block of _BALL_BLOCK rows at a time.
 
-    Each half draws its complex normals (real parts, then imaginary parts),
-    then (the ball only) its radii, so the blocks concatenate to r of the two
-    samples drawn one after the other in full. Only one half's draws are held
-    in full, never the points: a block of _BALL_BLOCK points is formed and
-    reduced to r at a time, row by row, so the blocks give the values of the
-    full arrays. A half of size zero takes nothing from rng.
+    A point is a uniform direction, d standard complex normals scaled to
+    norm 1, times radius u^(1/(2d)) with u uniform on [0, 1) on the ball.
+    Each half draws its radii first (the ball only), then its normals, the
+    real and imaginary parts of a normal next to each other in one row of
+    2d. The generator fills its arrays row by row, so drawing the normals a
+    block at a time replays one full draw, and only the radii are held in
+    full, 8 bytes a point. A half of size zero takes nothing from rng.
     """
     d, c = measure.dim, measure.scale
     for n, ball in ((n_ball, True), (n_sphere, False)):
-        re = rng.standard_normal((n, d))
-        im = rng.standard_normal((n, d))
-        radii = radius * rng.random((n, 1)) ** (1.0 / (2 * d)) if ball else None
+        if ball:
+            radii = rng.random((n, 1))
+            radii **= 1.0 / (2 * d)
+            radii *= radius
         for start in range(0, n, _BALL_BLOCK):
-            b = slice(start, start + _BALL_BLOCK)
-            g = re[b] + 1j * im[b]
+            g = rng.standard_normal((min(_BALL_BLOCK, n - start), 2 * d)).view(np.complex128)
             g /= np.linalg.norm(g, axis=1, keepdims=True)
             if ball:
-                g *= radii[b]
+                g *= radii[start:start + _BALL_BLOCK]
             yield _r_values(g, c)
-        del re, im, radii
 
 
 # sup |f_n| on the interior sample must fall below _DECAY_THRESHOLD by n = _DECAY_N
@@ -579,8 +645,8 @@ _DECAY_N = 1000
 _DECAY_THRESHOLD = 1e-6
 
 # Budgets of non_henkin_witness: the exact integrals sum Pascal rows of big
-# ints, O(n_max^3) bit operations (0.1 s at this n_max), and each half of a
-# sample holds its normals, about 72 bytes a point (72 MB at this limit).
+# ints, O(n_max^3) bit operations (0.1 s at this n_max), and the ball half
+# of a sample holds its radii, 8 bytes a point (8 MB at this limit).
 MAX_NON_HENKIN_N = 1000
 MAX_GRID_POINTS = 10 ** 6
 
@@ -675,10 +741,11 @@ class PeakReport:
 PEAK_TOL = 1e-12
 
 # The most points peak_check draws on each of its two samples. It streams
-# them, so its memory is the normals of one closed-ball half, about 36 bytes a
-# point (360 MB at this limit), and its time about 0.5 s per 10^6 points,
-# almost all of it on the calling thread: only the support sample's torus
-# phases and orbit map take a second CPU.
+# them, so its memory is a block of support points, about 13 MB, then the
+# radii of the closed-ball half, 4 bytes a sample (40 MB at this limit), and
+# its time about 0.4 s per 10^6 points, almost all of it on the calling
+# thread: only the support sample's torus phases and orbit map take a
+# second CPU.
 MAX_PEAK_SAMPLES = 10 ** 7
 
 

@@ -32,18 +32,21 @@ from daverify.norms import da_inner
 
 SIGMA_1 = 0.37143735670876543
 B = henkin._ROW_BLOCK
+MB = henkin._MC_BLOCK
 
 
-# Uniform samples of the unit sphere and of a ball in C^cdim as one
-# expression each: the references for the blocked closed-ball draws.
+# Uniform samples of the unit sphere and of a ball in C^cdim, each drawn in
+# one piece: the references for the blocked closed-ball draws. A ball draws
+# its radii, then its directions; a complex normal is the real and the
+# imaginary part of two neighbouring standard normals.
 def sphere(count, rng, cdim):
-    g = rng.standard_normal((count, cdim)) + 1j * rng.standard_normal((count, cdim))
+    g = rng.standard_normal((count, 2 * cdim)).view(np.complex128)
     return g / np.linalg.norm(g, axis=1, keepdims=True)
 
 
 def ball(count, rng, cdim, radius):
-    directions = sphere(count, rng, cdim)
-    return directions * (radius * rng.random((count, 1)) ** (1.0 / (2 * cdim)))
+    radii = radius * rng.random((count, 1)) ** (1.0 / (2 * cdim))
+    return sphere(count, rng, cdim) * radii
 
 
 # r = 16 z1 z2 z3 z4 written out: the reference for henkin._r_values
@@ -223,6 +226,19 @@ class TestSamplers:
             assert threading.active_count() == threads
         assert got[1] == got[0] and got[2] == got[0]
 
+    @pytest.mark.parametrize("variant", ["D4", "D2"])
+    def test_monte_carlo_blocks_equal_the_sample(self, variant):
+        # the points of each block, mapped by `points`, against one call of
+        # `sample`: the same bytes and the same draws; no block is one row
+        measure = D4 if variant == "D4" else PushforwardMeasure("D2", fourier_table_recursion(4, 1e-12))
+        for samples in (1000, MB - 1, MB, MB + 1, 3 * MB + 7):
+            rng = np.random.default_rng(samples)
+            blocks = list(henkin._mc_point_blocks(measure, samples, rng))
+            want_rng = np.random.default_rng(samples)
+            assert np.concatenate(blocks).tobytes() == measure.sample(samples, want_rng).tobytes()
+            assert rng.bit_generator.state == want_rng.bit_generator.state
+            assert all(1 < len(b) <= MB + 1 for b in blocks)
+
     def test_r_values_equal_the_written_out_product(self):
         rng = np.random.default_rng(7)
         for rows in range(1, 21):
@@ -285,10 +301,33 @@ class TestMonteCarlo:
 
     def test_batch_power_cache_is_bit_identical(self):
         # mc_moment_batch as one loop over every alpha, repeats included, on
-        # contiguous columns, with no power cache and no threads: the first
-        # product out of place, the rest in place, then the einsum mean and
-        # deviation sum. The pinned reference for the cache, the worker
-        # threads and reusing a repeated alpha's report.
+        # contiguous columns of the whole sample, with no power cache: the
+        # first product out of place, the rest in place, then the einsum mean
+        # and deviation sum, or past one block each block's einsum sums
+        # pooled in block order. The pinned reference for the blocks, the
+        # power cache and reusing a repeated alpha's report.
+        def pooled_sums(vals, samples):
+            bounds = [*range(0, samples - 1, MB), samples]
+            if len(bounds) == 2:
+                est = complex(np.einsum("i->", vals)) / samples
+                vals -= est
+                flat = vals.view(np.float64)
+                return est, float(np.einsum("i,i->", flat, flat))
+            parts = []
+            for lo, hi in zip(bounds, bounds[1:]):
+                total = complex(np.einsum("i->", vals[lo:hi]))
+                flat = (vals[lo:hi] - total / (hi - lo)).view(np.float64)
+                parts.append((hi - lo, total, float(np.einsum("i,i->", flat, flat))))
+            total = parts[0][1]
+            for _, block_total, _ in parts[1:]:
+                total += block_total
+            est = total / samples
+            dev = 0.0
+            for n, block_total, block_dev in parts:
+                gap = block_total / n - est
+                dev += block_dev + n * (gap.real * gap.real + gap.imag * gap.imag)
+            return est, dev
+
         def reference(variant, count, samples, seed, max_exp=6):
             rng = np.random.default_rng(seed)
             dim = 4 if variant == "D4" else 2
@@ -319,10 +358,8 @@ class TestMonteCarlo:
                     vals = factors[0] * factors[1]
                     for f in factors[2:]:
                         vals *= f
-                est = complex(np.einsum("i->", vals)) / samples
-                vals -= est
-                flat = vals.view(np.float64)
-                stderr = math.sqrt(float(np.einsum("i,i->", flat, flat)) / samples / samples)
+                est, dev = pooled_sums(vals, samples)
+                stderr = math.sqrt(dev / samples / samples)
                 ok = abs(est - closed) <= max(4.0 * stderr, 1e-13)
                 new.append(MomentReport(a, closed, exact_str, est, stderr, ok))
 
@@ -338,9 +375,11 @@ class TestMonteCarlo:
                 old.append(MomentReport(a, closed, exact_str, est, stderr, ok))
             return alphas, new, old
 
-        for variant, count, seed in (("D4", 40, 29), ("D2", 40, 29), ("D2", 100, 123)):
-            alphas, want, old = reference(variant, count, 5000, seed)
-            got = mc_moment_batch(variant, count, 5000, seed)
+        for variant, count, seed, samples in (("D4", 40, 29, 5000), ("D2", 40, 29, 5000),
+                                              ("D2", 100, 123, 5000), ("D4", 40, 7, 3 * MB + 7),
+                                              ("D2", 40, 7, 3 * MB + 7)):
+            alphas, want, old = reference(variant, count, samples, seed)
+            got = mc_moment_batch(variant, count, samples, seed)
             assert repr(got) == repr(want)
             for g, o in zip(got, old):
                 assert abs(g.mc_estimate - o.mc_estimate) <= 1e-15
@@ -371,10 +410,11 @@ class TestMonteCarlo:
             with pytest.raises(ValueError, match=message):
                 mc_moment_batch("D2", 5, samples, 0)
 
-    def test_batch_drops_each_column_power_after_its_last_reader(self):
-        # in units of one complex column of the batch; keeping every cached
-        # power to the end of the batch needs about 30
-        samples = 5 * 10 ** 4
+    @pytest.mark.parametrize("samples", [5 * 10 ** 4, 3 * 10 ** 5])
+    def test_batch_memory_does_not_grow_with_samples(self, samples):
+        # one block's points, columns, column powers and product buffer, and
+        # a few numbers a block: 4.7 to 4.8 MiB traced at either size; the
+        # whole sample's columns alone would take 18 MiB at 3 x 10^5
         # numpy.random imports lazily on first use; drawn once here, its
         # import stays outside the measured window
         np.random.default_rng(0).random()
@@ -384,7 +424,7 @@ class TestMonteCarlo:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < 24 * samples * 16
+        assert peak < 6 * 2 ** 20
 
     def test_seed_determinism(self):
         a = mc_moment("D4", (1, 0, 0, 1), 5000, 99)
@@ -653,9 +693,9 @@ class TestPeak:
         assert reports[1] == reports[0] and reports[2] == reports[0]
 
     def test_traced_memory_at_a_million_samples(self):
-        # one closed-ball half's normals, 30.5 MiB, and its radii, 3.8 MiB,
-        # whose power is formed out of place: 38.1 MiB; a block of points and
-        # its temporaries take 1 MiB at most
+        # a support block of _ROW_BLOCK points with its draws and
+        # temporaries, 12.5 MiB; the closed-ball half then holds its radii,
+        # 3.8 MiB, and a block of normals, 256 KiB
         np.random.default_rng(0).random()  # numpy.random imports lazily
         tracemalloc.start()
         try:
@@ -663,7 +703,7 @@ class TestPeak:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak <= 40 * 2 ** 20
+        assert peak <= 16 * 2 ** 20
 
 
 class TestFunctionalBound:

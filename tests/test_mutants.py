@@ -19,6 +19,7 @@ from daverify.henkin import PushforwardMeasure
 
 _R_VALUES = henkin._r_values
 _SAMPLE = PushforwardMeasure.sample
+_POINTS = PushforwardMeasure.points
 _MOMENT = PushforwardMeasure._moment
 _CONJ_R_MOMENT = PushforwardMeasure.conj_r_moment
 _IFS = cantor.fourier_table_ifs
@@ -126,12 +127,13 @@ def r_values_times_5_4(mp):
 
 
 def sample_unconjugated(mp):
-    # the last coordinate without its conjugate: r no longer pushes to e^(2 pi i t)
-    def sample(self, count, rng):
-        pts = _SAMPLE(self, count, rng)
+    # the last coordinate of the map without its conjugate: r no longer
+    # pushes to e^(2 pi i t); the map feeds `sample` and the moment batch
+    def points(self, zeta, t, out=None, phases=None):
+        pts = _POINTS(self, zeta, t, out, phases)
         pts[:, -1] = np.conj(pts[:, -1])
         return pts
-    mp.setattr(PushforwardMeasure, "sample", sample)
+    mp.setattr(PushforwardMeasure, "points", points)
 
 
 def sample_off_sphere(mp):
