@@ -293,7 +293,7 @@ class EnergyEstimate:
     pair_sum: float
 
 
-MAX_ENERGY_LEVEL = 14  # 3^14 difference vectors; peak memory about 220 MB
+MAX_ENERGY_LEVEL = 14  # 3^14 difference vectors; traced peak 146 MiB (153 MB)
 
 
 def _sinc(x: float) -> float:
@@ -319,6 +319,18 @@ def _difference_weights(level: int) -> np.ndarray:
     for _ in range(level):
         w = np.kron(w, [0.25, 0.5, 0.25])
     return w
+
+
+def _chord_table(n: int) -> np.ndarray:
+    """f(j / n) = |2 sin(pi j / n)|^(-1/2) for j = 0..n, n odd: the first
+    half, then its mirror image, since f(d) = f(1 - d)."""
+    half = np.arange((n + 1) // 2, dtype=np.float64)
+    half *= np.pi / n
+    np.sin(half, out=half)
+    half *= 2.0
+    with np.errstate(divide="ignore"):
+        np.power(half, -0.5, out=half)
+    return np.concatenate([half, half[::-1]])
 
 
 def riesz_energy(level: int) -> EnergyEstimate:
@@ -367,14 +379,17 @@ def riesz_energy(level: int) -> EnergyEstimate:
     w = _difference_weights(level)
     pos = w[M + 1:]  # P(D = 2m h) for m = 1..M; -D weighs the same
     reg = pos[:-1]  # m = M is the touching pair, D = 1 - h
-    with np.errstate(divide="ignore"):
-        line = np.sqrt(n / np.arange(2 * n + 1, dtype=np.float64))  # |j h|^(-1/2)
-        half = (2.0 * np.sin(np.pi / n * np.arange(M + 1))) ** -0.5
-    chord = np.concatenate([half, half[::-1]])  # f(j h), j = 0..n, by f(d) = f(1 - d)
-
+    # Each kernel table is built in place and dropped after its sums, so at
+    # most one is held; each operand keeps the layout that fixes einsum's order.
+    chord = _chord_table(n)  # f(j h), j = 0..n
     pair_sum = 2.0 * _dot(pos, chord[2:2 * M + 1:2])
     cross_lo = 2.0 * _dot(reg, chord[2:2 * M:2])
     cross_hi = _dot(reg, chord[1:2 * M - 1:2] + chord[3:2 * M + 1:2])
+    del chord
+    line = np.arange(2 * n + 1, dtype=np.float64)
+    with np.errstate(divide="ignore"):
+        np.divide(n, line, out=line)
+    np.sqrt(line, out=line)  # |j h|^(-1/2)
     # (1 - q^L) J: every pair of distinct cells, line kernel about |D| = 2m h.
     j_lo = 2.0 * _dot(pos, line[2:2 * M + 1:2])
     j_hi = _dot(pos, line[1:2 * M:2] + line[3:2 * M + 2:2])

@@ -428,8 +428,11 @@ def witness(dim: int = 4, n: Optional[int] = None, eps: Optional[float] = None,
         results.append({"check": "witness/d4-integrals-stay-one",
                         "pass": nh.integrals_all_one, "n_max": nh.n_max})
         results.append({"check": "witness/d4-interior-decay",
-                        "pass": nh.sup_ball_ok and nh.max_fn_final < nh.threshold,
+                        "pass": nh.sup_ball_ok and nh.sampled_max_base_abs <= nh.max_base_abs
+                        and nh.max_fn_final < nh.threshold,
                         "max_base_abs": nh.max_base_abs,
+                        "sampled_max_base_abs": nh.sampled_max_base_abs,
+                        "sup_ball_abs": nh.sup_ball_abs,
                         "n_below_threshold": nh.n_below_threshold,
                         "max_fn_final": nh.max_fn_final,
                         "origin_value_final": nh.origin_value_final})
@@ -516,7 +519,7 @@ def compression_norms(dim: int = 2, sections: tuple[int, ...] = (1, 2, 4, 8)):
     # |<M v, w>| <= sigma ||v|| ||w||, with equality at v = e_0, the constant
     # monomial, and w = M e_0 / ||M e_0||: M e_0 is r in the normalized
     # basis, so both sides are ||r||, the largest diagonal weight
-    Mv = M.entries[:, 0]
+    Mv = M.entries.column(0)
     w = Mv / np.linalg.norm(Mv)
     form = float(abs(np.vdot(w, Mv)))
     bound = sigmas[-1] * float(np.linalg.norm(w))  # sections are sorted: M's top singular value

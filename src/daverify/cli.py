@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Mapping, Optional
 
-from . import checks, reports
+from . import cantor, checks, henkin, reports
 from .exact import ConfigError
 
 OUTPUT_DIR_ENV = "DAVERIFY_OUT"
@@ -169,8 +169,23 @@ _HELP = {
 }
 
 
+# the ranges the library enforces, shown in --help
+_RANGES = {
+    ("moments", "samples"): (henkin.MIN_MC_SAMPLES, henkin.MAX_MC_SAMPLES),
+    ("moments", "count"): (1, henkin.MAX_MC_COUNT),
+    ("moments", "max_exp"): (0, cantor.MAX_TABLE_N),
+}
+
+
 def _show(default) -> str:
     return ",".join(map(str, default)) if isinstance(default, tuple) else str(default)
+
+
+def _option_help(command: str, param: inspect.Parameter) -> Optional[str]:
+    parts = [] if param.default is None else [f"default {_show(param.default)}"]
+    if (command, param.name) in _RANGES:
+        parts.append("range [{}, {}]".format(*_RANGES[command, param.name]))
+    return "; ".join(parts) or None
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -193,8 +208,7 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=_HELP[name])
         for param in inspect.signature(check).parameters.values():
             p.add_argument("--" + param.name.replace("_", "-"),
-                           type=_OPTION_TYPES.get(param.name, int),
-                           help=None if param.default is None else f"default {_show(param.default)}")
+                           type=_OPTION_TYPES.get(param.name, int), help=_option_help(name, param))
         common(p, csv_ok=name in _CSV_COMMANDS)
 
     p = sub.add_parser("all", help="every command at its defaults, one aggregate report")

@@ -19,29 +19,74 @@ from .norms import disc_map_scale, monomial_norm_sq, r_power_norm_sq
 
 
 @dataclass(frozen=True)
+class Section:
+    """A matrix stored as its nonzero entries: values[k] at (rows[k],
+    cols[k]), in row-major order; every other entry is zero."""
+
+    shape: tuple[int, int]
+    rows: np.ndarray
+    cols: np.ndarray
+    values: np.ndarray
+
+    ndim = 2
+
+    @property
+    def dtype(self) -> np.dtype:
+        return self.values.dtype
+
+    @property
+    def size(self) -> int:
+        """The number of stored entries."""
+        return len(self.values)
+
+    @classmethod
+    def from_dense(cls, A: np.ndarray) -> Section:
+        if A.ndim != 2:
+            raise ConfigError("need a matrix")
+        # as np.nonzero(A), row-major, but in a quarter of its time
+        rows, cols = np.divmod(np.flatnonzero(A != 0), A.shape[1])
+        return cls(A.shape, rows, cols, A[rows, cols])
+
+    def column(self, j: int) -> np.ndarray:
+        """Column j as a dense vector."""
+        v = np.zeros(self.shape[0], dtype=self.dtype)
+        at = self.cols == j
+        v[self.rows[at]] = self.values[at]
+        return v
+
+    def toarray(self) -> np.ndarray:
+        A = np.zeros(self.shape, dtype=self.dtype)
+        A[self.rows, self.cols] = self.values
+        return A
+
+
+@dataclass(frozen=True)
 class MultMatrix:
     """Matrix of M_phi from degrees <= N into degrees <= N + deg(phi).
 
     entry[beta, alpha] = phi_{beta - alpha} * sqrt(nu(beta) / nu(alpha))
     with nu the squared monomial norm; the square root converts between the
-    normalized bases on either side. `entries` is float64 when every
-    coefficient of phi is real (as for r), complex128 otherwise.
+    normalized bases on either side. `entries` stores one entry per column
+    and term of phi, float64 when every coefficient of phi is real (as for
+    r), complex128 otherwise.
     """
 
     phi: Polynomial
     d: int
     N: int
-    entries: np.ndarray
+    entries: Section
     columns: tuple[MultiIndex, ...]
     rows: tuple[MultiIndex, ...]
 
-    def section(self, n: int) -> np.ndarray:
+    def section(self, n: int) -> Section:
         """The entries of the degree-n section, 0 <= n <= N: the leading
         block, since both bases list the multi-indices in grlex order."""
         if not 0 <= n <= self.N:
             raise ConfigError(f"section N must be in [0, {self.N}], got {n}")
-        rows, cols = _section_shape(self.phi, n)
-        return self.entries[:rows, :cols]
+        shape = _section_shape(self.phi, n)
+        A = self.entries
+        keep = (A.rows < shape[0]) & (A.cols < shape[1])
+        return Section(shape, A.rows[keep], A.cols[keep], A.values[keep])
 
 
 def _section_shape(phi: Polynomial, N: int) -> tuple[int, int]:
@@ -50,7 +95,10 @@ def _section_shape(phi: Polynomial, N: int) -> tuple[int, int]:
     return math.comb(N + phi.degree() + d, d), math.comb(N + d, d)
 
 
-# The most entries a section may hold: r's at d = 4 and N = 12, 70 MB of float64.
+# The largest section, in rows x cols: r's at d = 4 and N = 12. Assembly
+# takes the exact squared norm of every row and column multi-index
+# (`monomial_norm_sq`, cached) and their index tuples; the stored entries
+# are only one per column and term of phi.
 MAX_SECTION_ENTRIES = 4845 * 1820
 
 
@@ -68,14 +116,19 @@ def mult_matrix(phi: Polynomial, N: int) -> MultMatrix:
     # the real part of complex(c) * weight.
     real = all(c.im == 0 for c in phi.terms.values())
     terms = [(gamma, float(c.re) if real else complex(c)) for gamma, c in phi.terms.items()]
-    A = np.zeros((len(rows), len(cols)), dtype=np.float64 if real else np.complex128)
+    at_row, at_col, values = [], [], []
     for j, alpha in enumerate(cols):
         nu_alpha = monomial_norm_sq(alpha)
         for gamma, c in terms:
             beta = tuple(a + g for a, g in zip(alpha, gamma))
-            weight = math.sqrt(float(monomial_norm_sq(beta) / nu_alpha))
-            A[row_pos[beta], j] += c * weight
-    return MultMatrix(phi=phi, d=d, N=N, entries=A,
+            at_row.append(row_pos[beta])
+            at_col.append(j)
+            values.append(c * math.sqrt(float(monomial_norm_sq(beta) / nu_alpha)))
+    order = np.lexsort((at_col, at_row))  # row-major
+    entries = Section((len(rows), len(cols)), np.array(at_row, dtype=np.intp)[order],
+                      np.array(at_col, dtype=np.intp)[order],
+                      np.array(values, dtype=np.float64 if real else np.complex128)[order])
+    return MultMatrix(phi=phi, d=d, N=N, entries=entries,
                       columns=tuple(cols), rows=tuple(rows))
 
 
@@ -84,7 +137,7 @@ _POWER_TOL = 1e-12
 _POWER_MAX_ITER = 20_000
 
 
-def top_singular_value(A: np.ndarray) -> float:
+def top_singular_value(A: Section | np.ndarray) -> float:
     """Largest singular value by power iteration on the Gram matrix A* A.
 
     Deterministic: starts from the normalized all-ones vector, in A's own
@@ -95,18 +148,17 @@ def top_singular_value(A: np.ndarray) -> float:
     sigma is converged well past _POWER_TOL.
 
     The products with A and A* run on A's nonzero entries alone, summed in
-    row-major order. Where each row and each column holds at most one
-    nonzero, as for a monomial phi, every entry of a product is one rounded
-    product, as in a dense product, which only adds zeros to it.
+    row-major order; a dense A is first reduced to them
+    (`Section.from_dense`). Where each row and each column holds at most
+    one nonzero, as for a monomial phi, every entry of a product is one
+    rounded product, as in a dense product, which only adds zeros to it.
     """
-    if A.ndim != 2:
-        raise ConfigError("need a matrix")
-    if A.shape[0] == 0 or A.shape[1] == 0:
-        return 0.0
+    if not isinstance(A, Section):
+        A = Section.from_dense(A)
     nrows, ncols = A.shape
-    # as np.nonzero(A), row-major, but in a quarter of its time
-    rows, cols = np.divmod(np.flatnonzero(A != 0), ncols)
-    entries = A[rows, cols]
+    if nrows == 0 or ncols == 0:
+        return 0.0
+    rows, cols, entries = A.rows, A.cols, A.values
     adjoint = entries.conj()
     dtype = np.result_type(A.dtype, np.float64)
     v = np.ones(ncols, dtype=dtype) / math.sqrt(ncols)

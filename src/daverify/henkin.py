@@ -227,15 +227,14 @@ class PushforwardMeasure:
 # ---------------------------------------------------------------------------
 # Monte Carlo cross-checks
 
-# The most points a Monte Carlo check draws, and the budget `_mc_measure`
-# charges a check against: complex arrays of the whole sample, 16 bytes a
-# point each, as many as the design that held its arrays whole kept at
-# once (`_batch_arrays`; 368 bytes a point for a D4 batch of the default
-# max_exp, 0.74 GB at MAX_MC_SAMPLES). A check now holds one block of rows
-# at a time (`_mc_report`), so the charge is more than it holds wherever
-# the charge passes the budget; it refuses what it refused before.
+# The fewest and most points a Monte Carlo check draws, and the budget
+# `_mc_measure` charges a check against: what it holds (`_batch_bytes`).
+# At MAX_MC_SAMPLES a batch of 100 of the default max_exp is charged 7.5 MB
+# for D4 and 37 MB for D2; MAX_MC_COUNT multi-indices that read 4000
+# column powers would be charged 557 MB.
+MIN_MC_SAMPLES = 1000
 MAX_MC_SAMPLES = 2 * 10 ** 6
-MAX_MC_BYTES = 750 * 10 ** 6
+MAX_MC_BYTES = 250 * 10 ** 6
 # The most moments a batch checks: each distinct one is a pass over the
 # sample, 5 to 8 ms per 10^6 points on one CPU, so up to about 16 s here.
 MAX_MC_COUNT = 1000
@@ -368,19 +367,19 @@ def _mc_report(measure: PushforwardMeasure, alphas: Sequence[MultiIndex], sample
     return reports
 
 
-def _mc_measure(variant: Variant, samples: int, max_n: int, name: str,
-                arrays: int) -> PushforwardMeasure:
-    """The measure a Monte Carlo check samples, for samples and a largest
-    exponent max_n (`name` to the caller) in range, and a charge of `arrays`
-    complex arrays of `samples` within MAX_MC_BYTES; D2 reads a table to
-    max_n."""
-    if not 1000 <= samples <= MAX_MC_SAMPLES:
-        raise ConfigError(f"samples must be in [1000, {MAX_MC_SAMPLES}]")
+def _mc_measure(variant: Variant, count: int, samples: int, max_n: int,
+                name: str) -> PushforwardMeasure:
+    """The measure a Monte Carlo check of `count` multi-indices samples, for
+    samples and a largest exponent max_n (`name` to the caller) in range,
+    with `_batch_bytes` within MAX_MC_BYTES; D2 reads a table to max_n."""
+    if not MIN_MC_SAMPLES <= samples <= MAX_MC_SAMPLES:
+        raise ConfigError(f"samples must be in [{MIN_MC_SAMPLES}, {MAX_MC_SAMPLES}]")
     if not 0 <= max_n <= MAX_TABLE_N:
         raise ConfigError(f"{name} must be in [0, {MAX_TABLE_N}]")
-    if 16 * arrays * samples > MAX_MC_BYTES:
-        raise ConfigError(f"{samples} samples with {name} {max_n} are charged "
-                          f"{16 * arrays * samples // 10 ** 6} MB, over the "
+    charge = _batch_bytes(variant, count, samples, max_n)
+    if charge > MAX_MC_BYTES:
+        raise ConfigError(f"{samples} samples of {count} multi-indices with {name} "
+                          f"{max_n} are charged {charge // 10 ** 6} MB, over the "
                           f"{MAX_MC_BYTES // 10 ** 6} MB budget")
     table = fourier_table_recursion(max_n, 1e-12) if variant == "D2" else None
     return PushforwardMeasure(variant, table)
@@ -396,21 +395,27 @@ def mc_moment(variant: Variant, alpha: Sequence[int], samples: int,
     |estimate - closed| <= max(4 stderr, 1e-13).
     """
     a = _moment_index(variant, alpha)
-    # charged as the whole sample's columns, a power of each and a product buffer
-    measure = _mc_measure(variant, samples, max(a, default=0), "alpha entries", 2 * len(a) + 1)
+    measure = _mc_measure(variant, 1, samples, max(a, default=0), "alpha entries")
     return _mc_report(measure, [a], samples, np.random.default_rng(seed))[a]
 
 
-def _batch_arrays(dim: int, max_exp: int) -> int:
-    """The whole-sample complex arrays that MAX_MC_BYTES charges a batch of
-    exponents up to max_exp: dim columns, two product buffers, the powers
-    of columns 1..dim-1 and two of column 0, which the threaded design
-    before row blocks held at once. A batch now holds one block of at most
-    _MC_BLOCK + 1 rows at a time: its points, its dim columns, the column
-    powers its multi-indices read (at most dim (max_exp - 1)) and one
-    product buffer, plus, for D2 only, the torus angles and Cantor words of
-    the whole sample, 16 bytes a point."""
-    return dim + 2 + ((dim - 1) * (max_exp - 1) + 2 if max_exp > 1 else 0)
+def _batch_bytes(variant: Variant, count: int, samples: int, max_exp: int) -> int:
+    """The bytes that `_mc_report` holds for `count` multi-indices with
+    entries up to max_exp, fixed costs such as the reports left out:
+    - one block of at most _MC_BLOCK + 1 rows in complex columns, 16 bytes
+      a row: the block's phases, points and point columns (3 d), the column
+      powers its multi-indices read (at most count d and d (max_exp - 1))
+      and one product buffer;
+    - each block's sums for each multi-index, and their pooled copies, at
+      most 128 bytes;
+    - for D2, the torus angles and Cantor words of the whole sample, 16
+      bytes a point, and the Fourier table to max_exp.
+    """
+    dim = _VARIANTS.get(variant, 0)
+    powers = min(count * dim, dim * max(max_exp - 1, 0))
+    held = 16 * min(samples, _MC_BLOCK + 1) * (3 * dim + powers + 1)
+    held += 128 * count * -(-samples // _MC_BLOCK)
+    return held + (16 * (samples + 2 * max_exp + 1) if variant == "D2" else 0)
 
 
 def mc_moment_batch(variant: Variant, count: int, samples: int, seed: int,
@@ -426,8 +431,7 @@ def mc_moment_batch(variant: Variant, count: int, samples: int, seed: int,
     """
     if not 1 <= count <= MAX_MC_COUNT:
         raise ConfigError(f"count must be in [1, {MAX_MC_COUNT}]")
-    measure = _mc_measure(variant, samples, max_exp, "max_exp",
-                          _batch_arrays(_VARIANTS.get(variant, 0), max_exp))
+    measure = _mc_measure(variant, count, samples, max_exp, "max_exp")
     dim = measure.dim
     rng = np.random.default_rng(seed)
     alphas: list[MultiIndex] = []
@@ -597,6 +601,8 @@ class NonHenkinReport:
     integrals_all_one: bool
     integral_failures: tuple[int, ...]
     max_base_abs: float
+    sampled_max_base_abs: float
+    sup_ball_abs: float
     sup_ball_ok: bool
     n_below_threshold: int
     threshold: float
@@ -651,16 +657,26 @@ MAX_NON_HENKIN_N = 1000
 MAX_GRID_POINTS = 10 ** 6
 
 
+def _round_up(x: Fraction) -> float:
+    """The least float >= x."""
+    f = float(x)
+    return f if f >= x else math.nextafter(f, math.inf)
+
+
 def non_henkin_witness(n_max: int = 50, grid_points: int = 1000,
                        grid_radius: float = 0.9, seed: int = 0) -> NonHenkinReport:
     """The sequence f_n = ((1 + r)/2)^n against the D4 measure.
 
     (i) integral f_n dmu = 1 exactly for n <= n_max, by binomial expansion
         in exact rationals: every power r^j integrates to 1.
-    (ii) on a seeded interior sample of the ball of radius grid_radius, the
-        sup of |f_n| decreases geometrically (it equals max|f_1|^n) and must
-        drop below 1e-6 by n = 1000. Also f_n(0) = 2^(-n) -> 0.
-    (iii) on a seeded sample of the closed ball, sup |f_1| <= 1 + 1e-12.
+    (ii) on the ball of radius rho = grid_radius, sup |f_n| = b^n with
+        b = (1 + rho^4)/2, since 16 |z1 z2 z3 z4| <= |z|^4 (AM-GM, equality
+        at (rho/2)(1, 1, 1, 1)). b is reported rounded up to a float, and
+        the first n with b^n < 1e-6, which must be at most 1000, is found
+        in exact rationals. No point of a seeded interior sample may exceed
+        b. Also f_n(0) = 2^(-n) -> 0.
+    (iii) on the closed ball sup |f_1| = 1, by the same inequality; on a
+        seeded sample of it, sup |f_1| <= 1 + 1e-12.
 
     Together these witness that integral(f_n dmu) fails to converge to 0
     while f_n -> 0 pointwise inside the ball with sup norms at most 1.
@@ -688,17 +704,23 @@ def non_henkin_witness(n_max: int = 50, grid_points: int = 1000,
             failures.append(n)
         binom = [a + b for a, b in zip([0] + binom, binom + [0])]
 
-    # (ii) interior decay on a fixed seeded grid; np.maximum keeps a NaN
+    # (ii) interior decay: the closed-form sup b = p / q, and b^n < t = u / v
+    # as p^n v < u q^n in integers
+    base = (1 + Fraction(grid_radius) ** 4) / 2
+    (p, q), (u, v) = base.as_integer_ratio(), Fraction(_DECAY_THRESHOLD).as_integer_ratio()
+    n_star, pn, qn = -1, 1, 1
+    for n in range(1, _DECAY_N + 1):
+        pn, qn = pn * p, qn * q
+        if pn * v < u * qn:
+            n_star = n
+            break
+    max_base, max_fn_final = _round_up(base), _round_up(base ** _DECAY_N)
+    # the seeded interior sample as a one-sided check; np.maximum keeps a NaN
     rng = np.random.default_rng(seed)
-    max_base = -math.inf
+    sampled_max_base = -math.inf
     for r_vals in _closed_ball_r_blocks(measure, grid_points, 0, rng, grid_radius):
-        max_base = np.maximum(max_base, np.max(np.abs(0.5 * (1.0 + r_vals))))
-    max_base = float(max_base)
-    if max_base < 1.0:
-        n_star = max(1, math.ceil(math.log(_DECAY_THRESHOLD) / math.log(max_base)))
-    else:
-        n_star = -1
-    max_fn_final = max_base ** _DECAY_N
+        sampled_max_base = np.maximum(sampled_max_base, np.max(np.abs(0.5 * (1.0 + r_vals))))
+    sampled_max_base = float(sampled_max_base)
 
     # (iii) sup certificate on the closed ball (interior plus sphere samples);
     # a NaN kept by np.maximum fails the comparison
@@ -707,11 +729,12 @@ def non_henkin_witness(n_max: int = 50, grid_points: int = 1000,
         sup_f1 = np.maximum(sup_f1, np.max(np.abs(0.5 * (1.0 + r_vals))))
     sup_ok = bool(sup_f1 <= 1.0 + 1e-12)
 
-    passed = (not failures) and sup_ok and 0 < n_star <= _DECAY_N \
-        and max_fn_final < _DECAY_THRESHOLD
+    passed = (not failures) and sup_ok and sampled_max_base <= max_base \
+        and 0 < n_star <= _DECAY_N and max_fn_final < _DECAY_THRESHOLD
     return NonHenkinReport(
         n_max=n_max, integrals_all_one=not failures,
-        integral_failures=tuple(failures), max_base_abs=max_base, sup_ball_ok=sup_ok,
+        integral_failures=tuple(failures), max_base_abs=max_base,
+        sampled_max_base_abs=sampled_max_base, sup_ball_abs=1.0, sup_ball_ok=sup_ok,
         n_below_threshold=n_star, threshold=_DECAY_THRESHOLD,
         max_fn_final=max_fn_final, origin_value_final=2.0 ** (-_DECAY_N),
         passed=passed,

@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import threading
+import tracemalloc
 from pathlib import Path
 
 import mpmath
@@ -380,7 +381,53 @@ def riesz_bracket_oracle(level: int) -> tuple[float, float]:
     )
 
 
+def energy_with_whole_tables(level):
+    """riesz_energy's bracket and pair sum with the kernel tables formed as
+    whole-array expressions, each from temporaries."""
+    n = 3 ** level
+    M = (n - 1) // 2
+    w = cantor._difference_weights(level)
+    pos, dot = w[M + 1:], cantor._dot
+    reg = pos[:-1]
+    with np.errstate(divide="ignore"):
+        line = np.sqrt(n / np.arange(2 * n + 1, dtype=np.float64))
+        half = (2.0 * np.sin(np.pi / n * np.arange(M + 1))) ** -0.5
+    chord = np.concatenate([half, half[::-1]])
+    pair_sum = 2.0 * dot(pos, chord[2:2 * M + 1:2])
+    cross_lo = 2.0 * dot(reg, chord[2:2 * M:2])
+    cross_hi = dot(reg, chord[1:2 * M - 1:2] + chord[3:2 * M + 1:2])
+    j_lo = 2.0 * dot(pos, line[2:2 * M + 1:2])
+    j_hi = dot(pos, line[1:2 * M:2] + line[3:2 * M + 2:2])
+    k_lo = dot(w[1:], line[3:2 * n:2])
+    k_hi = 0.5 * dot(w[1:], line[2:2 * n - 1:2] + line[4:2 * n + 1:2])
+    root_n = math.sqrt(n)
+    q_l, r_l = root_n / 2.0 ** level, root_n / 4.0 ** level
+    j_lo, j_hi = j_lo / (1.0 - q_l), j_hi / (1.0 - q_l)
+    k_lo, k_hi = k_lo / (1.0 - r_l), k_hi / (1.0 - r_l)
+    arc = 1.0 / math.sqrt(2.0 * math.pi)
+    lower = cross_lo + arc * (q_l * j_lo + 2.0 * r_l * k_lo)
+    upper = cross_hi + arc * (q_l * j_hi / math.sqrt(cantor._sinc(math.pi / n))
+                              + 2.0 * r_l * k_hi / math.sqrt(cantor._sinc(2.0 * math.pi / n)))
+    slack = 2.0 * (n + 80) * cantor._UNIT_ROUNDOFF
+    return lower * (1.0 - slack), upper * (1.0 + slack), pair_sum
+
+
 class TestRieszEnergy:
+    @pytest.mark.parametrize("level", range(1, 13))
+    def test_in_place_tables_equal_whole_array_tables(self, level):
+        est = riesz_energy(level)
+        assert [x.hex() for x in (est.lower, est.upper, est.pair_sum)] == \
+            [x.hex() for x in energy_with_whole_tables(level)]
+
+    def test_traced_memory_at_level_13(self):
+        tracemalloc.start()
+        try:
+            riesz_energy(13)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 58 * 2 ** 20  # 66.9 MiB with whole-array tables
+
     def test_lower_matches_brute_force_oracle(self):
         for level in (2, 3, 5):
             est = riesz_energy(level)

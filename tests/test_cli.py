@@ -228,10 +228,11 @@ def test_moments_count_limit_exits_2(workdir, capsys):
 
 
 def test_moments_memory_budget_exits_2(workdir, capsys):
-    # the cached powers of a wide max_exp held about 2 KB a point
-    assert main(["moments", "--max-exp", "40", "--samples", "1000000"]) == 2
+    # a block holds every column power its multi-indices read: 3996 of them here
+    argv = ["moments", "--count", "1000", "--max-exp", "1000", "--samples", "1000000"]
+    assert main(argv) == 2
     err = capsys.readouterr().err
-    assert "750 MB budget" in err and "Traceback" not in err
+    assert "250 MB budget" in err and "Traceback" not in err
     assert not list(workdir.iterdir())
 
 
@@ -354,6 +355,16 @@ def test_python_m_daverify_help():
                           timeout=60)
     assert proc.returncode == 0
     assert "peak-check" in proc.stdout
+
+
+def test_moments_help_shows_the_library_ranges(capsys):
+    assert main(["moments", "--help"]) == 0
+    out = " ".join(capsys.readouterr().out.split())
+    henkin = daverify.henkin
+    assert f"--samples SAMPLES default 100000; range [{henkin.MIN_MC_SAMPLES}, " \
+        f"{henkin.MAX_MC_SAMPLES}]" in out
+    assert f"--count COUNT range [1, {henkin.MAX_MC_COUNT}]" in out
+    assert f"--max-exp MAX_EXP range [0, {daverify.cantor.MAX_TABLE_N}]" in out
 
 
 def test_compression_d2(workdir):

@@ -54,10 +54,10 @@ CASES = [
      r"count must be in \[1, 1000\]"),
     (lambda: henkin.non_henkin_witness(n_max=henkin.MAX_NON_HENKIN_N + 1), "n_max"),
     (lambda: henkin.non_henkin_witness(grid_points=henkin.MAX_GRID_POINTS + 1), "grid_points"),
-    # a wide max_exp held about 2 KB a point of cached powers, 4 GB at the sample limit
-    (lambda: henkin.mc_moment_batch("D4", 1000, 10 ** 6, 0, max_exp=40), "750 MB budget"),
-    (lambda: henkin.mc_moment_batch("D2", 10, henkin.MAX_MC_SAMPLES, 0, max_exp=60),
-     "max_exp 60"),
+    # a block holds every column power its multi-indices read: 3996 of them here
+    (lambda: henkin.mc_moment_batch("D4", 1000, 10 ** 6, 0, max_exp=1000), "250 MB budget"),
+    (lambda: henkin.mc_moment_batch("D2", 1000, henkin.MAX_MC_SAMPLES, 0, max_exp=2000),
+     "max_exp 2000"),
     # a huge count or degree ran without end
     (lambda: norms.isometry_check([0] * (norms.MAX_ISOMETRY_DEGREE + 2), 4),
      r"degree of f must be at most 400"),
@@ -92,8 +92,36 @@ def test_budgets_at_their_limits_are_accepted():
     assert R4.section(2).shape == R4.entries.shape
     assert len(henkin.mc_moment_batch("D4", henkin.MAX_MC_COUNT, 1000, 0)) == 1000
     assert henkin.non_henkin_witness(n_max=henkin.MAX_NON_HENKIN_N, grid_points=10).passed
-    # a D4 batch of the default max_exp on the most samples fits the budget
-    assert 16 * henkin._batch_arrays(4, 6) * henkin.MAX_MC_SAMPLES <= henkin.MAX_MC_BYTES
+    # batches of the default max_exp on the most samples fit the budget
+    for variant in ("D4", "D2"):
+        assert henkin._batch_bytes(variant, henkin.MAX_MC_COUNT, henkin.MAX_MC_SAMPLES,
+                                   6) <= henkin.MAX_MC_BYTES
     assert norms.isometry_check([1] * (norms.MAX_ISOMETRY_DEGREE + 1), 4).equal
     _, rows, _ = checks.verify_isometry(count=checks.MAX_ISOMETRY_COUNT, maxdeg=2)
     assert all(row["pass"] for row in rows)
+
+
+def test_batch_charge_is_what_a_block_holds():
+    # charged 2,000 MB as whole-sample arrays, though it holds one block of rows
+    assert henkin._batch_bytes("D4", 1000, 10 ** 6, 40) <= henkin.MAX_MC_BYTES
+    # a block holds every column power its multi-indices read: 4 (max_exp - 1)
+    # of them, or 4 per multi-index where there are fewer multi-indices
+    assert henkin._batch_bytes("D4", 1000, 10 ** 6, 1000) > henkin.MAX_MC_BYTES
+    assert henkin._batch_bytes("D4", 10, 10 ** 6, 1000) == henkin._batch_bytes("D4", 10, 10 ** 6, 11)
+    # D2 holds its raw draws whole, 16 bytes a point
+    grown = henkin._batch_bytes("D2", 10, 2 * 10 ** 6, 6) - henkin._batch_bytes("D2", 10, 10 ** 6, 6)
+    assert grown >= 16 * 10 ** 6
+
+
+@pytest.mark.parametrize("variant", ["D4", "D2"])
+def test_batch_charge_tracks_the_traced_peak(variant):
+    samples = 3 * henkin._MC_BLOCK + 7
+    henkin.mc_moment_batch(variant, 1, 1000, 0, max_exp=20)  # the D2 table, cached
+    tracemalloc.start()
+    try:
+        henkin.mc_moment_batch(variant, 300, samples, 0, max_exp=20)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    charge = henkin._batch_bytes(variant, 300, samples, 20)
+    assert 0.8 * charge <= peak <= 1.2 * charge

@@ -571,7 +571,32 @@ class TestNonHenkin:
     def test_radius_bound_respected(self):
         # max |(1 + r)/2| on the ball of radius rho is (1 + rho^4)/2 at most
         rep = non_henkin_witness(n_max=2, grid_points=2000, grid_radius=0.5, seed=9)
-        assert rep.max_base_abs <= 0.5 * (1 + 0.5 ** 4) + 1e-12
+        assert rep.sampled_max_base_abs <= rep.max_base_abs == 0.5 * (1 + 0.5 ** 4)
+
+    @pytest.mark.parametrize("rho", [0.9, 0.5, 0.99, 0.3])
+    def test_closed_form_sup_and_first_n_below_threshold(self, rho):
+        base = (1 + Fraction(rho) ** 4) / 2
+        rep = non_henkin_witness(n_max=2, grid_points=100, grid_radius=rho, seed=1)
+        assert Fraction(rep.max_base_abs) >= base
+        assert Fraction(math.nextafter(rep.max_base_abs, 0.0)) < base
+        n = rep.n_below_threshold
+        assert base ** n < Fraction(1e-6) <= base ** (n - 1)
+        assert Fraction(rep.max_fn_final) >= base ** 1000
+        assert rep.sup_ball_abs == 1.0 and rep.passed
+
+    def test_first_n_below_threshold_at_the_default_radius(self):
+        # (1 + 0.9^4)/2 = 0.82805, sampled maxima gave 59 and 64
+        assert non_henkin_witness(n_max=2, grid_points=10).n_below_threshold == 74
+
+    def test_no_first_n_within_the_decay_horizon(self):
+        rep = non_henkin_witness(n_max=2, grid_points=10, grid_radius=0.999999)
+        assert rep.n_below_threshold == -1 and not rep.passed
+
+    def test_a_sample_above_the_closed_form_fails(self, monkeypatch):
+        r_values = henkin._r_values
+        monkeypatch.setattr(henkin, "_r_values", lambda points, c: 1.25 * r_values(points, c))
+        rep = non_henkin_witness(n_max=2, grid_points=1000, grid_radius=0.5, seed=3)
+        assert rep.sampled_max_base_abs > rep.max_base_abs and not rep.passed
 
     def test_rejects_exterior_radius(self):
         with pytest.raises(ValueError):
@@ -598,7 +623,7 @@ class TestNonHenkin:
         max_base = float(np.max(np.abs(0.5 * (1.0 + interior))))
         closed = r4(np.vstack([ball(grid_points, rng, 4, 1.0), sphere(grid_points, rng, 4)]))
         sup_f1 = float(np.max(np.abs(0.5 * (1.0 + closed))))
-        assert rep.max_base_abs.hex() == max_base.hex()
+        assert rep.sampled_max_base_abs.hex() == max_base.hex()
         assert rep.sup_ball_ok == (sup_f1 <= 1.0 + 1e-12)
 
     def test_wrong_moment_fails_every_integral_that_uses_it(self, monkeypatch):
