@@ -12,9 +12,10 @@ thread writes into arrays the caller allocated and allocates none of its
 own: glibc keeps the memory a thread frees in that thread's arena, so a
 thread that allocates raises the peak memory of the process for good.
 
-The callers are the torus phases and orbit map of `PushforwardMeasure.sample`,
-the Cantor cosine product and the IFS phases; README.md gives what each
-saves. Every reduction over a sample runs on the calling thread.
+The one caller is the Cantor cosine product (`cantor._cos_product`), whose
+later levels run on one slice of n per thread; README.md gives what that
+saves. Every draw and every reduction over a sample runs on the calling
+thread.
 """
 
 from __future__ import annotations

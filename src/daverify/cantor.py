@@ -249,8 +249,7 @@ def fourier_table_ifs(max_n: int, level: int = 14) -> FourierTable:
 def _phases(ks: np.ndarray, t: np.ndarray) -> np.ndarray:
     """exp(-2 pi i k t) for every k in ks (rows) and atom t (columns)."""
     out = np.multiply.outer(-2j * np.pi * ks, t)
-    _workers.run([partial(np.exp, out[s], out=out[s]) for s in _workers.slices(len(out))])
-    return out
+    return np.exp(out, out=out)
 
 
 def _weighted_terms(n_max: int, eps: float) -> np.ndarray:

@@ -23,12 +23,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import partial
 from typing import Iterator, Literal, Optional, Sequence
 
 import numpy as np
 
-from . import _workers
 from .cantor import _UNIT_ROUNDOFF, MAX_TABLE_N, FourierTable, fourier_table_recursion
 from .disc_kernel import build_kernel_sequence
 from .exact import (
@@ -51,14 +49,6 @@ _VARIANTS = {f"D{d}": d for d in SUPPORTED_DIMS}
 
 # ---------------------------------------------------------------------------
 # samplers and the measure
-
-
-def sample_torus(count: int, rng: np.random.Generator, k: int) -> np.ndarray:
-    """count independent Haar samples on the k-torus, as unit complex entries."""
-    x = rng.random((count, k))
-    z = np.empty((count, k), dtype=np.complex128)
-    _workers.run([partial(_unit_phases, x[s], z[s]) for s in _workers.slices(count)])
-    return z
 
 
 def _unit_phases(x: np.ndarray, out: np.ndarray) -> None:
@@ -181,16 +171,12 @@ class PushforwardMeasure:
         identity's moment route and inner-product route stay separate code."""
         return Fraction(1) if self.table is None else self.table[k]
 
-    def points(self, zeta: np.ndarray, t: Optional[np.ndarray], out: Optional[np.ndarray] = None,
-               phases: Optional[np.ndarray] = None) -> np.ndarray:
+    def points(self, zeta: np.ndarray, t: Optional[np.ndarray]) -> np.ndarray:
         """The map of the measure, row by row: the points
         (zeta, conj(zeta_1...zeta_(d-1)) e^(2 pi i t)) / sqrt(d) of the rows of
         zeta, unit entries of shape (n, d - 1), and of t, n values in [0, 1);
-        t = 0 where t is None. out, complex of shape (n, d), and phases,
-        complex of length n and used only with t, are written when given, so
-        that the call can allocate nothing; new arrays are made otherwise."""
-        if out is None:
-            out = np.empty((len(zeta), self.dim), dtype=np.complex128)
+        t = 0 where t is None."""
+        out = np.empty((len(zeta), self.dim), dtype=np.complex128)
         out[:, :-1] = zeta
         # from zeta's columns: an operand sharing memory with `last` rounds differently
         last = out[:, -1]
@@ -203,8 +189,7 @@ class PushforwardMeasure:
         np.conjugate(last, out=last)
         if t is not None:
             # contiguous: numpy rounds a product of two strided columns differently
-            if phases is None:
-                phases = np.empty(len(t), dtype=np.complex128)
+            phases = np.empty(len(t), dtype=np.complex128)
             _unit_phases(t, phases)
             last *= phases
         out /= math.sqrt(self.dim)
@@ -213,14 +198,12 @@ class PushforwardMeasure:
     def sample(self, count: int, rng: np.random.Generator) -> np.ndarray:
         """count points on the sphere distributed according to the measure:
         the torus draws first, then (t ~ sigma only) the Cantor digits, mapped
-        by `points`."""
-        zeta = sample_torus(count, rng, self.dim - 1)
-        t = None if self.table is None else sample_cantor_points(count, rng)
+        by `points`. The blocks of `_mc_point_blocks`, copied into one array."""
         out = np.empty((count, self.dim), dtype=np.complex128)
-        phases = None if t is None else np.empty(count, dtype=np.complex128)
-        _workers.run([partial(self.points, zeta[s], None if t is None else t[s], out[s],
-                              None if t is None else phases[s])
-                      for s in _workers.slices(count)])
+        start = 0
+        for block in _mc_point_blocks(self, count, rng):
+            out[start:start + len(block)] = block
+            start += len(block)
         return out
 
 
@@ -244,8 +227,8 @@ MAX_MC_COUNT = 1000
 # meaningful there.
 _MC_ABS_FLOOR = 1e-13
 
-# Rows of a Monte Carlo sample formed and reduced at a time: 128 KiB a
-# complex column.
+# Rows of a sample of the measure formed and reduced at a time, by the Monte
+# Carlo batch and by peak_check (`_mc_point_blocks`): 128 KiB a complex column.
 _MC_BLOCK = 2 ** 13
 
 
@@ -261,23 +244,24 @@ class MomentReport:
 
 def _mc_point_blocks(measure: PushforwardMeasure, samples: int,
                      rng: np.random.Generator) -> Iterator[np.ndarray]:
-    """measure.sample(samples, rng), byte for byte and with the same draws
-    from rng, as blocks of at most _MC_BLOCK rows, mapped by `points` on the
-    calling thread.
+    """samples points of the measure, as blocks of at most _MC_BLOCK rows
+    mapped by `points` on the calling thread: every sampled point of the
+    measure is drawn here.
 
     The generator fills its arrays row by row. Where the torus is the only
     draw (t = 0), each block draws its own rows of it, which replays one
     full draw; otherwise the torus angles and then the Cantor words are
     drawn in full, 16 bytes a point, and mapped a block at a time. A lone
-    last row joins the block before it, as in `_workers.slices`: a
-    one-row block would round some complex products differently.
+    last row joins the block before it, as in `_workers.slices`: a one-row
+    block would round some complex products differently. Zero samples
+    give one empty block.
     """
     k = measure.dim - 1
     x = words = None
     if measure.table is not None:
         x = rng.random((samples, k))
         words = _cantor_words(samples, rng)
-    bounds = [*range(0, samples - 1, _MC_BLOCK), samples]
+    bounds = [*range(0, max(samples - 1, 1), _MC_BLOCK), samples]
     for b in map(slice, bounds, bounds[1:]):
         xb = rng.random((b.stop - b.start, k)) if x is None else x[b]
         zeta = np.empty(xb.shape, dtype=np.complex128)
@@ -611,9 +595,6 @@ class NonHenkinReport:
     passed: bool
 
 
-# Rows evaluated at a time where a check reduces sampled points to a few
-# numbers; a complex (rows, 4) block takes 4 MiB.
-_ROW_BLOCK = 2 ** 16
 # Rows of closed-ball points formed at a time: 256 KiB an array at d = 4.
 _BALL_BLOCK = 2 ** 12
 
@@ -764,11 +745,10 @@ class PeakReport:
 PEAK_TOL = 1e-12
 
 # The most points peak_check draws on each of its two samples. It streams
-# them, so its memory is a block of support points, about 13 MB, then the
-# radii of the closed-ball half, 4 bytes a sample (40 MB at this limit), and
-# its time about 0.4 s per 10^6 points, almost all of it on the calling
-# thread: only the support sample's torus phases and orbit map take a
-# second CPU.
+# them on the calling thread, so its memory is a block of support points
+# with its draws and temporaries, about 2 MB, then the radii of the
+# closed-ball half, 4 bytes a sample (40 MB at this limit), and its time
+# about 0.4 s per 10^6 points.
 MAX_PEAK_SAMPLES = 10 ** 7
 
 
@@ -789,17 +769,15 @@ def peak_check(samples: int = 10_000, seed: int = 0, delta: float = 1e-2) -> Pea
     rng = np.random.default_rng(seed)
 
     # Each half is one streamed fold on the calling thread: a block of rows
-    # is drawn, reduced, and folded into the running values (only
-    # `PushforwardMeasure.sample` splits its torus phases and orbit map over
-    # threads). The random generator fills its arrays row by row, so the
-    # blocks take the stream of one full draw. Every reduction is a max, a
-    # min, a count or an `all`, whose value does not depend on the blocks;
-    # the folds use np.maximum/np.minimum, which keep a NaN where Python's
-    # max/min could drop it.
+    # is drawn, reduced, and folded into the running values. The random
+    # generator fills its arrays row by row, so the blocks take the stream
+    # of one full draw. Every reduction is a max, a min, a count or an
+    # `all`, whose value does not depend on the blocks; the folds use
+    # np.maximum/np.minimum, which keep a NaN where Python's max/min could
+    # drop it.
     measure = PushforwardMeasure("D4")
     support_dev = max_peak_dev = -math.inf
-    for start in range(0, samples, _ROW_BLOCK):
-        support = measure.sample(min(_ROW_BLOCK, samples - start), rng)
+    for support in _mc_point_blocks(measure, samples, rng):
         r_vals = _r_values(support, measure.scale)
         moduli = np.add.reduce(np.square(np.abs(support)), axis=1)
         support_dev = np.maximum(support_dev, np.max(np.abs(moduli - 1.0)))

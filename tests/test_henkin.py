@@ -26,12 +26,10 @@ from daverify.henkin import (
     non_henkin_witness,
     peak_check,
     sample_cantor_points,
-    sample_torus,
 )
 from daverify.norms import da_inner
 
 SIGMA_1 = 0.37143735670876543
-B = henkin._ROW_BLOCK
 MB = henkin._MC_BLOCK
 
 
@@ -47,6 +45,26 @@ def sphere(count, rng, cdim):
 def ball(count, rng, cdim, radius):
     radii = radius * rng.random((count, 1)) ** (1.0 / (2 * cdim))
     return sphere(count, rng, cdim) * radii
+
+
+# The maps of the two measures written out, each drawn in one piece: the
+# references for `henkin._mc_point_blocks` and for `PushforwardMeasure.sample`,
+# which copies its blocks. D4 is (zeta, conj(zeta_1 zeta_2 zeta_3)) / 2, with the later
+# product in place as the map forms it: out of place, numpy rounds it
+# differently at one row for some seeds, seed 1 among them. D2 is
+# (zeta, conj(zeta) omega) / sqrt(2) with omega = e^(2 pi i t), the torus
+# draw first, then the Cantor digits.
+def d4_points(count, rng):
+    zeta = np.exp(2j * np.pi * rng.random((count, 3)))
+    z4 = zeta[:, 0] * zeta[:, 1]
+    z4 *= zeta[:, 2]
+    return 0.5 * np.column_stack([zeta[:, 0], zeta[:, 1], zeta[:, 2], np.conj(z4)])
+
+
+def d2_points(count, rng):
+    zeta = np.exp(2j * np.pi * rng.random((count, 1)))[:, 0]
+    omega = np.exp(2j * np.pi * sample_cantor_points(count, rng))
+    return np.column_stack([zeta, np.conj(zeta) * omega]) / math.sqrt(2.0)
 
 
 # r = 16 z1 z2 z3 z4 written out: the reference for henkin._r_values
@@ -163,7 +181,7 @@ class TestSamplers:
         m2 = PushforwardMeasure("D2", fourier_table_recursion(4, 1e-12))
         pts = m2.sample(50, np.random.default_rng(1))
         rng = np.random.default_rng(1)
-        sample_torus(50, rng, 1)
+        rng.random((50, 1))
         omega = np.exp(2j * np.pi * sample_cantor_points(50, rng))
         assert m2.scale == 2
         assert np.abs(henkin._r_values(pts, m2.scale) - omega).max() < 1e-12
@@ -171,7 +189,7 @@ class TestSamplers:
     def test_chunked_samplers_equal_one_shot_draws(self):
         # digit j is bit 64 - j of one 64-bit draw, 1 -> 2 read in base 3: the
         # two 32-digit halves hi and lo as Python ints, t = hi 3^-32 + lo 3^-64
-        counts = (*range(1, 21), 16383, 16384, 16385, 32769, 50000)
+        counts = (*range(21), 16383, 16384, 16385, 32769, 50000)
         for seed, count in itertools.product((1, 13), counts):
             rng = np.random.default_rng(seed)
             words = rng.integers(0, 2 ** 64, size=count, dtype=np.uint64)
@@ -185,33 +203,26 @@ class TestSamplers:
             assert got.tobytes() == np.array(expected, dtype=np.float64).tobytes()
             assert sampler.bit_generator.state == rng.bit_generator.state
 
-            # (zeta, conj(zeta_1 zeta_2 zeta_3)) / 2, with the later product in
-            # place as the sampler forms it: out of place, numpy rounds it
-            # differently at one row for some seeds, seed 1 among them
-            rng = np.random.default_rng(seed)
-            zeta = np.exp(2j * np.pi * rng.random((count, 3)))
-            z4 = zeta[:, 0] * zeta[:, 1]
-            z4 *= zeta[:, 2]
-            expected = 0.5 * np.column_stack([zeta[:, 0], zeta[:, 1], zeta[:, 2], np.conj(z4)])
-            got = PushforwardMeasure("D4").sample(count, np.random.default_rng(seed))
-            assert got.tobytes() == expected.tobytes()
+            # no rows, and a lone row, which is a block of its own, among them
+            want_rng, sampler = np.random.default_rng(seed), np.random.default_rng(seed)
+            expected = d4_points(count, want_rng)
+            got = PushforwardMeasure("D4").sample(count, sampler)
+            assert got.shape == (count, 4) and got.tobytes() == expected.tobytes()
+            assert sampler.bit_generator.state == want_rng.bit_generator.state
 
     def test_d2_sample_equals_its_written_out_map(self):
-        # (zeta, conj(zeta) omega) / sqrt(2), torus draw first, then the digits
         d2 = PushforwardMeasure("D2", fourier_table_recursion(4, 1e-12))
-        for count in (*range(2, 21), 65537):
-            rng = np.random.default_rng(13)
-            zeta = np.exp(2j * np.pi * rng.random((count, 1)))[:, 0]
-            omega = np.exp(2j * np.pi * sample_cantor_points(count, rng))
-            expected = np.column_stack([zeta, np.conj(zeta) * omega]) / math.sqrt(2.0)
-            got = d2.sample(count, np.random.default_rng(13))
-            assert got.tobytes() == expected.tobytes()
+        for count in (*range(21), 65537):
+            want_rng, sampler = np.random.default_rng(13), np.random.default_rng(13)
+            expected = d2_points(count, want_rng)
+            got = d2.sample(count, sampler)
+            assert got.shape == (count, 2) and got.tobytes() == expected.tobytes()
+            assert sampler.bit_generator.state == want_rng.bit_generator.state
 
     @pytest.mark.parametrize("count", [0, 1, 2, 3, 5, 1001, 16385, 40000])
     def test_samplers_do_not_depend_on_worker_count(self, count, monkeypatch):
         d2 = PushforwardMeasure("D2", fourier_table_recursion(4, 1e-12))
-        draws = {"torus": lambda rng: sample_torus(count, rng, 3),
-                 "cantor": lambda rng: sample_cantor_points(count, rng),
+        draws = {"cantor": lambda rng: sample_cantor_points(count, rng),
                  "d4": lambda rng: D4.sample(count, rng),
                  "d2": lambda rng: d2.sample(count, rng)}
         got = []
@@ -228,14 +239,18 @@ class TestSamplers:
 
     @pytest.mark.parametrize("variant", ["D4", "D2"])
     def test_monte_carlo_blocks_equal_the_sample(self, variant):
-        # the points of each block, mapped by `points`, against one call of
-        # `sample`: the same bytes and the same draws; no block is one row
-        measure = D4 if variant == "D4" else PushforwardMeasure("D2", fourier_table_recursion(4, 1e-12))
+        # the points of each block, mapped by `points`, against the map
+        # written out and drawn in one piece: the same bytes and the same
+        # draws; no block is one row
+        if variant == "D4":
+            measure, written_out = D4, d4_points
+        else:
+            measure, written_out = PushforwardMeasure("D2", fourier_table_recursion(4, 1e-12)), d2_points
         for samples in (1000, MB - 1, MB, MB + 1, 3 * MB + 7):
             rng = np.random.default_rng(samples)
             blocks = list(henkin._mc_point_blocks(measure, samples, rng))
             want_rng = np.random.default_rng(samples)
-            assert np.concatenate(blocks).tobytes() == measure.sample(samples, want_rng).tobytes()
+            assert np.concatenate(blocks).tobytes() == written_out(samples, want_rng).tobytes()
             assert rng.bit_generator.state == want_rng.bit_generator.state
             assert all(1 < len(b) <= MB + 1 for b in blocks)
 
@@ -339,7 +354,7 @@ class TestMonteCarlo:
                     alphas.append(tuple(int(x) for x in rng.integers(0, max_exp + 1, size=dim)))
             table = None if variant == "D4" else fourier_table_recursion(max_exp, 1e-12)
             measure = PushforwardMeasure(variant, table)
-            points = measure.sample(samples, rng)
+            points = (d4_points if variant == "D4" else d2_points)(samples, rng)
             columns = points.T.copy()
             new, old = [], []
             for a in alphas:
@@ -612,10 +627,11 @@ class TestNonHenkin:
             return r
 
         monkeypatch.setattr(henkin, "_r_values", nan_in_last_blocks)
-        rep = non_henkin_witness(n_max=2, grid_points=B + 10, seed=5)
+        rep = non_henkin_witness(n_max=2, grid_points=16 * henkin._BALL_BLOCK + 10, seed=5)
         assert not rep.sup_ball_ok and not rep.passed
 
-    @pytest.mark.parametrize("grid_points", [1, 1000, henkin._BALL_BLOCK + 1, B + 10])
+    @pytest.mark.parametrize("grid_points", [1, 1000, henkin._BALL_BLOCK + 1,
+                                             16 * henkin._BALL_BLOCK + 10])
     def test_blocked_draws_equal_one_shot_samples(self, grid_points):
         rep = non_henkin_witness(n_max=2, grid_points=grid_points, seed=11)
         rng = np.random.default_rng(11)
@@ -640,7 +656,7 @@ class TestPeak:
         """peak_check with every point of a phase held at once: the reference
         for the blocked reductions."""
         rng = np.random.default_rng(seed)
-        support = PushforwardMeasure("D4").sample(samples, rng)
+        support = d4_points(samples, rng)
         support_dev = float(np.max(np.abs(np.sum(np.abs(support) ** 2, axis=1) - 1.0)))
         f_support = 0.5 * (1.0 + r4(support))
         max_peak_dev = float(np.max(np.abs(f_support - 1.0)))
@@ -656,28 +672,33 @@ class TestPeak:
                           min_margin, all_inside, passed)
 
     @pytest.mark.parametrize("delta", [1e-3, 1e-2, 0.3])
-    @pytest.mark.parametrize("samples", [1, 2, B - 1, B, B + 1, 3 * B + 7])
+    # either side of one block and of eight, a lone last row among them, and
+    # 24 blocks and a few rows
+    @pytest.mark.parametrize("samples", [1, 2, MB - 1, MB, MB + 1, 8 * MB - 1, 8 * MB, 8 * MB + 1,
+                                         24 * MB + 7])
     def test_blocked_equals_unblocked(self, samples, delta):
         seed = samples % 1009
         assert repr(peak_check(samples, seed, delta)) == repr(self.unblocked(samples, seed, delta))
 
     def test_nan_in_a_later_block_fails_the_check(self, monkeypatch):
-        target = B + 5  # a row of the second support block
+        target = MB + 5  # a row of the second support block
         seen = [0]
+        unit_phases = henkin._unit_phases
 
-        def torus_with_nan(count, rng, k):
-            out = sample_torus(count, rng, k)
+        def phases_with_nan(x, out):
+            unit_phases(x, out)
             if 0 <= target - seen[0] < len(out):
                 out[target - seen[0], 0] = np.nan
             seen[0] += len(out)
-            return out
 
-        monkeypatch.setattr(henkin, "sample_torus", torus_with_nan)
-        rep = peak_check(B + 10, 4)
+        monkeypatch.setattr(henkin, "_unit_phases", phases_with_nan)
+        rep = peak_check(MB + 10, 4)
         assert math.isnan(rep.max_peak_dev) and math.isnan(rep.support_dev)
         assert not rep.passed
-        seen[0] = 0
-        assert repr(rep) == repr(self.unblocked(B + 10, 4, 1e-2))
+        # the closed-ball half does not see the support's NaN
+        want = dataclasses.replace(self.unblocked(MB + 10, 4, 1e-2), max_peak_dev=math.nan,
+                                   support_dev=math.nan, passed=False)
+        assert repr(rep) == repr(want)
 
     def test_peaks_on_support_strict_inside(self):
         rep = peak_check(samples=4000, seed=21)
@@ -707,7 +728,7 @@ class TestPeak:
         with pytest.raises(ValueError, match=f"samples must be in \\[1, {henkin.MAX_PEAK_SAMPLES}\\]"):
             peak_check(samples=henkin.MAX_PEAK_SAMPLES + 1)
 
-    @pytest.mark.parametrize("samples", [1, 2, 3, 5, B + 1, 3 * B + 7])
+    @pytest.mark.parametrize("samples", [1, 2, 3, 5, 8 * MB + 1, 24 * MB + 7])
     def test_report_does_not_depend_on_worker_count(self, samples, monkeypatch):
         reports = []
         for workers in (1, 2, 3):
@@ -718,9 +739,9 @@ class TestPeak:
         assert reports[1] == reports[0] and reports[2] == reports[0]
 
     def test_traced_memory_at_a_million_samples(self):
-        # a support block of _ROW_BLOCK points with its draws and
-        # temporaries, 12.5 MiB; the closed-ball half then holds its radii,
-        # 3.8 MiB, and a block of normals, 256 KiB
+        # a support block of _MC_BLOCK points with its draws and
+        # temporaries, 1.8 MiB; the closed-ball half then holds its radii,
+        # 3.8 MiB, and a block of normals, 256 KiB: 4.5 MiB traced
         np.random.default_rng(0).random()  # numpy.random imports lazily
         tracemalloc.start()
         try:
@@ -728,7 +749,7 @@ class TestPeak:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak <= 16 * 2 ** 20
+        assert peak <= 8 * 2 ** 20
 
 
 class TestFunctionalBound:

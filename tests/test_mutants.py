@@ -18,7 +18,6 @@ from daverify import cantor, checks, compression, disc_kernel, henkin, norms
 from daverify.henkin import PushforwardMeasure
 
 _R_VALUES = henkin._r_values
-_SAMPLE = PushforwardMeasure.sample
 _POINTS = PushforwardMeasure.points
 _MOMENT = PushforwardMeasure._moment
 _CONJ_R_MOMENT = PushforwardMeasure.conj_r_moment
@@ -128,17 +127,19 @@ def r_values_times_5_4(mp):
 
 def sample_unconjugated(mp):
     # the last coordinate of the map without its conjugate: r no longer
-    # pushes to e^(2 pi i t); the map feeds `sample` and the moment batch
-    def points(self, zeta, t, out=None, phases=None):
-        pts = _POINTS(self, zeta, t, out, phases)
+    # pushes to e^(2 pi i t); the map feeds every sampled point of a measure
+    def points(self, zeta, t):
+        pts = _POINTS(self, zeta, t)
         pts[:, -1] = np.conj(pts[:, -1])
         return pts
     mp.setattr(PushforwardMeasure, "points", points)
 
 
 def sample_off_sphere(mp):
-    mp.setattr(PushforwardMeasure, "sample",
-               lambda self, count, rng: 1.01 * _SAMPLE(self, count, rng))
+    # every point of the map 1% off the sphere: the D4 support that
+    # peak_check samples, where r = 1.01^4 and |z|^2 = 1.01^2
+    mp.setattr(PushforwardMeasure, "points",
+               lambda self, zeta, t: 1.01 * _POINTS(self, zeta, t))
 
 
 def diagonal_moment_times_5_4(mp):

@@ -4,9 +4,10 @@ import sys
 import threading
 import time
 
+import numpy as np
 import pytest
 
-from daverify import _workers
+from daverify import _workers, cantor, henkin
 
 
 @pytest.mark.parametrize("workers", [1, 2, 3])
@@ -91,3 +92,39 @@ def test_every_task_runs_once_under_frequent_thread_switches(monkeypatch):
             assert sorted(ran) == list(range(200))
     finally:
         sys.setswitchinterval(interval)
+
+
+def test_only_the_cosine_product_runs_on_threads(monkeypatch):
+    # every draw and map of a sampled point, every sampled check and the IFS
+    # oracle give the same results with no task runner; the D2 measure reads
+    # a recursion table, the cosine product's, built before the runner goes
+    table = cantor.fourier_table_recursion(6, 1e-12)
+    d2 = henkin.PushforwardMeasure("D2", table)
+    block = henkin._MC_BLOCK
+    calls = {
+        "peak-check": lambda: henkin.peak_check(3 * block + 7, 5),
+        "sample-d4": lambda: henkin.PushforwardMeasure("D4").sample(
+            block + 3, np.random.default_rng(1)).tobytes(),
+        "sample-d2": lambda: d2.sample(block + 3, np.random.default_rng(1)).tobytes(),
+        "moments-d4": lambda: henkin.mc_moment_batch("D4", 20, 3 * block + 7, 3),
+        "moments-d2": lambda: henkin.mc_moment_batch("D2", 20, 3 * block + 7, 3),
+        "witness": lambda: henkin.non_henkin_witness(n_max=5, grid_points=1000, seed=2),
+        "ifs": lambda: cantor.fourier_table_ifs(100, 10).coeffs.tobytes(),
+    }
+    want = {name: repr(call()) for name, call in calls.items()}
+
+    class TaskRunnerCalled(Exception):
+        pass
+
+    def no_runner(tasks):
+        raise TaskRunnerCalled
+
+    def prebuilt_table(max_n, eps):
+        assert (max_n, eps) == (6, 1e-12)
+        return table
+
+    monkeypatch.setattr(_workers, "run", no_runner)
+    monkeypatch.setattr(henkin, "fourier_table_recursion", prebuilt_table)
+    assert {name: repr(call()) for name, call in calls.items()} == want
+    with pytest.raises(TaskRunnerCalled):
+        cantor.fourier_table_recursion(10)
